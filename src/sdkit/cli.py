@@ -15,7 +15,7 @@ import random
 import sys
 import time
 
-from .core import Graph, GraphMorphism, Span
+from .core import Graph, GraphMorphism, Span, is_json_int
 from .decomposition import (
     Adhesion,
     GRAPH,
@@ -87,7 +87,7 @@ def _load_morphism(path: str, cod: Graph) -> GraphMorphism:
         raise ValidationError("morphism JSON must be {'dom': <graph>, 'map': [..]}")
     dom = Graph.from_json(data.get("dom"))
     mapping = data.get("map")
-    if not isinstance(mapping, list) or not all(isinstance(x, int) for x in mapping):
+    if not isinstance(mapping, list) or not all(is_json_int(x) for x in mapping):
         raise ValidationError("morphism 'map' must be an array of vertex ids")
     return GraphMorphism(dom, cod, tuple(mapping))
 
@@ -228,9 +228,7 @@ def _cmd_solve(args) -> int:
         if reading is None:
             raise ValidationError("the decomposition is not a tree decomposition of the graph")
         translate = reading[1]
-    result = solve_on_decomposition(
-        d, predicate, objective, prune=args.prune, threads=args.threads
-    )
+    result = solve_on_decomposition(d, predicate, objective)
     witness = result.witness
     if witness is not None and translate is not None:
         witness = translate_subobject(witness, translate)
@@ -295,8 +293,10 @@ def _cmd_bench(args) -> int:
         if not isinstance(predicates, list):
             raise ValidationError("bench config 'predicates' must be an array")
         for entry in config.get("instances", []):
-            if not isinstance(entry, dict):
-                raise ValidationError("bench config instances must be objects")
+            if not isinstance(entry, dict) or not isinstance(entry.get("decomposition"), str):
+                raise ValidationError(
+                    "bench config instances must be objects with a 'decomposition' path"
+                )
             d = _load_decomposition(entry["decomposition"])
             instances.append((entry.get("id", entry["decomposition"]), d))
     if args.generate:
@@ -311,9 +311,7 @@ def _cmd_bench(args) -> int:
         for pred_name in predicates:
             predicate = predicate_by_name(pred_name)
             started = time.perf_counter()
-            result = solve_on_decomposition(
-                d, predicate, MAX_EDGES, prune=args.prune, threads=args.threads
-            )
+            result = solve_on_decomposition(d, predicate, MAX_EDGES)
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             writer.writerow(
                 [
@@ -354,9 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--property", default=needs["property"])
         if needs.get("objective"):
             p.add_argument("--objective", default="max-edges")
-        if needs.get("solver_flags"):
-            p.add_argument("--prune", action="store_true")
-            p.add_argument("--threads", type=int, default=1)
         if needs.get("exact"):
             p.add_argument("--exact", action="store_true")
         if needs.get("bench_flags"):
@@ -392,9 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
         decomposition="required",
         property="paths",
         objective=True,
-        solver_flags=True,
     )
-    bench = add("bench", _cmd_bench, bench_flags=True, solver_flags=True)
+    bench = add("bench", _cmd_bench, bench_flags=True)
     bench.add_argument("--property", default=None)
     return parser
 

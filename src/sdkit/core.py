@@ -42,7 +42,7 @@ class FinSet:
 
     @classmethod
     def from_json(cls, data) -> "FinSet":
-        if not isinstance(data, dict) or not isinstance(data.get("size"), int):
+        if not isinstance(data, dict) or not is_json_int(data.get("size")):
             raise ValidationError(f"finite set JSON must be {{'size': n}}, got {data!r}")
         return cls(data["size"])
 
@@ -93,14 +93,21 @@ class SetFunction:
     def from_json(cls, data) -> "SetFunction":
         if (
             not isinstance(data, dict)
-            or not isinstance(data.get("dom"), int)
-            or not isinstance(data.get("cod"), int)
+            or not is_json_int(data.get("dom"))
+            or not is_json_int(data.get("cod"))
             or not isinstance(data.get("map"), list)
+            or not all(is_json_int(x) for x in data["map"])
         ):
             raise ValidationError(
                 f"set function JSON must be {{'dom': n, 'cod': m, 'map': [..]}}, got {data!r}"
             )
         return cls(FinSet(data["dom"]), FinSet(data["cod"]), tuple(data["map"]))
+
+
+def is_json_int(x) -> bool:
+    """An int that is not a bool: JSON true/false load as Python bools, which
+    are ints, and must not pass as vertex ids or sizes."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _normalize_edge(u: int, v: int) -> tuple:
@@ -166,13 +173,13 @@ class Graph:
             raise ValidationError(f"graph JSON must be an object, got {data!r}")
         n = data.get("vertices")
         edges = data.get("edges")
-        if not isinstance(n, int) or not isinstance(edges, list):
+        if not is_json_int(n) or not isinstance(edges, list):
             raise ValidationError(
                 f"graph JSON must be {{'vertices': n, 'edges': [[u,v], ..]}}, got {data!r}"
             )
         pairs = []
         for e in edges:
-            if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+            if not (isinstance(e, list) and len(e) == 2 and all(is_json_int(x) for x in e)):
                 raise ValidationError(f"graph edge must be a pair of vertex ids, got {e!r}")
             pairs.append((e[0], e[1]))
         return cls(n, pairs)

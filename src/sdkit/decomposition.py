@@ -18,6 +18,7 @@ from .core import (
     GraphMorphism,
     SetFunction,
     Span,
+    is_json_int,
     colimit,
     complete_graph,
     complete_on_function,
@@ -423,7 +424,7 @@ def _object_from_json(kind: str, data):
 
 
 def _leg_from_json(kind, apex, bag, data, label):
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+    if not isinstance(data, list) or not all(is_json_int(x) for x in data):
         raise ValidationError(f"{label} must be an array of element indices")
     if kind == FINSET:
         return SetFunction(apex, bag, tuple(data))
@@ -471,7 +472,7 @@ def decomposition_from_json(data) -> StructuredDecomposition:
         if (
             not isinstance(edge, list)
             or len(edge) != 2
-            or not all(isinstance(x, int) for x in edge)
+            or not all(is_json_int(x) for x in edge)
         ):
             raise ValidationError(f"adhesion edge must be [u, v], got {edge!r}")
         u, v = min(edge), max(edge)
@@ -500,6 +501,6 @@ def arrow_from_json(data) -> ArrowPresentation:
     total = Graph.from_json(data.get("total"))
     base = Graph.from_json(data.get("base"))
     proj = data.get("projection")
-    if not isinstance(proj, list) or not all(isinstance(x, int) for x in proj):
+    if not isinstance(proj, list) or not all(is_json_int(x) for x in proj):
         raise ValidationError("projection must be an array of base vertices")
     return ArrowPresentation(total, base, GraphMorphism(total, base, tuple(proj)))

@@ -1,20 +1,21 @@
 """Compositional optimization over predicate-closed subgraph tables.
 
 A table holds every subobject of an ambient graph satisfying a
-subgraph-closed predicate. Tables over the two feet of a monic span compose
-into the table over the pushout: each pair of entries is glued along its
-shared trace on the span apex (realized directly as the union of the two
-cocone images, which adhesivity makes injective), kept when the predicate
-accepts the glue, and the injected images of both input tables are unioned
-in at the end. Folding this composition over a tree-shaped decomposition in
-post-order computes the table of the decomposition's colimit; the pair loop
-may run on several threads without changing the resulting table.
+subgraph-closed predicate. Two tables whose ambients lie inside one graph
+glue into the table over the union of those ambients: a glue A | B is kept
+when the predicate accepts it. Only pairs that agree on the overlap of the
+two ambients need trying, because an accepted union restricts to an entry of
+each (full, subgraph-closed) table and both restrictions share one trace on
+the overlap. `compose` glues the tables over the feet of a monic span inside
+its pushout; `solve_on_decomposition` pushes every bag's table once into the
+colimit of a tame tree-shaped decomposition, where every partial colimit
+embeds, and glues them there in post-order. `_compose_entries` does every
+glue.
 """
 from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -55,9 +56,12 @@ def brute_force_cap(override=None) -> int:
     if raw is None:
         return DEFAULT_BRUTE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise ValidationError(f"{BRUTE_CAP_ENV} must be an integer, got {raw!r}")
+        cap = -1
+    if cap < 0:
+        raise ValidationError(f"{BRUTE_CAP_ENV} must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 class Subobject(NamedTuple):
@@ -90,13 +94,6 @@ class Subobject(NamedTuple):
 
 
 EMPTY_SUBOBJECT = Subobject(frozenset(), frozenset())
-
-
-def subobject_in(sub: Subobject, g: Graph) -> bool:
-    """Well-formedness relative to an ambient graph."""
-    if not all(isinstance(v, int) and 0 <= v < g.vertices for v in sub.vertices):
-        return False
-    return all(e in g.edges and e[0] in sub.vertices and e[1] in sub.vertices for e in sub.edges)
 
 
 def _degrees(sub: Subobject) -> dict:
@@ -151,6 +148,11 @@ def predicate_bipartite(sub: Subobject) -> bool:
     return True
 
 
+# Planarity verdicts keyed by the relabelled edge list of the touched
+# vertices; shared across calls and emptied whenever it reaches the cap, so
+# it never holds more than PLANARITY_CACHE_CAP keys. A ladder-4 planar solve
+# fills about 700.
+PLANARITY_CACHE_CAP = 1 << 14
 _PLANARITY_CACHE = {}
 
 
@@ -272,6 +274,8 @@ def predicate_planar(sub: Subobject) -> bool:
                 if not _component_planar({v: adj[v] for v in comp}):
                     result = False
                     break
+    if len(_PLANARITY_CACHE) >= PLANARITY_CACHE_CAP:
+        _PLANARITY_CACHE.clear()
     _PLANARITY_CACHE[key] = result
     return result
 
@@ -309,8 +313,8 @@ class Objective:
     weight: Callable
     direction: str
 
-    def better(self, a, b) -> bool:
-        return a > b if self.direction == "max" else a < b
+    def best_value(self, values):
+        return max(values) if self.direction == "max" else min(values)
 
 
 MAX_EDGES = Objective("max-edges", lambda s: len(s.edges), "max")
@@ -367,55 +371,72 @@ def enumerate_subp_bruteforce(g: Graph, predicate: PropertyPredicate, cap=None) 
     return SubPTable(g, predicate.name, frozenset(entries))
 
 
-def _push_subobject(sub: Subobject, leg: GraphMorphism) -> Subobject:
-    verts = frozenset(leg(v) for v in sub.vertices)
-    edges = frozenset(_normalize_edge(leg(u), leg(v)) for u, v in sub.edges)
-    return Subobject(verts, edges)
+def translate_subobject(sub: Subobject, mapping) -> Subobject:
+    return Subobject(
+        frozenset(mapping[v] for v in sub.vertices),
+        frozenset(_normalize_edge(mapping[u], mapping[v]) for u, v in sub.edges),
+    )
 
 
-def _compose_entries(images_l, images_r, predicate, threads=1):
-    """Glued pairs that satisfy the predicate. Deterministic in set terms."""
-    cache = {}
-
-    def evaluate(pair):
-        a, b = pair
-        candidate = Subobject(a.vertices | b.vertices, a.edges | b.edges)
-        known = cache.get(candidate)
-        if known is None:
-            known = predicate(candidate)
-            cache[candidate] = known
-        return candidate if known else None
-
-    pair_count = len(images_l) * len(images_r)
-    pairs = itertools.product(images_l, images_r)
-    kept = set()
-    if threads > 1 and pair_count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for result in pool.map(evaluate, pairs, chunksize=256):
-                if result is not None:
-                    kept.add(result)
-    else:
-        for pair in pairs:
-            result = evaluate(pair)
-            if result is not None:
-                kept.add(result)
-    return kept, pair_count
+def _embed(table: SubPTable, leg: GraphMorphism) -> tuple:
+    """(part, entries): a table pushed along an injective leg, together with
+    the image of the leg as a subobject of the leg's codomain."""
+    part = Subobject(leg.image_vertices(), leg.image_edges())
+    if leg.mapping == tuple(range(leg.dom.vertices)):
+        # an identity leg (a one-bag decomposition has one) keeps the table:
+        # a copy of a large leaf table costs time and memory for no change
+        return part, table.entries
+    return part, [translate_subobject(sub, leg.mapping) for sub in table.entries]
 
 
-def compose(
-    span: Span,
-    sub_l: SubPTable,
-    sub_r: SubPTable,
-    predicate: PropertyPredicate,
-    threads: int = 1,
-):
-    """Table over the pushout of a monic span from tables over its feet.
+def _compose_entries(images_l, images_r, predicate, overlap: Subobject) -> set:
+    """Both tables plus every glue A | B that satisfies the predicate.
 
-    Every pair (A, B) is glued along the shared trace on the span apex; the
-    glue is realized as the union of the two pushout-cocone images (injective
-    by adhesivity), added when the predicate holds. The injected images of
-    both input tables are unioned in unconditionally. op_counter counts
-    exactly |sub_l| * |sub_r| pair compositions.
+    The inputs are the full Sub_P tables of two subgraphs L and R of one
+    ambient graph, which meet in `overlap` (the vertices and the edges that
+    lie in both). Only pairs with the same trace on the overlap are glued:
+    if S = A | B satisfies the predicate, so do S & L and S & R, which are
+    entries of the two tables with one shared trace and the union S. Matched
+    pairs give distinct unions, so no union is evaluated twice; a pair with
+    one entry inside the overlap gives back the other entry and is skipped.
+    """
+    shared_v, shared_e = overlap
+    by_trace = {}
+    for b in images_r:
+        trace = (b.vertices & shared_v, b.edges & shared_e)
+        if trace != b:
+            by_trace.setdefault(trace, []).append(b)
+    kept = set(images_l)
+    kept.update(images_r)
+    for a in images_l:
+        trace = (a.vertices & shared_v, a.edges & shared_e)
+        if trace == a:
+            continue
+        for b in by_trace.get(trace, ()):
+            candidate = Subobject(a.vertices | b.vertices, a.edges | b.edges)
+            if predicate(candidate):
+                kept.add(candidate)
+    return kept
+
+
+def _glue(left: tuple, right: tuple, predicate: PropertyPredicate) -> tuple:
+    """Glue two (part, entries) tables whose parts lie in one ambient graph."""
+    (part_l, entries_l), (part_r, entries_r) = left, right
+    overlap = Subobject(part_l.vertices & part_r.vertices, part_l.edges & part_r.edges)
+    part = Subobject(part_l.vertices | part_r.vertices, part_l.edges | part_r.edges)
+    return part, _compose_entries(entries_l, entries_r, predicate, overlap)
+
+
+def compose(span: Span, sub_l: SubPTable, sub_r: SubPTable, predicate: PropertyPredicate):
+    """Table over the pushout of a monic span from the full tables over its
+    feet.
+
+    The tables must be full, as enumerate_subp_bruteforce and compose build
+    them: a table that leaves out the trace of one of its entries on the
+    apex is rejected. Both tables are pushed into the pushout along its
+    cocone (injective by adhesivity) and glued there. op_counter counts
+    |sub_l| * |sub_r| pair compositions, although only the pairs that agree
+    on the image of the apex are glued.
     """
     if not span.is_monic():
         raise NonMonicSpan("table composition requires a monic span")
@@ -423,12 +444,14 @@ def compose(
         raise ValidationError("tables do not match the span feet")
     if sub_l.predicate_name != predicate.name or sub_r.predicate_name != predicate.name:
         raise ValidationError("tables were built for a different predicate")
+    for table, leg in ((sub_l, span.left), (sub_r, span.right)):
+        shared_v, shared_e = leg.image_vertices(), leg.image_edges()
+        for sub in table.entries:
+            if Subobject(sub.vertices & shared_v, sub.edges & shared_e) not in table.entries:
+                raise ValidationError("compose needs the full Sub_P tables of the span feet")
     glued, cocone = pushout(span)
-    images_l = [_push_subobject(a, cocone.left) for a in sub_l.sorted_entries()]
-    images_r = [_push_subobject(b, cocone.right) for b in sub_r.sorted_entries()]
-    kept, pair_count = _compose_entries(images_l, images_r, predicate, threads)
-    kept.update(images_l)
-    kept.update(images_r)
+    _, kept = _glue(_embed(sub_l, cocone.left), _embed(sub_r, cocone.right), predicate)
+    pair_count = len(sub_l.entries) * len(sub_r.entries)
     return SubPTable(glued, predicate.name, frozenset(kept), pair_count)
 
 
@@ -438,25 +461,36 @@ def compose_optimize(
     sub_r: SubPTable,
     predicate: PropertyPredicate,
     objective: Objective,
-    threads: int = 1,
 ) -> Subobject:
     """Best entry of the composed table; ties broken by smallest encoding."""
-    table = compose(span, sub_l, sub_r, predicate, threads)
-    return best_entry(table, objective)
+    return best_entry(compose(span, sub_l, sub_r, predicate), objective)
+
+
+def _best(entries, objective: Objective):
+    """The entry of best weight with the smallest encoding; None if empty.
+
+    One pass finds the best weight; only the tied entries are encoded.
+    """
+    if not entries:
+        return None
+    weight = objective.weight
+    top = objective.best_value(map(weight, entries))
+    return min((sub for sub in entries if weight(sub) == top), key=Subobject.encoding)
 
 
 def best_entry(table: SubPTable, objective: Objective):
-    best = None
-    best_value = None
-    for sub in table.sorted_entries():
-        value = objective.weight(sub)
-        if best is None or objective.better(value, best_value):
-            best, best_value = sub, value
-    return best
+    return _best(table.entries, objective)
 
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Deterministic counters of one fold.
+
+    compositions holds (|L|, |R|) per glue, in fold order; pair_compositions
+    is the sum of |L| * |R| over them, the size of the full pair space. Only
+    the pairs whose traces match on the overlap are actually glued.
+    """
+
     pair_compositions: int
     table_sizes: tuple
     compositions: tuple
@@ -470,48 +504,22 @@ class SolveResult:
     stats: SolveStats
 
 
-def _prune_table(entries, interface: GraphMorphism, glued_to_x, objective):
-    """Experimental frontier pruning: keep the best entry per interface trace.
-
-    Heuristic only; gluing feasibility depends on entry interiors (degrees,
-    colorings) beyond the trace, so the true optimum can be lost.
-    """
-    interface_verts = [glued_to_x[interface(v)] for v in range(interface.dom.vertices)]
-    interface_edges = [
-        _normalize_edge(glued_to_x[interface(u)], glued_to_x[interface(v)])
-        for u, v in interface.dom.edges
-    ]
-    best = {}
-    for sub in sorted(entries, key=Subobject.encoding):
-        trace = (
-            frozenset(v for v in interface_verts if v in sub.vertices),
-            frozenset(e for e in interface_edges if e in sub.edges),
-        )
-        incumbent = best.get(trace)
-        if incumbent is None or objective.better(
-            objective.weight(sub), objective.weight(incumbent)
-        ):
-            best[trace] = sub
-    return set(best.values())
-
-
 def solve_on_decomposition(
     d: StructuredDecomposition,
     predicate: PropertyPredicate,
     objective: Objective,
     cap=None,
     root=None,
-    prune: bool = False,
-    threads: int = 1,
 ) -> SolveResult:
     """Fold table composition over a tree-shaped tame decomposition.
 
-    Leaves start from brute-force tables of their bags; every shape edge
-    composes the child subtree's table with the parent's accumulated table
-    along the adhesion span, re-expressed over the partial colimit. The final
-    table is rewritten onto evaluate_colimit(d)'s canonical vertex numbering,
-    so the result is independent of the chosen root. Forest shapes are folded
-    per component and joined over the empty interface.
+    Every bag's brute-force table is pushed once along its leg of the
+    cocone of evaluate_colimit(d), which is injective for a tame tree, so
+    every partial colimit is a subgraph of the colimit and the fold works in
+    its canonical vertex numbering throughout. In post-order, every shape
+    edge glues the child subtree's table onto the parent's accumulated
+    table; forest shapes are folded per component and then glued in
+    component order. The result does not depend on the chosen root.
     """
     require_valid(d)
     if d.value_kind != GRAPH:
@@ -527,9 +535,7 @@ def solve_on_decomposition(
                 f"bag with {bag.vertices} vertices exceeds the brute-force cap {cap}"
             )
     glued, cocone = evaluate_colimit(d)
-    table_sizes = []
-    compositions = []
-    pair_total = 0
+    assert all(leg.is_mono() for leg in cocone), "a tame tree embeds every bag in its colimit"
 
     if not d.bags:
         entries = {EMPTY_SUBOBJECT} if predicate(EMPTY_SUBOBJECT) else set()
@@ -538,6 +544,20 @@ def solve_on_decomposition(
         witness = best_entry(table, objective)
         value = objective.weight(witness) if witness is not None else None
         return SolveResult(value, witness, table, stats)
+
+    table_sizes = []
+    compositions = []
+
+    def leaf(t) -> tuple:
+        part = _embed(enumerate_subp_bruteforce(d.bags[t], predicate, cap), cocone[t])
+        table_sizes.append(len(part[1]))
+        return part
+
+    def glue(left, right) -> tuple:
+        compositions.append((len(left[1]), len(right[1])))
+        part = _glue(left, right, predicate)
+        table_sizes.append(len(part[1]))
+        return part
 
     shape_nbrs = d.shape.neighbor_sets()
     components = connected_components(d.shape)
@@ -559,85 +579,21 @@ def solve_on_decomposition(
                 if u not in parent:
                     parent[u] = v
                     stack.append(u)
-        state = {}  # vertex -> (partial graph, entry set, {shape vertex -> embedding})
+        state = {}  # shape vertex -> (part, entries) of its folded subtree
         for v in reversed(order):
-            part = d.bags[v]
-            entries = set(enumerate_subp_bruteforce(part, predicate, cap).entries)
-            table_sizes.append(len(entries))
-            embeds = {v: GraphMorphism.identity(part)}
+            acc = leaf(v)
             for child in sorted(shape_nbrs[v]):
-                if parent.get(child) != v:
-                    continue
-                child_part, child_entries, child_embeds = state.pop(child)
-                adhesion = d.adhesion_at(v, child)
-                u, w = adhesion.edge
-                leg_parent = adhesion.span.left if u == v else adhesion.span.right
-                leg_child = adhesion.span.right if u == v else adhesion.span.left
-                span = Span(
-                    leg_child.then(child_embeds[child]),
-                    leg_parent.then(embeds[v]),
-                )
-                if prune:
-                    child_entries = _prune_table(
-                        child_entries,
-                        span.left,
-                        tuple(range(child_part.vertices)),
-                        objective,
-                    )
-                new_part, cospan = pushout(span)
-                images_l = [_push_subobject(a, cospan.left) for a in child_entries]
-                images_r = [_push_subobject(b, cospan.right) for b in entries]
-                kept, _ = _compose_entries(images_l, images_r, predicate, threads)
-                kept.update(images_l)
-                kept.update(images_r)
-                compositions.append((len(child_entries), len(entries)))
-                entries = kept
-                table_sizes.append(len(entries))
-                embeds = {
-                    **{t: m.then(cospan.right) for t, m in embeds.items()},
-                    **{t: m.then(cospan.left) for t, m in child_embeds.items()},
-                }
-                part = new_part
-            state[v] = (part, entries, embeds)
+                if parent.get(child) == v:
+                    acc = glue(state.pop(child), acc)
+            state[v] = acc
         return state[start]
 
-    part, entries, embeds = fold_component(components[0])
+    acc = fold_component(components[0])
     for component in components[1:]:
-        other_part, other_entries, other_embeds = fold_component(component)
-        span = Span(
-            GraphMorphism(Graph(0), part, ()),
-            GraphMorphism(Graph(0), other_part, ()),
-        )
-        new_part, cospan = pushout(span)
-        images_l = [_push_subobject(a, cospan.left) for a in entries]
-        images_r = [_push_subobject(b, cospan.right) for b in other_entries]
-        kept, _ = _compose_entries(images_l, images_r, predicate, threads)
-        kept.update(images_l)
-        kept.update(images_r)
-        compositions.append((len(entries), len(other_entries)))
-        entries = kept
-        table_sizes.append(len(entries))
-        embeds = {
-            **{t: m.then(cospan.left) for t, m in embeds.items()},
-            **{t: m.then(cospan.right) for t, m in other_embeds.items()},
-        }
-        part = new_part
+        acc = glue(acc, fold_component(component))
 
-    # rewrite onto the canonical colimit numbering
-    translate = [-1] * part.vertices
-    for t, emb in embeds.items():
-        for b in range(d.bags[t].vertices):
-            translate[emb(b)] = cocone[t](b)
-    assert -1 not in translate, "every gluing class must contain a bag element"
-    final_entries = frozenset(
-        Subobject(
-            frozenset(translate[v] for v in sub.vertices),
-            frozenset(_normalize_edge(translate[u], translate[v]) for u, v in sub.edges),
-        )
-        for sub in entries
-    )
     pair_total = sum(l * r for l, r in compositions)
-    table = SubPTable(glued, predicate.name, final_entries, pair_total)
+    table = SubPTable(glued, predicate.name, frozenset(acc[1]), pair_total)
     stats = SolveStats(pair_total, tuple(table_sizes), tuple(compositions))
     witness = best_entry(table, objective)
     value = objective.weight(witness) if witness is not None else None
@@ -657,40 +613,29 @@ def _is_single_path(sub: Subobject) -> bool:
     return predicate_paths(sub)
 
 
-def translate_subobject(sub: Subobject, mapping) -> Subobject:
-    return Subobject(
-        frozenset(mapping[v] for v in sub.vertices),
-        frozenset(_normalize_edge(mapping[u], mapping[v]) for u, v in sub.edges),
-    )
-
-
-def _solve_named(g, d, predicate, labeling, cap, threads, keep):
+def _solve_named(g, d, predicate, labeling, cap, keep):
     reading = tree_decomposition_reading(g, d, labeling)
     if reading is None:
         raise NotATreeDecomposition(
             "the decomposition is not a tree decomposition of the graph"
         )
     _, colim_to_g = reading
-    result = solve_on_decomposition(d, predicate, MAX_EDGES, cap=cap, threads=threads)
-    candidates = [s for s in result.table.sorted_entries() if keep(s)]
-    if not candidates:
+    result = solve_on_decomposition(d, predicate, MAX_EDGES, cap=cap)
+    best = _best([sub for sub in result.table.entries if keep(sub)], MAX_EDGES)
+    if best is None:
         return 0, EMPTY_SUBOBJECT, result.stats
-    best = None
-    for sub in candidates:
-        if best is None or len(sub.edges) > len(best.edges):
-            best = sub
     return len(best.edges), translate_subobject(best, colim_to_g), result.stats
 
 
-def longest_path(g: Graph, d: StructuredDecomposition, labeling=None, cap=None, threads=1):
+def longest_path(g: Graph, d: StructuredDecomposition, labeling=None, cap=None):
     """Maximum edge count over single connected paths, with a witness in g's
     own numbering."""
-    return _solve_named(g, d, PATHS, labeling, cap, threads, _is_single_path)
+    return _solve_named(g, d, PATHS, labeling, cap, _is_single_path)
 
 
-def max_bipartite_subgraph(g: Graph, d: StructuredDecomposition, labeling=None, cap=None, threads=1):
-    return _solve_named(g, d, BIPARTITE, labeling, cap, threads, lambda s: True)
+def max_bipartite_subgraph(g: Graph, d: StructuredDecomposition, labeling=None, cap=None):
+    return _solve_named(g, d, BIPARTITE, labeling, cap, lambda s: True)
 
 
-def max_planar_subgraph(g: Graph, d: StructuredDecomposition, labeling=None, cap=None, threads=1):
-    return _solve_named(g, d, PLANAR, labeling, cap, threads, lambda s: True)
+def max_planar_subgraph(g: Graph, d: StructuredDecomposition, labeling=None, cap=None):
+    return _solve_named(g, d, PLANAR, labeling, cap, lambda s: True)

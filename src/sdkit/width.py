@@ -17,6 +17,7 @@ from .core import (
     GraphMorphism,
     SetFunction,
     Span,
+    is_json_int,
     find_isomorphism,
     is_forest,
     object_size,
@@ -214,7 +215,7 @@ def tree_decomposition_reading(g: Graph, d: StructuredDecomposition, labeling=No
                 return None
             for b in range(bag.vertices):
                 x = lab[b]
-                if not isinstance(x, int) or not 0 <= x < g.vertices:
+                if not is_json_int(x) or not 0 <= x < g.vertices:
                     return None
                 if translate[leg(b)] == -1:
                     translate[leg(b)] = x
@@ -416,7 +417,7 @@ class Layering:
         if not isinstance(data, dict) or not isinstance(data.get("layers"), list):
             raise ValidationError("layering JSON must be {'layers': [[v, ..], ..]}")
         for layer in data["layers"]:
-            if not isinstance(layer, list) or not all(isinstance(v, int) for v in layer):
+            if not isinstance(layer, list) or not all(is_json_int(v) for v in layer):
                 raise ValidationError(f"layer must be an array of vertex ids, got {layer!r}")
         return cls(data["layers"])
 

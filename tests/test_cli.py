@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -150,37 +151,35 @@ class TestVerbs:
         assert code == 0
         assert json.loads(out) == {"hWidth": 3}
 
-    def test_solver_flags_accepted_without_changing_values(self, capsys, fixtures_dir):
-        base = invoke(
+    def test_removed_solver_flags_are_rejected(self, capsys, fixtures_dir):
+        code, out = invoke(
             capsys, "solve", "-d", fx(fixtures_dir, "bowtie.dec.json"), "--property", "paths"
         )
-        threaded = invoke(
-            capsys,
-            "solve",
-            "-d",
-            fx(fixtures_dir, "bowtie.dec.json"),
-            "--property",
-            "paths",
-            "--threads",
-            "3",
-        )
-        assert base == threaded
-        code, out = invoke(
-            capsys,
-            "solve",
-            "-d",
-            fx(fixtures_dir, "bowtie.dec.json"),
-            "--property",
-            "paths",
-            "--prune",
-        )
-        assert code == 0
-        # the pruning heuristic keeps one entry per interface trace and loses
-        # the 4-edge optimum here; it must stay sound (never overshoot)
-        assert json.loads(out)["value"] == 3
+        assert code == 0 and json.loads(out)["value"] == 4
+        bowtie = fx(fixtures_dir, "bowtie.dec.json")
+        for argv in (
+            ["solve", "-d", bowtie, "--threads", "3"],
+            ["solve", "-d", bowtie, "--prune"],
+            ["bench", "--prune"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                run(argv)
+            assert excinfo.value.code == 2
 
 
 class TestErrorHandling:
+    def test_json_booleans_are_not_vertex_ids(self, capsys, tmp_path, fixtures_dir):
+        graph = tmp_path / "g.json"
+        graph.write_text('{"vertices": 2, "edges": [[0, true]]}')
+        code, out = invoke(capsys, "treewidth", "-g", str(graph))
+        assert code == 2 and "error" in json.loads(out)
+        morphism = tmp_path / "m.json"
+        morphism.write_text('{"dom": {"vertices": 1, "edges": []}, "map": [false]}')
+        code, out = invoke(
+            capsys, "restrict", "-d", fx(fixtures_dir, "bowtie.dec.json"), "--morphism", str(morphism)
+        )
+        assert code == 2 and "error" in json.loads(out)
+
     def test_malformed_json_exits_two_with_position(self, capsys, tmp_path):
         broken = tmp_path / "broken.json"
         broken.write_text('{"vertices": 3, "edges": [[0, 1]')
@@ -299,11 +298,34 @@ class TestBench:
             assert recomputed == result.stats.pair_compositions == int(fields[6])
             assert str(result.value) == fields[5]
 
+    def test_instance_without_decomposition_is_a_validation_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instances": [{"id": "x"}], "predicates": ["paths"]}))
+        code, out = invoke(capsys, "bench", "--config", str(cfg))
+        assert code == 2
+        assert "decomposition" in json.loads(out)["error"]
+
     def test_same_seed_same_instances(self, capsys):
         first = invoke(capsys, "bench", "--generate", "3", "--seed", "7")[1]
         second = invoke(capsys, "bench", "--generate", "3", "--seed", "7")[1]
         strip_ms = lambda text: [line.rsplit(",", 1)[0] for line in text.strip().split("\n")]
         assert strip_ms(first) == strip_ms(second)
+
+
+# `solve -d FIXTURE --property P --objective O` output per "FIXTURE P O"
+with open(pathlib.Path(__file__).resolve().parent / "golden" / "solve.json", encoding="utf-8") as handle:
+    GOLDEN_CASES = json.load(handle)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_solve_output_matches_golden(capsys, fixtures_dir, case):
+    # byte for byte: value, witness, pairCompositions and tableSizes
+    fixture, prop, objective = case.split()
+    code, out = invoke(
+        capsys, "solve", "-d", fx(fixtures_dir, fixture), "--property", prop, "--objective", objective
+    )
+    assert code == 0
+    assert out == json.dumps(GOLDEN_CASES[case], sort_keys=True, indent=2) + "\n"
 
 
 def test_console_entry_point(fixtures_dir):

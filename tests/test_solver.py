@@ -18,8 +18,10 @@ from sdkit import (
     PLANAR,
     Span,
     StructuredDecomposition,
+    SubPTable,
     Subobject,
     TooLarge,
+    ValidationError,
     complete_graph,
     compose,
     compose_optimize,
@@ -34,7 +36,7 @@ from sdkit import (
     solve_on_decomposition,
 )
 from sdkit.decomposition import Adhesion
-from sdkit.solver import EMPTY_SUBOBJECT, best_entry, _is_single_path
+from sdkit.solver import EMPTY_SUBOBJECT, best_entry, translate_subobject, _is_single_path
 from util import random_graph, random_graph_decomposition, random_monic_graph_span
 
 K1, K3, K5 = complete_graph(1), complete_graph(3), complete_graph(5)
@@ -158,6 +160,33 @@ class TestBruteForce:
         monkeypatch.setenv("SDKIT_MAX_BRUTE", "11")
         assert len(enumerate_subp_bruteforce(Graph(11), PATHS).entries) == 2**11
 
+    def test_negative_env_cap_is_a_validation_error(self, monkeypatch, capsys, fixtures_dir):
+        from sdkit.cli import run
+
+        monkeypatch.setenv("SDKIT_MAX_BRUTE", "-1")
+        with pytest.raises(ValidationError):
+            enumerate_subp_bruteforce(K1, PATHS)
+        assert run(["solve", "-d", str(fixtures_dir / "bowtie.dec.json")]) == 2
+        assert "SDKIT_MAX_BRUTE" in json.loads(capsys.readouterr().out)["error"]
+
+
+class TestPlanarityCache:
+    def test_cache_never_exceeds_its_cap(self, monkeypatch):
+        from sdkit import solver
+
+        monkeypatch.setattr(solver, "PLANARITY_CACHE_CAP", 5)
+        monkeypatch.setattr(solver, "_PLANARITY_CACHE", {})
+        rng = random.Random(89)
+        for _ in range(60):
+            g = random_graph(rng, 7, p=0.6)
+            sub = whole(g)
+            h = nx.Graph()
+            h.add_nodes_from(sub.vertices)
+            h.add_edges_from(sub.edges)
+            assert predicate_planar(sub) == nx.check_planarity(h)[0]
+            assert len(solver._PLANARITY_CACHE) <= 5
+        assert solver._PLANARITY_CACHE
+
 
 class TestCompose:
     def test_bowtie_table_contains_the_four_edge_path(self):
@@ -172,6 +201,21 @@ class TestCompose:
             frozenset(range(5)), frozenset({(0, 2), (1, 2), (1, 4), (3, 4)})
         )
         assert long_path in table.entries
+
+    def test_table_missing_a_trace_on_the_apex_is_rejected(self):
+        span = bowtie_span()
+        full = enumerate_subp_bruteforce(K3, PATHS)
+
+        def without_apex_vertex(leg):
+            apex = leg.image_vertices()
+            return SubPTable(
+                K3, PATHS.name, frozenset(s for s in full.entries if s.vertices != apex)
+            )
+
+        with pytest.raises(ValidationError):
+            compose(span, without_apex_vertex(span.left), full, PATHS)
+        with pytest.raises(ValidationError):
+            compose(span, full, without_apex_vertex(span.right), PATHS)
 
     def test_degenerate_identity_span(self):
         span = Span(GraphMorphism.identity(K1), GraphMorphism.identity(K1))
@@ -208,26 +252,16 @@ class TestCompose:
             right = enumerate_subp_bruteforce(span.right.cod, BIPARTITE)
             table = compose(span, left, right, BIPARTITE)
             _, cocone = pushout(span)
-            from sdkit.solver import _push_subobject
-
             for sub in left.entries:
-                assert _push_subobject(sub, cocone.left) in table.entries
+                assert translate_subobject(sub, cocone.left.mapping) in table.entries
             for sub in right.entries:
-                assert _push_subobject(sub, cocone.right) in table.entries
+                assert translate_subobject(sub, cocone.right.mapping) in table.entries
 
     def test_non_monic_span_rejected(self):
         collapse = GraphMorphism(Graph(2), K1, (0, 0))
         base = enumerate_subp_bruteforce(K1, PATHS)
         with pytest.raises(NonMonicSpan):
             compose(Span(collapse, collapse), base, base, PATHS)
-
-    def test_threads_do_not_change_the_table(self):
-        span = bowtie_span()
-        left = enumerate_subp_bruteforce(K3, PATHS)
-        right = enumerate_subp_bruteforce(K3, PATHS)
-        sequential = compose(span, left, right, PATHS)
-        threaded = compose(span, left, right, PATHS, threads=4)
-        assert sequential == threaded
 
 
 class TestComposeOptimize:
@@ -347,12 +381,6 @@ class TestSolveOnDecomposition:
             )
         assert runs[0] == runs[1]
 
-    def test_threads_do_not_change_results(self):
-        d = two_bag_bowtie_decomposition()
-        a = solve_on_decomposition(d, PATHS, MAX_EDGES)
-        b = solve_on_decomposition(d, PATHS, MAX_EDGES, threads=3)
-        assert a.table == b.table and a.witness == b.witness
-
 
 class TestNamedProblems:
     def test_longest_path_on_the_bowtie(self, bowtie, bowtie_decomposition):
@@ -386,27 +414,56 @@ class TestNamedProblems:
             longest_path(complete_graph(4), bowtie_decomposition)
 
 
-class TestPruning:
-    def test_pruned_solve_is_sound_but_can_lose_the_optimum(self):
-        # Root bag is the edge m-p, child bag is a triangle met at m. All
-        # three 2-edge child paths share the trace ({m}, {}) and pruning
-        # keeps the lexicographically first one, which runs through m with
-        # degree two and cannot absorb the pendant edge; the discarded
-        # m-endpoint path would have extended to the 3-edge optimum.
+def forest_decomposition():
+    """Three components, interleaved in shape numbering: two triangles glued
+    along an edge by an edgeless apex (0-3), a three-bag chain of edges
+    (1-2-4) and a lone point (5)."""
+    shared_pair = Graph(2)  # both bags have the edge 0-1; the apex does not
+    point = lambda bag, v: GraphMorphism(K1, bag, (v,))
+    edge = path(2)
+    adhesions = (
+        Adhesion(
+            (0, 3),
+            Span(GraphMorphism(shared_pair, K3, (0, 1)), GraphMorphism(shared_pair, K3, (1, 0))),
+        ),
+        Adhesion((1, 2), Span(point(edge, 1), point(edge, 0))),
+        Adhesion((2, 4), Span(point(edge, 1), point(edge, 0))),
+    )
+    shape = Graph(6, [(0, 3), (1, 2), (2, 4)])
+    return StructuredDecomposition(shape, GRAPH, (K3, edge, edge, K3, edge, K1), adhesions)
+
+
+class TestForestFold:
+    def test_every_root_matches_brute_force_on_the_colimit(self):
+        from sdkit import evaluate_colimit
+
+        d = forest_decomposition()
+        glued, _ = evaluate_colimit(d)
+        assert glued.vertices == 9 and len(glued.edges) == 8
+        for predicate in (PATHS, BIPARTITE, PLANAR):
+            oracle = enumerate_subp_bruteforce(glued, predicate).entries
+            witnesses = set()
+            for root in [None, *range(d.shape.vertices)]:
+                result = solve_on_decomposition(d, predicate, MAX_EDGES, root=root)
+                assert result.table.entries == oracle
+                witnesses.add(result.witness)
+            assert len(witnesses) == 1
+
+
+class TestPendantTriangle:
+    def test_exact_solve_extends_the_triangle_path_by_the_pendant_edge(self):
+        # Root bag is the edge m-p, child bag is a triangle met at m. The
+        # three 2-edge triangle paths share the trace ({m}, {}), but only
+        # the two ending at m extend by m-p to the 3-edge optimum, so a
+        # table with one entry per trace cannot be exact here.
+        from sdkit import evaluate_colimit
+
         parent = Graph(2, [(0, 1)])  # m=0, p=1
         adh = Adhesion(
             (0, 1), Span(GraphMorphism(K1, parent, (0,)), GraphMorphism(K1, K3, (0,)))
         )
         d = StructuredDecomposition(Graph(2, [(0, 1)]), GRAPH, (parent, K3), (adh,))
-        exact = solve_on_decomposition(d, PATHS, MAX_EDGES)
-        pruned = solve_on_decomposition(d, PATHS, MAX_EDGES, prune=True)
-        assert exact.value == 3
-        assert pruned.value <= exact.value
-        assert pruned.table.entries <= exact.table.entries
-        assert pruned.value == 2  # documented heuristic loss
-
-    def test_pruning_preserves_single_interface_optima_sometimes(self):
-        d = two_bag_bowtie_decomposition()
-        exact = solve_on_decomposition(d, BIPARTITE, MAX_EDGES)
-        pruned = solve_on_decomposition(d, BIPARTITE, MAX_EDGES, prune=True)
-        assert pruned.value == exact.value == 4
+        result = solve_on_decomposition(d, PATHS, MAX_EDGES)
+        glued, _ = evaluate_colimit(d)
+        assert result.value == 3
+        assert result.table.entries == enumerate_subp_bruteforce(glued, PATHS).entries
