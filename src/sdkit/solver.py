@@ -47,11 +47,13 @@ from .width import tree_decomposition_reading
 
 DEFAULT_BRUTE_CAP = 10
 BRUTE_CAP_ENV = "SDKIT_MAX_BRUTE"
+# Largest table, leaf or glued, that a solve may build. At peak RSS a
+# ladder-5 solve spends 1.1-1.2 KiB per entry, so this bounds a solve near
+# 1.3 GB; ladder-6's largest table has 584,143 entries.
+MAX_TABLE_ENTRIES = 1 << 20
 
 
-def brute_force_cap(override=None) -> int:
-    if override is not None:
-        return override
+def brute_force_cap() -> int:
     raw = os.environ.get(BRUTE_CAP_ENV)
     if raw is None:
         return DEFAULT_BRUTE_CAP
@@ -79,18 +81,6 @@ class Subobject(NamedTuple):
             "vertices": sorted(self.vertices),
             "edges": [list(e) for e in sorted(self.edges)],
         }
-
-    @classmethod
-    def from_json(cls, data) -> "Subobject":
-        if (
-            not isinstance(data, dict)
-            or not isinstance(data.get("vertices"), list)
-            or not isinstance(data.get("edges"), list)
-        ):
-            raise ValidationError("subobject JSON must be {'vertices': [..], 'edges': [[u,v], ..]}")
-        verts = frozenset(data["vertices"])
-        edges = frozenset(_normalize_edge(e[0], e[1]) for e in data["edges"])
-        return cls(verts, edges)
 
 
 EMPTY_SUBOBJECT = Subobject(frozenset(), frozenset())
@@ -349,9 +339,13 @@ class SubPTable:
         return sorted(self.entries, key=Subobject.encoding)
 
 
-def enumerate_subp_bruteforce(g: Graph, predicate: PropertyPredicate, cap=None) -> SubPTable:
+def _table_too_large() -> TooLarge:
+    return TooLarge(f"a Sub_P table grew past {MAX_TABLE_ENTRIES} entries")
+
+
+def enumerate_subp_bruteforce(g: Graph, predicate: PropertyPredicate) -> SubPTable:
     """Every (vertex subset, edge subset) pair satisfying the predicate."""
-    cap = brute_force_cap(cap)
+    cap = brute_force_cap()
     if g.vertices > cap:
         raise TooLarge(
             f"brute-force enumeration is limited to {cap} vertices "
@@ -368,6 +362,8 @@ def enumerate_subp_bruteforce(g: Graph, predicate: PropertyPredicate, cap=None) 
                     sub = Subobject(vset, frozenset(picked))
                     if predicate(sub):
                         entries.add(sub)
+                        if len(entries) > MAX_TABLE_ENTRIES:
+                            raise _table_too_large()
     return SubPTable(g, predicate.name, frozenset(entries))
 
 
@@ -416,6 +412,8 @@ def _compose_entries(images_l, images_r, predicate, overlap: Subobject) -> set:
             candidate = Subobject(a.vertices | b.vertices, a.edges | b.edges)
             if predicate(candidate):
                 kept.add(candidate)
+                if len(kept) > MAX_TABLE_ENTRIES:
+                    raise _table_too_large()
     return kept
 
 
@@ -491,9 +489,12 @@ class SolveStats:
     the pairs whose traces match on the overlap are actually glued.
     """
 
-    pair_compositions: int
     table_sizes: tuple
     compositions: tuple
+
+    @property
+    def pair_compositions(self) -> int:
+        return sum(l * r for l, r in self.compositions)
 
 
 @dataclass(frozen=True)
@@ -508,7 +509,6 @@ def solve_on_decomposition(
     d: StructuredDecomposition,
     predicate: PropertyPredicate,
     objective: Objective,
-    cap=None,
     root=None,
 ) -> SolveResult:
     """Fold table composition over a tree-shaped tame decomposition.
@@ -528,7 +528,7 @@ def solve_on_decomposition(
         raise NonTreeShape("solving folds over a tree: the shape must be acyclic")
     if not is_tame(d):
         raise NotTame("solving requires injective adhesion legs")
-    cap = brute_force_cap(cap)
+    cap = brute_force_cap()
     for bag in d.bags:
         if bag.vertices > cap:
             raise TooLarge(
@@ -540,7 +540,7 @@ def solve_on_decomposition(
     if not d.bags:
         entries = {EMPTY_SUBOBJECT} if predicate(EMPTY_SUBOBJECT) else set()
         table = SubPTable(glued, predicate.name, frozenset(entries))
-        stats = SolveStats(0, (), ())
+        stats = SolveStats((), ())
         witness = best_entry(table, objective)
         value = objective.weight(witness) if witness is not None else None
         return SolveResult(value, witness, table, stats)
@@ -549,7 +549,7 @@ def solve_on_decomposition(
     compositions = []
 
     def leaf(t) -> tuple:
-        part = _embed(enumerate_subp_bruteforce(d.bags[t], predicate, cap), cocone[t])
+        part = _embed(enumerate_subp_bruteforce(d.bags[t], predicate), cocone[t])
         table_sizes.append(len(part[1]))
         return part
 
@@ -592,9 +592,8 @@ def solve_on_decomposition(
     for component in components[1:]:
         acc = glue(acc, fold_component(component))
 
-    pair_total = sum(l * r for l, r in compositions)
-    table = SubPTable(glued, predicate.name, frozenset(acc[1]), pair_total)
-    stats = SolveStats(pair_total, tuple(table_sizes), tuple(compositions))
+    stats = SolveStats(tuple(table_sizes), tuple(compositions))
+    table = SubPTable(glued, predicate.name, frozenset(acc[1]), stats.pair_compositions)
     witness = best_entry(table, objective)
     value = objective.weight(witness) if witness is not None else None
     return SolveResult(value, witness, table, stats)
@@ -613,29 +612,29 @@ def _is_single_path(sub: Subobject) -> bool:
     return predicate_paths(sub)
 
 
-def _solve_named(g, d, predicate, labeling, cap, keep):
+def _solve_named(g, d, predicate, labeling, keep):
     reading = tree_decomposition_reading(g, d, labeling)
     if reading is None:
         raise NotATreeDecomposition(
             "the decomposition is not a tree decomposition of the graph"
         )
     _, colim_to_g = reading
-    result = solve_on_decomposition(d, predicate, MAX_EDGES, cap=cap)
+    result = solve_on_decomposition(d, predicate, MAX_EDGES)
     best = _best([sub for sub in result.table.entries if keep(sub)], MAX_EDGES)
     if best is None:
         return 0, EMPTY_SUBOBJECT, result.stats
     return len(best.edges), translate_subobject(best, colim_to_g), result.stats
 
 
-def longest_path(g: Graph, d: StructuredDecomposition, labeling=None, cap=None):
+def longest_path(g: Graph, d: StructuredDecomposition, labeling=None):
     """Maximum edge count over single connected paths, with a witness in g's
     own numbering."""
-    return _solve_named(g, d, PATHS, labeling, cap, _is_single_path)
+    return _solve_named(g, d, PATHS, labeling, _is_single_path)
 
 
-def max_bipartite_subgraph(g: Graph, d: StructuredDecomposition, labeling=None, cap=None):
-    return _solve_named(g, d, BIPARTITE, labeling, cap, lambda s: True)
+def max_bipartite_subgraph(g: Graph, d: StructuredDecomposition, labeling=None):
+    return _solve_named(g, d, BIPARTITE, labeling, lambda s: True)
 
 
-def max_planar_subgraph(g: Graph, d: StructuredDecomposition, labeling=None, cap=None):
-    return _solve_named(g, d, PLANAR, labeling, cap, lambda s: True)
+def max_planar_subgraph(g: Graph, d: StructuredDecomposition, labeling=None):
+    return _solve_named(g, d, PLANAR, labeling, lambda s: True)

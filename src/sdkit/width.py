@@ -1,10 +1,13 @@
 """Chordality, clique trees, tree-width, and its complemented/layered/H variants.
 
-The exact tree-width oracle runs branch-and-bound over elimination orderings
-with a simplicial-vertex reduction, a degeneracy lower bound and a min-fill
-upper bound; it is capped at TREEWIDTH_CAP vertices. The layered variant
-additionally enumerates every layering (ordered set partition of the vertex
-set) and is double exponential, hence its far smaller cap.
+Tree-width and layered tree-width share one exact search: the minimum over
+elimination orders of the largest bag cost, memoized on the set of surviving
+vertices. Tree-width costs a bag by its size minus one, after a
+simplicial-vertex reduction and a degeneracy lower bound against a min-fill
+upper bound; it is capped at TREEWIDTH_CAP vertices. Layered tree-width
+costs a bag by the most of its vertices in one layer and runs the search
+once per layering (every ordered set partition of the vertex set), hence its
+far smaller cap, LAYERED_CAP.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from .core import (
     GraphMorphism,
     SetFunction,
     Span,
+    _UnionFind,
     is_json_int,
     find_isomorphism,
     is_forest,
@@ -144,19 +148,11 @@ def decomposition_from_chordal(h: Graph) -> StructuredDecomposition:
         shared = len(set(cliques[i]) & set(cliques[j]))
         if shared:
             weighted.append((-shared, i, j))
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    components = _UnionFind(range(k))
     tree_edges = []
     for _, i, j in sorted(weighted):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+        if components.find(i) != components.find(j):
+            components.union(i, j)
             tree_edges.append((i, j))
     shape = Graph(k, tree_edges)
     bags = tuple(FinSet(len(c)) for c in cliques)
@@ -313,21 +309,73 @@ def _degeneracy(adj: dict) -> int:
     return best
 
 
-def treewidth_exact(g: Graph, cap: int = TREEWIDTH_CAP) -> int:
-    """Exact tree-width by elimination-ordering search, capped at `cap` vertices.
+def _min_elimination_cost(adj: dict, cost) -> int:
+    """Minimum over elimination orders of adj's vertices of the largest
+    cost(v, later), where later is v's fill neighbourhood among the vertices
+    still to be eliminated.
+
+    Memoizes on the set of surviving vertices, which determines the fill
+    graph independently of order. A simplicial vertex of the fill graph is
+    eliminated outright; that is exact for any cost that depends only on the
+    bag {v} | later and is monotone under inclusion, because its bag is a
+    clique and lies inside some bag of every elimination order.
+    """
+    memo = {}
+
+    def fill_neighbors(v, remaining):
+        seen = {v}
+        stack = [v]
+        out = set()
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w in seen:
+                    continue
+                seen.add(w)
+                if w in remaining:
+                    out.add(w)
+                else:
+                    stack.append(w)
+        return out
+
+    def solve(remaining: frozenset) -> int:
+        if not remaining:
+            return 0
+        cached = memo.get(remaining)
+        if cached is not None:
+            return cached
+        degrees = {v: fill_neighbors(v, remaining) for v in remaining}
+        simplicial = None
+        for v in sorted(remaining):
+            nb = degrees[v]
+            if all(b in degrees[a] for a, b in itertools.combinations(sorted(nb), 2)):
+                simplicial = v
+                break
+        if simplicial is not None:
+            value = max(cost(simplicial, degrees[simplicial]), solve(remaining - {simplicial}))
+        else:
+            value = min(
+                max(cost(v, degrees[v]), solve(remaining - {v})) for v in sorted(remaining)
+            )
+        memo[remaining] = value
+        return value
+
+    return solve(frozenset(adj))
+
+
+def treewidth_exact(g: Graph) -> int:
+    """Exact tree-width by elimination-ordering search, capped at TREEWIDTH_CAP
+    vertices.
 
     Simplicial vertices are eliminated outright (always optimal); the
-    remaining kernel is searched with memoization on the set of surviving
-    vertices, which determines the fill graph independently of order.
+    remaining kernel goes to the shared elimination-order search with the
+    bag cost len(later), unless the degeneracy and min-fill bounds meet.
     """
-    if g.vertices > cap:
-        raise TooLarge(f"exact tree-width is limited to {cap} vertices")
+    if g.vertices > TREEWIDTH_CAP:
+        raise TooLarge(f"exact tree-width is limited to {TREEWIDTH_CAP} vertices")
     if g.vertices == 0:
         return 0
-    adj = {v: set() for v in range(g.vertices)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = dict(enumerate(g.neighbor_sets()))
 
     floor = 0
     changed = True
@@ -348,56 +396,14 @@ def treewidth_exact(g: Graph, cap: int = TREEWIDTH_CAP) -> int:
     lb = max(floor, _degeneracy(adj))
     if lb == ub:
         return ub
-
-    kernel = sorted(adj)
-    memo = {}
-
-    def fill_neighbors(v, remaining):
-        seen = {v}
-        stack = [v]
-        out = set()
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                if w in remaining:
-                    out.add(w)
-                else:
-                    stack.append(w)
-        return out
-
-    def solve(remaining: frozenset) -> int:
-        if len(remaining) <= 1:
-            return 0
-        cached = memo.get(remaining)
-        if cached is not None:
-            return cached
-        degrees = {v: fill_neighbors(v, remaining) for v in remaining}
-        simplicial = None
-        for v in sorted(remaining):
-            nb = degrees[v]
-            if all(b in degrees[a] for a, b in itertools.combinations(sorted(nb), 2)):
-                simplicial = v
-                break
-        if simplicial is not None:
-            value = max(len(degrees[simplicial]), solve(remaining - {simplicial}))
-        else:
-            value = min(
-                max(len(degrees[v]), solve(remaining - {v})) for v in sorted(remaining)
-            )
-        memo[remaining] = value
-        return value
-
-    return max(floor, solve(frozenset(kernel)))
+    return max(floor, _min_elimination_cost(adj, lambda v, later: len(later)))
 
 
-def complemented_treewidth(g: Graph, cap: int = TREEWIDTH_CAP) -> int:
+def complemented_treewidth(g: Graph) -> int:
     """Tree-width of the complement graph."""
     from .core import complement
 
-    return treewidth_exact(complement(g), cap=cap)
+    return treewidth_exact(complement(g))
 
 
 @dataclass(frozen=True)
@@ -498,51 +504,37 @@ def _ordered_set_partitions(items):
             yield sub[:i] + ((first,),) + sub[i:]
 
 
-def _elimination_bag_families(g: Graph):
-    """Distinct bag sets {v + later fill neighbors} over all elimination orders."""
-    n = g.vertices
-    base = {v: set() for v in range(n)}
-    for u, v in g.edges:
-        base[u].add(v)
-        base[v].add(u)
-    families = set()
-    for order in itertools.permutations(range(n)):
-        adj = {v: set(s) for v, s in base.items()}
-        bags = []
-        for v in order:
-            nb = adj.pop(v)
-            bags.append(frozenset(nb | {v}))
-            for a in nb:
-                adj[a].discard(v)
-            for a, b in itertools.combinations(sorted(nb), 2):
-                adj[a].add(b)
-                adj[b].add(a)
-        families.add(frozenset(bags))
-    return families
+def layered_treewidth_exact(g: Graph) -> int:
+    """Minimum layered width over every layering and tree decomposition,
+    capped at LAYERED_CAP vertices.
 
-
-def layered_treewidth_exact(g: Graph, cap: int = LAYERED_CAP) -> int:
-    """Minimum layered width over every layering and tree decomposition.
-
-    Enumerates ordered set partitions as layerings (empty layers never help)
-    against the bag families of all elimination orderings; double exponential,
-    so the cap is deliberately tiny.
+    Every ordered set partition is tried as a layering (empty layers never
+    help). For each valid one, the elimination-order search that computes
+    tree-width runs with another bag cost: the largest number of vertices of
+    the bag {v} | later that share one layer. This is exact because every
+    tree decomposition has an elimination order whose bags each lie inside
+    one of its bags.
     """
-    if g.vertices > cap:
-        raise TooLarge(f"exact layered tree-width is limited to {cap} vertices")
+    if g.vertices > LAYERED_CAP:
+        raise TooLarge(f"exact layered tree-width is limited to {LAYERED_CAP} vertices")
     if g.vertices == 0:
         return 0
-    families = _elimination_bag_families(g)
-    best = None
+    adj = dict(enumerate(g.neighbor_sets()))
+    best = g.vertices
     for blocks in _ordered_set_partitions(range(g.vertices)):
         layering = Layering(blocks)
         if not is_layering(g, layering):
             continue
-        layer_sets = [set(l) for l in layering.layers]
-        for family in families:
-            w = max(len(bag & layer) for bag in family for layer in layer_sets)
-            if best is None or w < best:
-                best = w
+        level = {v: i for i, layer in enumerate(layering.layers) for v in layer}
+
+        def bag_cost(v, later):
+            counts = [0] * len(layering.layers)
+            counts[level[v]] += 1
+            for u in later:
+                counts[level[u]] += 1
+            return max(counts)
+
+        best = min(best, _min_elimination_cost(adj, bag_cost))
     return best
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sdkit import FinSet, Graph, Subobject, decomposition_from_json
+from sdkit import FinSet, Graph, decomposition_from_json
 from sdkit.cli import run
 
 
@@ -37,8 +37,10 @@ class TestVerbs:
         payload = json.loads(out)
         assert payload["value"] == 4
         assert payload["stats"]["pairCompositions"] == 289
-        witness = Subobject.from_json(payload["witness"])
-        assert len(witness.edges) == 4
+        witness = payload["witness"]
+        assert sorted(witness) == ["edges", "vertices"]
+        assert len(witness["edges"]) == 4
+        assert all(u < v and {u, v} <= set(witness["vertices"]) for u, v in witness["edges"])
 
     def test_treewidth_of_k5(self, capsys, fixtures_dir):
         code, out = invoke(capsys, "treewidth", "-g", fx(fixtures_dir, "k5.json"))

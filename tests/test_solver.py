@@ -188,6 +188,35 @@ class TestPlanarityCache:
         assert solver._PLANARITY_CACHE
 
 
+class TestTableCap:
+    # the bowtie's leaf tables (paths in K3) have 17 entries each; side by
+    # side they hold 32, and glued 156
+    @pytest.mark.parametrize("cap", [16, 17, 155])
+    def test_a_table_past_the_cap_is_too_large(self, monkeypatch, capsys, fixtures_dir, cap):
+        from sdkit import solver
+        from sdkit.cli import run
+
+        monkeypatch.setattr(solver, "MAX_TABLE_ENTRIES", cap)
+        if cap < 17:
+            with pytest.raises(TooLarge):
+                enumerate_subp_bruteforce(K3, PATHS)
+        else:
+            leaf = enumerate_subp_bruteforce(K3, PATHS)
+            with pytest.raises(TooLarge):
+                compose(bowtie_span(), leaf, leaf, PATHS)
+        with pytest.raises(TooLarge):
+            solve_on_decomposition(two_bag_bowtie_decomposition(), PATHS, MAX_EDGES)
+        assert run(["solve", "-d", str(fixtures_dir / "bowtie.dec.json")]) == 3
+        assert str(cap) in json.loads(capsys.readouterr().out)["error"]
+
+    def test_a_table_at_the_cap_is_kept(self, monkeypatch):
+        from sdkit import solver
+
+        monkeypatch.setattr(solver, "MAX_TABLE_ENTRIES", 156)
+        result = solve_on_decomposition(two_bag_bowtie_decomposition(), PATHS, MAX_EDGES)
+        assert result.value == 4 and len(result.table.entries) == 156
+
+
 class TestCompose:
     def test_bowtie_table_contains_the_four_edge_path(self):
         span = bowtie_span()

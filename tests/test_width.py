@@ -50,7 +50,9 @@ from sdkit.decomposition import Adhesion
 from util import (
     all_graphs_labeled,
     fs_adhesion,
+    graphs_up_to_iso,
     is_chordal_dirac,
+    layered_treewidth_by_all_orders,
     random_chordal_graph,
     random_finset_decomposition,
     treewidth_by_all_orders,
@@ -469,6 +471,16 @@ class TestLayering:
         assert layered_treewidth_exact(complete_graph(3)) == 2
         assert layered_treewidth_exact(complete_graph(4)) == 2
         assert layered_treewidth_exact(path(4)) == 1
+
+    def test_exact_layered_treewidth_matches_all_orders_up_to_five_vertices(self):
+        for n in range(6):
+            for g in graphs_up_to_iso(n):
+                assert layered_treewidth_exact(g) == layered_treewidth_by_all_orders(g), g
+
+    def test_exact_layered_treewidth_on_six_vertices(self):
+        assert layered_treewidth_exact(path(6)) == layered_treewidth_by_all_orders(path(6)) == 1
+        k6 = complete_graph(6)
+        assert layered_treewidth_exact(k6) == layered_treewidth_by_all_orders(k6) == 3
 
     def test_exact_layered_treewidth_cap(self):
         with pytest.raises(TooLarge):

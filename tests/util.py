@@ -240,6 +240,44 @@ def treewidth_by_all_orders(g: Graph) -> int:
     return best
 
 
+def layered_treewidth_by_all_orders(g: Graph) -> int:
+    """Layered tree-width from the bag families of all n! elimination orders,
+    checked against every layering given as a level function whose levels
+    are 0..k-1, each used, with no edge spanning more than one step."""
+    n = g.vertices
+    if n == 0:
+        return 0
+    base = [0] * n
+    for u, v in g.edges:
+        base[u] |= 1 << v
+        base[v] |= 1 << u
+    families = set()
+    for order in itertools.permutations(range(n)):
+        adj = base[:]
+        alive = (1 << n) - 1
+        bags = []
+        for v in order:
+            nb = adj[v] & alive & ~(1 << v)
+            bags.append(nb | (1 << v))
+            alive &= ~(1 << v)
+            for u in range(n):
+                if nb >> u & 1:
+                    adj[u] |= nb & ~(1 << u)
+        families.add(frozenset(bags))
+    bags = set().union(*families)
+    best = n
+    for level in itertools.product(range(n), repeat=n):
+        depth = max(level) + 1
+        if len(set(level)) != depth or any(abs(level[u] - level[v]) > 1 for u, v in g.edges):
+            continue
+        layers = [0] * depth
+        for v, i in enumerate(level):
+            layers[i] |= 1 << v
+        cost = {bag: max((bag & layer).bit_count() for layer in layers) for bag in bags}
+        best = min(best, min(max(cost[bag] for bag in family) for family in families))
+    return best
+
+
 def is_chordal_dirac(g: Graph, _memo={}) -> bool:
     """Literal clique-gluing recursion: complete, or split by a clique separator
     into two smaller chordal pieces."""
