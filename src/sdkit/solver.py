@@ -141,7 +141,7 @@ def predicate_bipartite(sub: Subobject) -> bool:
 # Planarity verdicts keyed by the relabelled edge list of the touched
 # vertices; shared across calls and emptied whenever it reaches the cap, so
 # it never holds more than PLANARITY_CACHE_CAP keys. A ladder-4 planar solve
-# fills about 700.
+# leaves 11, since subobjects of at most 8 edges skip it.
 PLANARITY_CACHE_CAP = 1 << 14
 _PLANARITY_CACHE = {}
 
@@ -241,6 +241,10 @@ def _component_planar(adj) -> bool:
 def predicate_planar(sub: Subobject) -> bool:
     """Planarity via the edge-count bound plus exhaustive search for K5 and
     K3,3 subdivisions; meant for brute-force-scale subobjects."""
+    if len(sub.edges) <= 8:
+        # a nonplanar graph contains a subdivision of K3,3 (9 edges) or of
+        # K5 (10 edges), by Kuratowski's theorem
+        return True
     touched = set()
     for e in sub.edges:
         touched.update(e)
@@ -272,7 +276,13 @@ def predicate_planar(sub: Subobject) -> bool:
 
 @dataclass(frozen=True)
 class PropertyPredicate:
-    """A named subgraph-closed property of subobjects."""
+    """A named property of subobjects.
+
+    Contract, which enumerate_subp_bruteforce and the gluing rely on: the
+    property is subgraph-closed (a subobject of an accepted one is accepted)
+    and ignores isolated vertices (the verdict on (V, E) is the verdict on
+    (ends of E, E)). paths, bipartite and planar meet it.
+    """
 
     name: str
     evaluator: Callable
@@ -344,26 +354,62 @@ def _table_too_large() -> TooLarge:
 
 
 def enumerate_subp_bruteforce(g: Graph, predicate: PropertyPredicate) -> SubPTable:
-    """Every (vertex subset, edge subset) pair satisfying the predicate."""
+    """Every (vertex subset, edge subset) pair satisfying the predicate.
+
+    Rests on the PropertyPredicate contract. The accepted edge sets form a
+    downward-closed family, listed level by level from the empty set
+    (Apriori): a candidate S | {e}, with e after S's last edge in edge_list
+    order, is tested on the ends of its edges only when every set one edge
+    smaller was accepted, so the predicate is called once per accepted edge
+    set and once per minimal rejected one. Every accepted edge set is then
+    paired with every vertex set that contains its ends.
+    """
     cap = brute_force_cap()
     if g.vertices > cap:
         raise TooLarge(
             f"brute-force enumeration is limited to {cap} vertices "
             f"(override with {BRUTE_CAP_ENV})"
         )
+    if not predicate(EMPTY_SUBOBJECT):
+        return SubPTable(g, predicate.name, frozenset())
+    n = g.vertices
+    # every vertex set with no edges is an entry
+    total = 1 << n
+    if total > MAX_TABLE_ENTRIES:
+        raise _table_too_large()
+    vsets = [frozenset(v for v in range(n) if mask >> v & 1) for mask in range(total)]
     edge_list = g.edge_list()
-    entries = set()
-    for r in range(g.vertices + 1):
-        for combo in itertools.combinations(range(g.vertices), r):
-            vset = frozenset(combo)
-            avail = [e for e in edge_list if e[0] in vset and e[1] in vset]
-            for k in range(len(avail) + 1):
-                for picked in itertools.combinations(avail, k):
-                    sub = Subobject(vset, frozenset(picked))
-                    if predicate(sub):
-                        entries.add(sub)
-                        if len(entries) > MAX_TABLE_ENTRIES:
-                            raise _table_too_large()
+    edge_ends = [(1 << u) | (1 << v) for u, v in edge_list]
+    # accepted edge sets of the current size: edge-index bitmask ->
+    # (edge indices, edge set, vertex bitmask of their ends)
+    level = {0: ((), frozenset(), 0)}
+    accepted = [(frozenset(), 0)]
+    while level:
+        grown = {}
+        for mask, (indices, edges, ends) in level.items():
+            for j in range(mask.bit_length(), len(edge_list)):
+                candidate = mask | (1 << j)
+                if any(candidate ^ (1 << i) not in level for i in indices):
+                    continue
+                cand_edges = edges | {edge_list[j]}
+                cand_ends = ends | edge_ends[j]
+                if predicate(Subobject(vsets[cand_ends], cand_edges)):
+                    grown[candidate] = (indices + (j,), cand_edges, cand_ends)
+                    accepted.append((cand_edges, cand_ends))
+                    total += 1 << (n - cand_ends.bit_count())
+                    if total > MAX_TABLE_ENTRIES:
+                        raise _table_too_large()
+        level = grown
+    entries = []
+    full = (1 << n) - 1
+    for edges, ends in accepted:
+        free = full ^ ends
+        extra = free
+        while True:
+            entries.append(Subobject(vsets[ends | extra], edges))
+            if not extra:
+                break
+            extra = (extra - 1) & free
     return SubPTable(g, predicate.name, frozenset(entries))
 
 

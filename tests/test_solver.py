@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import random
 
@@ -37,7 +39,14 @@ from sdkit import (
 )
 from sdkit.decomposition import Adhesion
 from sdkit.solver import EMPTY_SUBOBJECT, best_entry, translate_subobject, _is_single_path
-from util import random_graph, random_graph_decomposition, random_monic_graph_span
+from util import (
+    all_subobjects,
+    graphs_up_to_iso,
+    random_graph,
+    random_graph_decomposition,
+    random_monic_graph_span,
+    subp_by_all_pairs,
+)
 
 K1, K3, K5 = complete_graph(1), complete_graph(3), complete_graph(5)
 
@@ -168,6 +177,91 @@ class TestBruteForce:
             enumerate_subp_bruteforce(K1, PATHS)
         assert run(["solve", "-d", str(fixtures_dir / "bowtie.dec.json")]) == 2
         assert "SDKIT_MAX_BRUTE" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_matches_all_pairs_on_every_graph_up_to_five_vertices(self):
+        for n in range(6):
+            for g in graphs_up_to_iso(n):
+                for predicate in (PATHS, BIPARTITE, PLANAR):
+                    assert enumerate_subp_bruteforce(g, predicate) == subp_by_all_pairs(g, predicate)
+
+    def test_matches_all_pairs_on_random_graphs(self):
+        rng = random.Random(97)
+        for _ in range(30):
+            g = random_graph(rng, 8, p=0.35, min_n=6)
+            for predicate in (PATHS, BIPARTITE, PLANAR):
+                assert enumerate_subp_bruteforce(g, predicate) == subp_by_all_pairs(g, predicate)
+
+
+def ends(edges) -> frozenset:
+    return frozenset(v for e in edges for v in e)
+
+
+class TestPredicateContract:
+    """The contract the leaf enumeration rests on: every built-in predicate
+    ignores isolated vertices and is subgraph-closed."""
+
+    @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE, PLANAR], ids=lambda p: p.name)
+    def test_isolated_vertices_are_ignored_and_subobjects_accepted(self, predicate):
+        for n in range(5):
+            for g in graphs_up_to_iso(n):
+                for sub in all_subobjects(g):
+                    verdict = predicate(sub)
+                    assert verdict == predicate(Subobject(ends(sub.edges), sub.edges))
+                    if not verdict:
+                        continue
+                    for e in sub.edges:
+                        assert predicate(Subobject(sub.vertices, sub.edges - {e}))
+                    for v in sub.vertices:
+                        kept = frozenset(e for e in sub.edges if v not in e)
+                        assert predicate(Subobject(sub.vertices - {v}, kept))
+
+
+class TestLeafPredicateCalls:
+    @staticmethod
+    def calls(g, predicate=PATHS) -> int:
+        """Predicate calls of one leaf enumeration, counted through a wrapped
+        evaluator as a tracer would wrap it."""
+        made = []
+
+        def evaluator(sub):
+            made.append(sub)
+            return predicate.evaluator(sub)
+
+        enumerate_subp_bruteforce(g, dataclasses.replace(predicate, evaluator=evaluator))
+        return len(made)
+
+    @staticmethod
+    def expected_calls(g, predicate=PATHS) -> int:
+        """1 (the empty subobject) + non-empty accepted edge sets + minimal
+        rejected edge sets."""
+        edge_sets = [
+            frozenset(c) for r in range(len(g.edges) + 1) for c in itertools.combinations(g.edges, r)
+        ]
+        accepted = {s for s in edge_sets if predicate(Subobject(ends(s), s))}
+        minimal_rejected = [
+            s for s in edge_sets if s not in accepted and all(s - {e} in accepted for e in s)
+        ]
+        return 1 + (len(accepted) - 1) + len(minimal_rejected)
+
+    def test_k4_paths(self):
+        k4 = complete_graph(4)
+        # 33 non-empty linear forests; 4 triangles, 4 stars and 3 four-cycles
+        assert self.calls(k4) == self.expected_calls(k4) == 1 + 33 + 11
+
+    def test_count_does_not_depend_on_vertex_labels(self):
+        rng = random.Random(101)
+        g = random_graph(rng, 7, p=0.5, min_n=7)
+        perm = list(range(g.vertices))
+        rng.shuffle(perm)
+        relabeled = Graph(g.vertices, [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges])
+        for predicate in (PATHS, BIPARTITE, PLANAR):
+            expected = self.expected_calls(g, predicate)
+            assert self.calls(g, predicate) == expected
+            assert self.calls(relabeled, predicate) == expected
+
+    def test_a_predicate_rejecting_the_empty_subobject_gives_an_empty_table(self):
+        never = dataclasses.replace(PATHS, evaluator=lambda sub: False)
+        assert enumerate_subp_bruteforce(K3, never).entries == frozenset()
 
 
 class TestPlanarityCache:

@@ -14,6 +14,8 @@ from sdkit import (
     SetFunction,
     Span,
     StructuredDecomposition,
+    SubPTable,
+    Subobject,
     complete_graph,
 )
 
@@ -276,6 +278,24 @@ def layered_treewidth_by_all_orders(g: Graph) -> int:
         cost = {bag: max((bag & layer).bit_count() for layer in layers) for bag in bags}
         best = min(best, min(max(cost[bag] for bag in family) for family in families))
     return best
+
+
+def all_subobjects(g: Graph):
+    """Every (vertex subset, edge subset) pair of g."""
+    edge_list = g.edge_list()
+    for r in range(g.vertices + 1):
+        for combo in itertools.combinations(range(g.vertices), r):
+            vset = frozenset(combo)
+            avail = [e for e in edge_list if e[0] in vset and e[1] in vset]
+            for k in range(len(avail) + 1):
+                for picked in itertools.combinations(avail, k):
+                    yield Subobject(vset, frozenset(picked))
+
+
+def subp_by_all_pairs(g: Graph, predicate) -> SubPTable:
+    """Sub_P table by testing every (vertex subset, edge subset) pair."""
+    entries = frozenset(sub for sub in all_subobjects(g) if predicate(sub))
+    return SubPTable(g, predicate.name, entries)
 
 
 def is_chordal_dirac(g: Graph, _memo={}) -> bool:
