@@ -329,73 +329,92 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every verb with its handler and the flags it takes, in the order of
+# `sdkit -h`. graph and decomposition are "required" or "optional";
+# property is the --property default.
+VERBS = {
+    "colim": (_cmd_colim, {"decomposition": "required"}),
+    "check": (_cmd_check, {"graph": "optional", "decomposition": "optional"}),
+    "to-arrow": (_cmd_to_arrow, {"decomposition": "required"}),
+    "from-arrow": (_cmd_from_arrow, {"arrow": True}),
+    "restrict": (
+        _cmd_restrict,
+        {"decomposition": "required", "graph": "optional", "morphism": True},
+    ),
+    "chordal": (_cmd_chordal, {"graph": "required"}),
+    "clique-tree": (_cmd_clique_tree, {"graph": "required"}),
+    "treewidth": (_cmd_treewidth, {"graph": "required"}),
+    "co-treewidth": (_cmd_co_treewidth, {"graph": "required"}),
+    "layered-width": (
+        _cmd_layered_width,
+        {"graph": "required", "layering": True, "decomposition": "optional", "exact": True},
+    ),
+    "h-width": (_cmd_h_width, {"decomposition": "required", "property": "bipartite"}),
+    "solve": (
+        _cmd_solve,
+        {"graph": "optional", "decomposition": "required", "property": "paths", "objective": True},
+    ),
+    "bench": (_cmd_bench, {"bench_flags": True}),
+}
+
+
+def _add_verb(sub, name) -> None:
+    func, needs = VERBS[name]
+    p = sub.add_parser(name)
+    if needs.get("graph"):
+        p.add_argument("-g", "--graph", required=needs["graph"] == "required")
+    if needs.get("decomposition"):
+        p.add_argument("-d", "--decomposition", required=needs["decomposition"] == "required")
+    if needs.get("layering"):
+        p.add_argument("-l", "--layering")
+    if needs.get("arrow"):
+        p.add_argument("--arrow", required=True)
+    if needs.get("morphism"):
+        p.add_argument("--morphism")
+    if needs.get("property"):
+        p.add_argument("--property", default=needs["property"])
+    if needs.get("objective"):
+        p.add_argument("--objective", default="max-edges")
+    if needs.get("exact"):
+        p.add_argument("--exact", action="store_true")
+    if needs.get("bench_flags"):
+        p.add_argument("--config")
+        p.add_argument("--generate", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-o", "--output")
+    if needs.get("bench_flags"):  # bench's help lists --property after -o
+        p.add_argument("--property", default=None)
+    p.set_defaults(func=func)
+
+
+def build_parser(verb=None) -> argparse.ArgumentParser:
+    """The CLI parser, with every verb's subparser or only verb's.
+
+    A parser for one verb parses that verb's command lines exactly as the
+    full parser does: its subparser is built the same way, and the verb
+    list in the usage line is spelled out in full. Anything else (no verb,
+    -h, an unknown verb) needs the full parser for its help or error text;
+    that parser keeps argparse's default metavar, since its errors name the
+    verb argument "verb".
+    """
     parser = argparse.ArgumentParser(
         prog="sdkit",
         description="structured decompositions: gluing, width measures, compositional solving",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, func, **needs):
-        p = sub.add_parser(name)
-        if needs.get("graph"):
-            p.add_argument("-g", "--graph", required=needs["graph"] == "required")
-        if needs.get("decomposition"):
-            p.add_argument("-d", "--decomposition", required=needs["decomposition"] == "required")
-        if needs.get("layering"):
-            p.add_argument("-l", "--layering")
-        if needs.get("arrow"):
-            p.add_argument("--arrow", required=True)
-        if needs.get("morphism"):
-            p.add_argument("--morphism")
-        if needs.get("property"):
-            p.add_argument("--property", default=needs["property"])
-        if needs.get("objective"):
-            p.add_argument("--objective", default="max-edges")
-        if needs.get("exact"):
-            p.add_argument("--exact", action="store_true")
-        if needs.get("bench_flags"):
-            p.add_argument("--config")
-            p.add_argument("--generate", type=int, default=0)
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("-o", "--output")
-        p.set_defaults(func=func)
-        return p
-
-    add("colim", _cmd_colim, decomposition="required")
-    add("check", _cmd_check, graph="optional", decomposition="optional")
-    add("to-arrow", _cmd_to_arrow, decomposition="required")
-    add("from-arrow", _cmd_from_arrow, arrow=True)
-    add("restrict", _cmd_restrict, decomposition="required", graph="optional", morphism=True)
-    add("chordal", _cmd_chordal, graph="required")
-    add("clique-tree", _cmd_clique_tree, graph="required")
-    add("treewidth", _cmd_treewidth, graph="required")
-    add("co-treewidth", _cmd_co_treewidth, graph="required")
-    add(
-        "layered-width",
-        _cmd_layered_width,
-        graph="required",
-        layering=True,
-        decomposition="optional",
-        exact=True,
-    )
-    add("h-width", _cmd_h_width, decomposition="required", property="bipartite")
-    add(
-        "solve",
-        _cmd_solve,
-        graph="optional",
-        decomposition="required",
-        property="paths",
-        objective=True,
-    )
-    bench = add("bench", _cmd_bench, bench_flags=True)
-    bench.add_argument("--property", default=None)
+    if verb is None:
+        sub = parser.add_subparsers(dest="verb", required=True)
+        for name in VERBS:
+            _add_verb(sub, name)
+    else:
+        metavar = "{" + ",".join(VERBS) + "}"
+        sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+        _add_verb(sub, verb)
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    verb = argv[0] if argv and argv[0] in VERBS else None
+    args = build_parser(verb).parse_args(argv)
     try:
         return args.func(args)
     except TooLarge as exc:

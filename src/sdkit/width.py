@@ -1,13 +1,17 @@
 """Chordality, clique trees, tree-width, and its complemented/layered/H variants.
 
-Tree-width and layered tree-width share one exact search: the minimum over
-elimination orders of the largest bag cost, memoized on the set of surviving
-vertices. Tree-width costs a bag by its size minus one, after a
-simplicial-vertex reduction and a degeneracy lower bound against a min-fill
-upper bound; it is capped at TREEWIDTH_CAP vertices. Layered tree-width
-costs a bag by the most of its vertices in one layer and runs the search
-once per layering (every ordered set partition of the vertex set), hence its
-far smaller cap, LAYERED_CAP.
+Tree-width and layered tree-width share one exact search over elimination
+orders, run on int bitmasks as a decision search: can every bag cost at most
+k? It starts one below a known upper bound and lowers k until the answer is
+no or k falls below a lower bound. States are surviving-vertex masks, and
+the states that fail go into a dead set that every k shares, because a state
+that fails at k fails at any smaller k. Tree-width costs a bag by its size
+minus one, after a simplicial-vertex reduction; a degeneracy lower bound and
+a min-fill upper bound bound its search, which is capped at TREEWIDTH_CAP
+vertices. Layered tree-width costs a bag by the most of its vertices in one
+layer and runs the search once per layering (every ordered set partition of
+the vertex set), each bounded above by the best width found so far, hence
+its far smaller cap, LAYERED_CAP.
 """
 from __future__ import annotations
 
@@ -309,67 +313,81 @@ def _degeneracy(adj: dict) -> int:
     return best
 
 
-def _min_elimination_cost(adj: dict, cost) -> int:
-    """Minimum over elimination orders of adj's vertices of the largest
-    cost(v, later), where later is v's fill neighbourhood among the vertices
-    still to be eliminated.
+def _bits(mask: int):
+    """The set bits of mask, lowest first, as bit indices."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Memoizes on the set of surviving vertices, which determines the fill
-    graph independently of order. A simplicial vertex of the fill graph is
-    eliminated outright; that is exact for any cost that depends only on the
-    bag {v} | later and is monotone under inclusion, because its bag is a
-    clique and lies inside some bag of every elimination order.
+
+def _min_elimination_cost(nbrs: list, cost, lower: int, upper: int) -> int:
+    """Minimum over elimination orders of the largest bag cost, searched
+    downward from upper and clipped to [lower, upper].
+
+    Vertex i is bit i, nbrs[i] is its neighbour mask, and cost(bag) takes the
+    bag mask {v} | later, where later is v's fill neighbourhood among the
+    vertices still to be eliminated. The fill graph of a set of surviving
+    vertices does not depend on the order that eliminated the rest, so a
+    state is its surviving mask; the search carries the fill graph down as a
+    list of neighbour masks.
+
+    feasible(k) asks whether some order keeps every bag cost at most k, by a
+    depth-first search that tries only vertices whose bag costs at most k. A
+    simplicial vertex of the fill graph is eliminated outright, and if its
+    bag already costs more than k the state is dead. Both rules are exact for
+    any cost monotone under inclusion: a clique lies inside some bag of every
+    elimination order, and eliminating a simplicial vertex adds no fill, so
+    every later bag shrinks or stays. States that fail go into one dead set
+    shared by every k tried, since k only falls and a state that fails at k
+    fails at every smaller k. The driver tries k = upper - 1, upper - 2, ...
+    and stops at the first k that fails or below lower; it returns upper
+    when no order beats it.
     """
-    memo = {}
+    dead = set()
 
-    def fill_neighbors(v, remaining):
-        seen = {v}
-        stack = [v]
-        out = set()
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                if w in remaining:
-                    out.add(w)
-                else:
-                    stack.append(w)
-        return out
-
-    def solve(remaining: frozenset) -> int:
+    def feasible(fill: list, remaining: int, k: int) -> bool:
         if not remaining:
-            return 0
-        cached = memo.get(remaining)
-        if cached is not None:
-            return cached
-        degrees = {v: fill_neighbors(v, remaining) for v in remaining}
-        simplicial = None
-        for v in sorted(remaining):
-            nb = degrees[v]
-            if all(b in degrees[a] for a, b in itertools.combinations(sorted(nb), 2)):
-                simplicial = v
+            return True
+        if remaining in dead:
+            return False
+        candidates = []
+        for v in _bits(remaining):
+            nb = fill[v]
+            bag_cost = cost(nb | 1 << v)
+            if all(not (nb & ~fill[u] & ~(1 << u)) for u in _bits(nb)):
+                candidates = [v] if bag_cost <= k else []
                 break
-        if simplicial is not None:
-            value = max(cost(simplicial, degrees[simplicial]), solve(remaining - {simplicial}))
-        else:
-            value = min(
-                max(cost(v, degrees[v]), solve(remaining - {v})) for v in sorted(remaining)
-            )
-        memo[remaining] = value
-        return value
+            if bag_cost <= k:
+                candidates.append(v)
+        for v in candidates:
+            nb = fill[v]
+            gone = 1 << v
+            after = fill[:]
+            for u in _bits(nb):
+                after[u] = (after[u] | nb) & ~(gone | 1 << u)
+            if feasible(after, remaining & ~gone, k):
+                return True
+        dead.add(remaining)
+        return False
 
-    return solve(frozenset(adj))
+    full = (1 << len(nbrs)) - 1
+    best = upper
+    for k in range(upper - 1, lower - 1, -1):
+        if not feasible(list(nbrs), full, k):
+            break
+        best = k
+    return best
 
 
 def treewidth_exact(g: Graph) -> int:
     """Exact tree-width by elimination-ordering search, capped at TREEWIDTH_CAP
     vertices.
 
-    Simplicial vertices are eliminated outright (always optimal); the
-    remaining kernel goes to the shared elimination-order search with the
-    bag cost len(later), unless the degeneracy and min-fill bounds meet.
+    Simplicial vertices are eliminated outright (always optimal). The
+    degeneracy lower bound and the min-fill upper bound of the remaining
+    kernel return at once when they meet, and otherwise bound the shared
+    elimination-order search, which costs a bag by its size minus one.
     """
     if g.vertices > TREEWIDTH_CAP:
         raise TooLarge(f"exact tree-width is limited to {TREEWIDTH_CAP} vertices")
@@ -396,7 +414,9 @@ def treewidth_exact(g: Graph) -> int:
     lb = max(floor, _degeneracy(adj))
     if lb == ub:
         return ub
-    return max(floor, _min_elimination_cost(adj, lambda v, later: len(later)))
+    bit = {v: i for i, v in enumerate(sorted(adj))}
+    nbrs = [sum(1 << bit[u] for u in adj[v]) for v in sorted(adj)]
+    return _min_elimination_cost(nbrs, lambda bag: bag.bit_count() - 1, lb, ub)
 
 
 def complemented_treewidth(g: Graph) -> int:
@@ -513,28 +533,25 @@ def layered_treewidth_exact(g: Graph) -> int:
     tree-width runs with another bag cost: the largest number of vertices of
     the bag {v} | later that share one layer. This is exact because every
     tree decomposition has an elimination order whose bags each lie inside
-    one of its bags.
+    one of its bags. The search only asks whether a layering beats the best
+    width found so far, and none is searched once that width is 1.
     """
     if g.vertices > LAYERED_CAP:
         raise TooLarge(f"exact layered tree-width is limited to {LAYERED_CAP} vertices")
     if g.vertices == 0:
         return 0
-    adj = dict(enumerate(g.neighbor_sets()))
+    nbrs = [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
     best = g.vertices
     for blocks in _ordered_set_partitions(range(g.vertices)):
         layering = Layering(blocks)
-        if not is_layering(g, layering):
+        if not is_layering(g, layering) or best == 1:
             continue
-        level = {v: i for i, layer in enumerate(layering.layers) for v in layer}
+        layer_masks = [sum(1 << v for v in layer) for layer in layering.layers]
 
-        def bag_cost(v, later):
-            counts = [0] * len(layering.layers)
-            counts[level[v]] += 1
-            for u in later:
-                counts[level[u]] += 1
-            return max(counts)
+        def bag_cost(bag):
+            return max((bag & layer).bit_count() for layer in layer_masks)
 
-        best = min(best, _min_elimination_cost(adj, bag_cost))
+        best = _min_elimination_cost(nbrs, bag_cost, 1, best)
     return best
 
 

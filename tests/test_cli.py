@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from sdkit import FinSet, Graph, decomposition_from_json
-from sdkit.cli import run
+from sdkit import cli
+from sdkit.cli import VERBS, build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -328,6 +329,73 @@ def test_solve_output_matches_golden(capsys, fixtures_dir, case):
     )
     assert code == 0
     assert out == json.dumps(GOLDEN_CASES[case], sort_keys=True, indent=2) + "\n"
+
+
+def valid_call(verb, fixtures_dir, tmp_path):
+    """An argv that parses for verb and runs on the fixtures."""
+    if verb == "from-arrow":
+        arrow = tmp_path / "arrow.json"
+        run(["to-arrow", "-d", fx(fixtures_dir, "five_bag_tree.dec.json"), "-o", str(arrow)])
+        return [verb, "--arrow", str(arrow)]
+    flags = {
+        "colim": ["-d", "five_bag_tree.dec.json"],
+        "check": ["-d", "completion_dh.dec.json"],
+        "to-arrow": ["-d", "five_bag_tree.dec.json"],
+        "restrict": ["-d", "bowtie.dec.json", "-g", "p3.json"],
+        "chordal": ["-g", "completion_h.json"],
+        "clique-tree": ["-g", "completion_h.json"],
+        "treewidth": ["-g", "k5.json"],
+        "co-treewidth": ["-g", "k5.json"],
+        "layered-width": ["-g", "p3.json", "--exact"],
+        "h-width": ["-d", "bowtie.dec.json"],
+        "solve": ["-d", "bowtie.dec.json", "-g", "bowtie.json"],
+        "bench": ["--generate", "0"],
+    }[verb]
+    return [verb] + [f if f.startswith("-") else fx(fixtures_dir, f) for f in flags]
+
+
+def outcome(capsys, argv):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_verb_parser_answers_as_the_full_parser(capsys, monkeypatch, tmp_path, fixtures_dir):
+    cases = [[], ["-h"], ["bogus"], ["SOLVE"]]
+    for verb in VERBS:
+        valid = valid_call(verb, fixtures_dir, tmp_path)
+        cases += [valid, [verb, "-h"], [verb], valid + ["--bogus"]]
+    capsys.readouterr()
+    built = []
+
+    def recording_build_parser(verb=None):
+        built.append(verb)
+        return build_parser(verb)
+
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    one_verb = [outcome(capsys, argv) for argv in cases]
+    assert built == [argv[0] if argv and argv[0] in VERBS else None for argv in cases]
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: build_parser())
+    full = [outcome(capsys, argv) for argv in cases]
+    for argv, got, expected in zip(cases, one_verb, full):
+        assert got == expected, argv
+    assert {code for code, _, _ in full} == {0, 2}
+
+
+def test_python_dash_m_sdkit_runs_the_cli(fixtures_dir):
+    outputs = []
+    for module in ("sdkit", "sdkit.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "treewidth", "-g", fx(fixtures_dir, "k5.json")],
+            capture_output=True,
+        )
+        assert proc.returncode == 0
+        outputs.append(proc.stdout)
+    assert json.loads(outputs[0]) == {"treewidth": 4}
+    assert outputs[0] == outputs[1]
 
 
 def test_console_entry_point(fixtures_dir):

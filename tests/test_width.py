@@ -23,6 +23,7 @@ from sdkit import (
     TooLarge,
     chordal_from_decomposition,
     clique_number_chordal,
+    complement,
     complemented_treewidth,
     complete_graph,
     decomposition_from_chordal,
@@ -47,6 +48,7 @@ from sdkit import (
     width,
 )
 from sdkit.decomposition import Adhesion
+from sdkit.width import _degeneracy, _greedy_fill_width, _min_elimination_cost
 from util import (
     all_graphs_labeled,
     fs_adhesion,
@@ -55,7 +57,9 @@ from util import (
     layered_treewidth_by_all_orders,
     random_chordal_graph,
     random_finset_decomposition,
+    random_graph,
     treewidth_by_all_orders,
+    treewidth_by_subsets,
 )
 
 
@@ -310,6 +314,43 @@ class TestTreewidth:
             g = Graph(n, edges)
             assert treewidth_exact(g) == treewidth_by_all_orders(g)
 
+    def test_matches_subset_search_on_every_graph_up_to_six_vertices(self):
+        for n in range(7):
+            for g in graphs_up_to_iso(n):
+                for h in (g, complement(g)):
+                    assert treewidth_exact(h) == treewidth_by_subsets(h), h
+
+    def test_matches_subset_search_on_random_graphs(self):
+        rng = random.Random(44)
+        for density in (0.3, 0.5, 0.7):
+            for _ in range(20):
+                g = random_graph(rng, 12, density, min_n=7)
+                assert treewidth_exact(g) == treewidth_by_subsets(g), g
+
+    def test_search_below_the_min_fill_bound(self):
+        # Found by a random.Random(0) search over n = 5..10. Neither graph
+        # has a simplicial vertex, so the bounds below are the search's own:
+        # the min-fill bound is beaten once and the next width fails.
+        graphs = (
+            Graph(9, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 7), (0, 8), (1, 2), (1, 3), (1, 5),
+                      (1, 6), (1, 7), (1, 8), (2, 3), (2, 5), (2, 8), (3, 4), (3, 5), (3, 7),
+                      (4, 5), (4, 6), (4, 8), (5, 7), (5, 8), (6, 7), (6, 8)]),
+            Graph(10, [(0, 1), (0, 3), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2), (1, 3), (1, 8),
+                       (2, 3), (2, 7), (2, 8), (3, 4), (3, 5), (3, 7), (3, 8), (4, 6), (4, 8),
+                       (4, 9), (5, 6), (5, 9), (6, 8), (7, 9)]),
+        )
+        for g in graphs:
+            adj = dict(enumerate(g.neighbor_sets()))
+            assert not any(
+                all(b in adj[a] for a, b in itertools.combinations(sorted(adj[v]), 2)) for v in adj
+            )
+            tw = treewidth_by_subsets(g)
+            assert _degeneracy(adj) < tw < _greedy_fill_width(adj)
+            assert treewidth_exact(g) == tw
+            # from the trivial bounds the search steps down n - 1 - tw times
+            nbrs = [sum(1 << u for u in adj[v]) for v in range(g.vertices)]
+            assert _min_elimination_cost(nbrs, lambda bag: bag.bit_count() - 1, 0, g.vertices) == tw
+
     def test_cap(self):
         with pytest.raises(TooLarge):
             treewidth_exact(Graph(13))
@@ -481,6 +522,10 @@ class TestLayering:
         assert layered_treewidth_exact(path(6)) == layered_treewidth_by_all_orders(path(6)) == 1
         k6 = complete_graph(6)
         assert layered_treewidth_exact(k6) == layered_treewidth_by_all_orders(k6) == 3
+        rng = random.Random(46)
+        for density in (0.3, 0.5, 0.7) * 3 + (0.5,):
+            g = random_graph(rng, 6, density, min_n=6)
+            assert layered_treewidth_exact(g) == layered_treewidth_by_all_orders(g), g
 
     def test_exact_layered_treewidth_cap(self):
         with pytest.raises(TooLarge):

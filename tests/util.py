@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -200,15 +201,78 @@ def all_graphs_labeled(n: int):
             yield Graph(n, chosen)
 
 
-def graphs_up_to_iso(n: int) -> list:
-    """Representatives of isomorphism classes of n-vertex graphs."""
+@functools.cache
+def graphs_up_to_iso(n: int) -> tuple:
+    """Representatives of isomorphism classes of n-vertex graphs: the first
+    labeled graph of each class. Only graphs that agree on every vertex's
+    degree and sorted neighbour degrees are compared by isomorphism search."""
     from sdkit import is_isomorphic
 
     reps = []
+    classes = {}
     for g in all_graphs_labeled(n):
-        if not any(is_isomorphic(g, h) for h in reps):
+        nbrs = g.neighbor_sets()
+        key = tuple(sorted((len(nb), tuple(sorted(len(nbrs[u]) for u in nb))) for nb in nbrs))
+        same_key = classes.setdefault(key, [])
+        if not any(is_isomorphic(g, h) for h in same_key):
+            same_key.append(g)
             reps.append(g)
-    return reps
+    return tuple(reps)
+
+
+def min_elimination_cost_by_subsets(adj: dict, cost) -> int:
+    """Minimum over elimination orders of adj's vertices of the largest
+    cost(v, later), where later is v's fill neighbourhood among the vertices
+    still to be eliminated: the exact minimum over every surviving-vertex set,
+    memoized on frozensets, with a depth-first search per vertex per set for
+    the fill neighbourhoods. A simplicial vertex is eliminated outright."""
+    memo = {}
+
+    def fill_neighbors(v, remaining):
+        seen = {v}
+        stack = [v]
+        out = set()
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w in seen:
+                    continue
+                seen.add(w)
+                if w in remaining:
+                    out.add(w)
+                else:
+                    stack.append(w)
+        return out
+
+    def solve(remaining: frozenset) -> int:
+        if not remaining:
+            return 0
+        cached = memo.get(remaining)
+        if cached is not None:
+            return cached
+        degrees = {v: fill_neighbors(v, remaining) for v in remaining}
+        simplicial = None
+        for v in sorted(remaining):
+            nb = degrees[v]
+            if all(b in degrees[a] for a, b in itertools.combinations(sorted(nb), 2)):
+                simplicial = v
+                break
+        if simplicial is not None:
+            value = max(cost(simplicial, degrees[simplicial]), solve(remaining - {simplicial}))
+        else:
+            value = min(
+                max(cost(v, degrees[v]), solve(remaining - {v})) for v in sorted(remaining)
+            )
+        memo[remaining] = value
+        return value
+
+    return solve(frozenset(adj))
+
+
+def treewidth_by_subsets(g: Graph) -> int:
+    """Tree-width as the subset search with the bag cost len(later)."""
+    adj = dict(enumerate(g.neighbor_sets()))
+    return min_elimination_cost_by_subsets(adj, lambda v, later: len(later))
 
 
 def treewidth_by_all_orders(g: Graph) -> int:
