@@ -374,7 +374,7 @@ def _min_elimination_cost(nbrs: list, cost, lower: int, upper: int) -> int:
     full = (1 << len(nbrs)) - 1
     best = upper
     for k in range(upper - 1, lower - 1, -1):
-        if not feasible(list(nbrs), full, k):
+        if not feasible(nbrs, full, k):
             break
         best = k
     return best
