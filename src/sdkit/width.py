@@ -9,9 +9,12 @@ that fails at k fails at any smaller k. Tree-width costs a bag by its size
 minus one, after a simplicial-vertex reduction; a degeneracy lower bound and
 a min-fill upper bound bound its search, which is capped at TREEWIDTH_CAP
 vertices. Layered tree-width costs a bag by the most of its vertices in one
-layer and runs the search once per layering (every ordered set partition of
-the vertex set), each bounded above by the best width found so far, hence
-its far smaller cap, LAYERED_CAP.
+layer. It works one connected component at a time and runs the search once
+per layering of the component, generated directly as a level function in
+which every edge spans at most one step (one of each reversal pair, the BFS
+layering first). Each search is bounded above by the best width found so
+far, and the layerings stop at a lower bound from the clique number and odd
+cycles. Its cap is LAYERED_CAP vertices.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from .core import (
     SetFunction,
     Span,
     _UnionFind,
+    connected_components,
     is_json_int,
     find_isomorphism,
     is_forest,
@@ -55,7 +59,7 @@ from .errors import (
 )
 
 TREEWIDTH_CAP = 12
-LAYERED_CAP = 7
+LAYERED_CAP = 12
 
 
 def peo(g: Graph):
@@ -510,48 +514,112 @@ def layer_join_on_morphisms(morphisms) -> GraphMorphism:
     return GraphMorphism(dom, cod, tuple(mapping))
 
 
-def _ordered_set_partitions(items):
-    """All ways to split items into a sequence of non-empty blocks."""
-    items = list(items)
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in _ordered_set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + ((first,) + sub[i],) + sub[i + 1 :]
-        for i in range(len(sub) + 1):
-            yield sub[:i] + ((first,),) + sub[i:]
+def _clique_number(nbrs: list) -> int:
+    """omega of a neighbour-mask list, by branching on the lowest candidate."""
+
+    def grow(size: int, candidates: int) -> int:
+        best = size
+        while candidates and size + candidates.bit_count() > best:
+            low = candidates & -candidates
+            candidates ^= low
+            best = max(best, grow(size + 1, candidates & nbrs[low.bit_length() - 1]))
+        return best
+
+    return grow(0, (1 << len(nbrs)) - 1)
+
+
+def _level_functions(nbrs: list):
+    """Every layering of a connected neighbour-mask list, one of each
+    reversal pair, as its tuple of layer masks from the lowest level up.
+
+    The vertices are visited in BFS order from vertex 0, which takes level
+    0; each later vertex takes every level within one step of all its placed
+    neighbours, highest first, so the first function yielded is the BFS
+    layering. Its BFS parent is placed before it, so the levels used stay
+    contiguous, and a vertex placed while every level so far is 0 may not
+    go to -1: the first non-zero level is +1, which keeps one function of
+    each pair l, -l.
+    """
+    order = [0]
+    seen = 1
+    for v in order:
+        for u in _bits(nbrs[v] & ~seen):
+            order.append(u)
+        seen |= nbrs[v]
+    position = {v: i for i, v in enumerate(order)}
+    placed = [
+        [position[u] for u in _bits(nbrs[v]) if position[u] < i] for i, v in enumerate(order)
+    ]
+    level = [0] * len(order)
+
+    def extend(i: int, flat: bool):
+        if i == len(order):
+            low = min(level)
+            layers = [0] * (max(level) - low + 1)
+            for v, l in zip(order, level):
+                layers[l - low] |= 1 << v
+            yield tuple(layers)
+            return
+        around = [level[j] for j in placed[i]]
+        top = min(around) + 1
+        bottom = 0 if flat else max(around) - 1
+        for l in range(top, bottom - 1, -1):
+            level[i] = l
+            yield from extend(i + 1, flat and l == 0)
+
+    return extend(1, True)
+
+
+def _component_layered_treewidth(nbrs: list, floor: int) -> int:
+    """max(floor, layered tree-width) of a connected neighbour-mask list."""
+    upper = (len(nbrs) + 1) // 2  # one bag over any two-layer split
+    if upper <= floor:
+        return floor
+    layerings = _level_functions(nbrs)
+    bfs = next(layerings)
+    odd = any(nbrs[v] & layer for layer in bfs for v in _bits(layer))
+    lower = max(floor, (_clique_number(nbrs) + 1) // 2, 2 if odd else 1)
+    best = upper
+    for layers in itertools.chain([bfs], layerings):
+        if best <= lower:
+            break
+
+        def bag_cost(bag):
+            return max((bag & layer).bit_count() for layer in layers)
+
+        best = _min_elimination_cost(nbrs, bag_cost, lower, best)
+    return best
 
 
 def layered_treewidth_exact(g: Graph) -> int:
     """Minimum layered width over every layering and tree decomposition,
-    capped at LAYERED_CAP vertices.
+    capped at LAYERED_CAP vertices (Dujmovic, Morin & Wood, arXiv:1306.1595).
 
-    Every ordered set partition is tried as a layering (empty layers never
-    help). For each valid one, the elimination-order search that computes
-    tree-width runs with another bag cost: the largest number of vertices of
-    the bag {v} | later that share one layer. This is exact because every
-    tree decomposition has an elimination order whose bags each lie inside
-    one of its bags. The search only asks whether a layering beats the best
-    width found so far, and none is searched once that width is 1.
+    The answer is the largest over the connected components, since their
+    layerings and decompositions combine freely. A component of n vertices
+    has width at most ceil(n / 2), the width of a two-layer split with one
+    bag, and at least ceil(omega / 2), because a clique lies in one bag and
+    spans at most two adjacent layers, and at least 2 when it has an odd
+    cycle, because some edge of it then stays within a layer and its two
+    ends share a bag. A component that cannot beat the width found so far is
+    skipped. Otherwise each of its layerings (level functions in which every
+    edge spans at most one step, one per reversal pair, BFS layering first)
+    runs the elimination-order search that computes tree-width with another
+    bag cost: the largest number of vertices of the bag {v} | later that
+    share one layer. This is exact because every tree decomposition has an
+    elimination order whose bags each lie inside one of its bags. The search
+    only asks whether a layering beats the best width so far, and the
+    layerings stop once that width meets the lower bound.
     """
     if g.vertices > LAYERED_CAP:
         raise TooLarge(f"exact layered tree-width is limited to {LAYERED_CAP} vertices")
     if g.vertices == 0:
         return 0
-    nbrs = [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
-    best = g.vertices
-    for blocks in _ordered_set_partitions(range(g.vertices)):
-        layering = Layering(blocks)
-        if not is_layering(g, layering) or best == 1:
-            continue
-        layer_masks = [sum(1 << v for v in layer) for layer in layering.layers]
-
-        def bag_cost(bag):
-            return max((bag & layer).bit_count() for layer in layer_masks)
-
-        best = _min_elimination_cost(nbrs, bag_cost, 1, best)
+    best = 1
+    for component in connected_components(g):
+        piece = g.induced_subgraph(component)
+        nbrs = [sum(1 << u for u in nb) for nb in piece.neighbor_sets()]
+        best = _component_layered_treewidth(nbrs, best)
     return best
 
 

@@ -8,6 +8,7 @@ import pytest
 from sdkit import FinSet, Graph, decomposition_from_json
 from sdkit import cli
 from sdkit.cli import VERBS, build_parser, run
+from sdkit.width import LAYERED_CAP
 
 
 def invoke(capsys, *argv):
@@ -195,6 +196,21 @@ class TestErrorHandling:
         big = tmp_path / "big.json"
         big.write_text(json.dumps(Graph(13).to_json()))
         code, out = invoke(capsys, "treewidth", "-g", str(big))
+        assert code == 3
+
+    def test_layered_width_exact_answers_eight_vertices(self, capsys, tmp_path):
+        for name, edges, expected in (
+            ("c8", [(i, (i + 1) % 8) for i in range(8)], 1),
+            ("k8", [(i, j) for i in range(8) for j in range(i + 1, 8)], 4),
+        ):
+            graph = tmp_path / f"{name}.json"
+            graph.write_text(json.dumps(Graph(8, edges).to_json()))
+            code, out = invoke(capsys, "layered-width", "-g", str(graph), "--exact")
+            assert code == 0
+            assert json.loads(out) == {"layeredTreewidth": expected}
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(Graph(LAYERED_CAP + 1).to_json()))
+        code, out = invoke(capsys, "layered-width", "-g", str(big), "--exact")
         assert code == 3
 
     def test_unknown_flag_rejected(self, fixtures_dir):

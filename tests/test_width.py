@@ -26,6 +26,7 @@ from sdkit import (
     complement,
     complemented_treewidth,
     complete_graph,
+    connected_components,
     decomposition_from_chordal,
     decomposition_from_vertex_bags,
     discrete_graph,
@@ -48,13 +49,22 @@ from sdkit import (
     width,
 )
 from sdkit.decomposition import Adhesion
-from sdkit.width import _degeneracy, _greedy_fill_width, _min_elimination_cost
+from sdkit.width import (
+    LAYERED_CAP,
+    _clique_number,
+    _degeneracy,
+    _greedy_fill_width,
+    _level_functions,
+    _min_elimination_cost,
+)
 from util import (
     all_graphs_labeled,
     fs_adhesion,
     graphs_up_to_iso,
     is_chordal_dirac,
     layered_treewidth_by_all_orders,
+    layered_treewidth_by_partitions,
+    ordered_set_partitions,
     random_chordal_graph,
     random_finset_decomposition,
     random_graph,
@@ -80,6 +90,15 @@ def grid(rows, cols):
             if r + 1 < rows:
                 edges.append((r * cols + c, (r + 1) * cols + c))
     return Graph(rows * cols, edges)
+
+
+def disjoint_union(a, b):
+    shifted = [(a.vertices + u, a.vertices + v) for u, v in b.edges]
+    return Graph(a.vertices + b.vertices, list(a.edges) + shifted)
+
+
+def _masks(g):
+    return [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
 
 
 def to_nx(g):
@@ -141,6 +160,13 @@ class TestCliqueNumber:
     def test_not_chordal_rejected(self):
         with pytest.raises(NotChordal):
             clique_number_chordal(cycle(5))
+
+    def test_bitmask_clique_number_matches_networkx(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            g = random_graph(rng, 12, rng.choice((0.3, 0.5, 0.8)))
+            omega = max((len(c) for c in nx.find_cliques(to_nx(g))), default=0)
+            assert _clique_number(_masks(g)) == omega, g
 
 
 class TestChordalFromDecomposition:
@@ -516,20 +542,95 @@ class TestLayering:
     def test_exact_layered_treewidth_matches_all_orders_up_to_five_vertices(self):
         for n in range(6):
             for g in graphs_up_to_iso(n):
-                assert layered_treewidth_exact(g) == layered_treewidth_by_all_orders(g), g
+                expected = layered_treewidth_by_all_orders(g)
+                assert layered_treewidth_exact(g) == expected, g
+                assert layered_treewidth_by_partitions(g) == expected, g
 
     def test_exact_layered_treewidth_on_six_vertices(self):
-        assert layered_treewidth_exact(path(6)) == layered_treewidth_by_all_orders(path(6)) == 1
-        k6 = complete_graph(6)
-        assert layered_treewidth_exact(k6) == layered_treewidth_by_all_orders(k6) == 3
-        rng = random.Random(46)
-        for density in (0.3, 0.5, 0.7) * 3 + (0.5,):
-            g = random_graph(rng, 6, density, min_n=6)
-            assert layered_treewidth_exact(g) == layered_treewidth_by_all_orders(g), g
+        assert layered_treewidth_exact(path(6)) == 1
+        assert layered_treewidth_exact(complete_graph(6)) == 3
+        for g in graphs_up_to_iso(6):
+            expected = layered_treewidth_by_partitions(g)
+            assert layered_treewidth_exact(g) == expected, g
+            assert layered_treewidth_by_all_orders(g) == expected, g
+
+    def test_exact_layered_treewidth_matches_partitions_on_seven_vertices(self):
+        rng = random.Random(47)
+        for density in (0.3, 0.5, 0.7):
+            g = random_graph(rng, 7, density, min_n=7)
+            assert layered_treewidth_exact(g) == layered_treewidth_by_partitions(g), g
 
     def test_exact_layered_treewidth_cap(self):
+        assert layered_treewidth_exact(Graph(LAYERED_CAP)) == 1
         with pytest.raises(TooLarge):
-            layered_treewidth_exact(Graph(8))
+            layered_treewidth_exact(Graph(LAYERED_CAP + 1))
+
+    def test_odd_cycles_need_two_vertices_of_a_layer_in_a_bag(self):
+        for n in (5, 7, 9):
+            assert layered_treewidth_exact(cycle(n)) == 2, n
+        assert layered_treewidth_by_all_orders(cycle(5)) == 2
+        assert layered_treewidth_by_partitions(cycle(7)) == 2
+
+    def test_even_cycles_have_layered_treewidth_one(self):
+        for n in (4, 6, 8, 10):
+            assert layered_treewidth_exact(cycle(n)) == 1, n
+        assert layered_treewidth_by_all_orders(cycle(4)) == 1
+        assert layered_treewidth_by_all_orders(cycle(6)) == 1
+
+    def test_disjoint_union_takes_the_larger_component(self):
+        p3_k4 = disjoint_union(path(3), complete_graph(4))
+        assert layered_treewidth_exact(p3_k4) == layered_treewidth_by_partitions(p3_k4) == 2
+        assert layered_treewidth_by_all_orders(complete_graph(5)) == 3
+        assert layered_treewidth_exact(disjoint_union(complete_graph(5), cycle(7))) == 3
+        assert layered_treewidth_exact(disjoint_union(cycle(7), complete_graph(5))) == 3
+
+
+def _bfs_layers(g):
+    depth = {0: 0}
+    queue = [0]
+    for v in queue:
+        for u in sorted(g.neighbor_sets()[v]):
+            if u not in depth:
+                depth[u] = depth[v] + 1
+                queue.append(u)
+    layers = [0] * (max(depth.values()) + 1)
+    for v, d in depth.items():
+        layers[d] |= 1 << v
+    return tuple(layers)
+
+
+def _connected_pieces(g):
+    return [g.induced_subgraph(c) for c in connected_components(g)]
+
+
+class TestLevelFunctions:
+    def test_paths_have_one_function_per_reversal_pair_of_three_choices(self):
+        for n in range(1, 9):
+            assert sum(1 for _ in _level_functions(_masks(path(n)))) == (3 ** (n - 1) + 1) // 2
+
+    def test_complete_graphs_split_into_two_adjacent_levels(self):
+        for n in range(1, 8):
+            assert sum(1 for _ in _level_functions(_masks(complete_graph(n)))) == 2 ** (n - 1)
+
+    def test_first_function_is_the_bfs_layering(self):
+        graphs = [g for n in range(1, 6) for g in graphs_up_to_iso(n)] + [grid(3, 4), cycle(9)]
+        for g in graphs:
+            for piece in _connected_pieces(g):
+                assert next(_level_functions(_masks(piece))) == _bfs_layers(piece), piece
+
+    def test_yields_the_accepted_partitions_up_to_reversal(self):
+        for n in range(1, 6):
+            for g in graphs_up_to_iso(n):
+                for piece in _connected_pieces(g):
+                    found = list(_level_functions(_masks(piece)))
+                    canonical = {min(layers, layers[::-1]) for layers in found}
+                    assert len(canonical) == len(found), piece
+                    accepted = set()
+                    for blocks in ordered_set_partitions(range(piece.vertices)):
+                        if is_layering(piece, Layering(blocks)):
+                            layers = tuple(sum(1 << v for v in b) for b in blocks)
+                            accepted.add(min(layers, layers[::-1]))
+                    assert canonical == accepted, piece
 
 
 class TestHWidth:

@@ -12,13 +12,16 @@ from sdkit import (
     GRAPH,
     Graph,
     GraphMorphism,
+    Layering,
     SetFunction,
     Span,
     StructuredDecomposition,
     SubPTable,
     Subobject,
     complete_graph,
+    is_layering,
 )
+from sdkit.width import _min_elimination_cost
 
 
 def fs_adhesion(edge, pairs, bag_u, bag_v) -> Adhesion:
@@ -306,10 +309,22 @@ def treewidth_by_all_orders(g: Graph) -> int:
     return best
 
 
+@functools.cache
+def _onto_levels(n: int) -> tuple:
+    """Every level function on n vertices whose levels are 0..k-1, each used."""
+    return tuple(
+        level
+        for level in itertools.product(range(n), repeat=n)
+        if len(set(level)) == max(level) + 1
+    )
+
+
 def layered_treewidth_by_all_orders(g: Graph) -> int:
     """Layered tree-width from the bag families of all n! elimination orders,
     checked against every layering given as a level function whose levels
-    are 0..k-1, each used, with no edge spanning more than one step."""
+    are 0..k-1, each used, with no edge spanning more than one step. A
+    family is kept as its inclusion-maximal bags, which bound the cost of
+    the others, and no layering is tried once the width is 1."""
     n = g.vertices
     if n == 0:
         return 0
@@ -330,13 +345,18 @@ def layered_treewidth_by_all_orders(g: Graph) -> int:
                 if nb >> u & 1:
                     adj[u] |= nb & ~(1 << u)
         families.add(frozenset(bags))
+    families = {
+        frozenset(b for b in family if not any(b != c and b & c == b for c in family))
+        for family in families
+    }
     bags = set().union(*families)
     best = n
-    for level in itertools.product(range(n), repeat=n):
-        depth = max(level) + 1
-        if len(set(level)) != depth or any(abs(level[u] - level[v]) > 1 for u, v in g.edges):
+    for level in _onto_levels(n):
+        if best == 1:
+            break
+        if any(abs(level[u] - level[v]) > 1 for u, v in g.edges):
             continue
-        layers = [0] * depth
+        layers = [0] * (max(level) + 1)
         for v, i in enumerate(level):
             layers[i] |= 1 << v
         cost = {bag: max((bag & layer).bit_count() for layer in layers) for bag in bags}
@@ -417,3 +437,46 @@ def _components_within(nbrs, rest):
                     stack.append(u)
         comps.append(comp)
     return comps
+
+
+def ordered_set_partitions(items):
+    """All ways to split items into a sequence of non-empty blocks."""
+    items = list(items)
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for sub in ordered_set_partitions(rest):
+        for i in range(len(sub)):
+            yield sub[:i] + ((first,) + sub[i],) + sub[i + 1 :]
+        for i in range(len(sub) + 1):
+            yield sub[:i] + ((first,),) + sub[i:]
+
+
+@functools.cache
+def _partition_layerings(n: int) -> tuple:
+    """Every ordered set partition of range(n) as a Layering."""
+    return tuple(Layering(blocks) for blocks in ordered_set_partitions(range(n)))
+
+
+def layered_treewidth_by_partitions(g: Graph) -> int:
+    """Layered tree-width with every ordered set partition of the vertices
+    as a candidate layering: each one accepted by is_layering runs the shared
+    elimination-order search, bounded above by the best width so far, until
+    that width is 1."""
+    if g.vertices == 0:
+        return 0
+    nbrs = [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
+    best = g.vertices
+    for layering in _partition_layerings(g.vertices):
+        if best == 1:
+            break
+        if not is_layering(g, layering):
+            continue
+        layer_masks = [sum(1 << v for v in layer) for layer in layering.layers]
+
+        def bag_cost(bag):
+            return max((bag & layer).bit_count() for layer in layer_masks)
+
+        best = _min_elimination_cost(nbrs, bag_cost, 1, best)
+    return best
