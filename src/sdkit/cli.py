@@ -30,7 +30,7 @@ from .decomposition import (
     to_arrow,
     validate,
 )
-from .errors import SdkitError, TooLarge, ValidationError
+from .errors import SdkitError, ValidationError
 from .solver import (
     MAX_EDGES,
     Subobject,
@@ -417,12 +417,9 @@ def run(argv) -> int:
     args = build_parser(verb).parse_args(argv)
     try:
         return args.func(args)
-    except TooLarge as exc:
-        _emit_json({"error": str(exc)}, None)
-        return 3
     except SdkitError as exc:
         _emit_json({"error": str(exc)}, None)
-        return 2
+        return exc.exit_code
 
 
 def main() -> None:

@@ -11,10 +11,13 @@ its pushout; `solve_on_decomposition` pushes every bag's table once into the
 colimit of a tame tree-shaped decomposition, where every partial colimit
 embeds, and glues them there in post-order. `_compose_entries` does every
 glue.
+
+The planar predicate is the path-addition test of Demoucron, Malgrange &
+Pertuiset (1964), polynomial in the subobject and without state between
+calls.
 """
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -138,140 +141,159 @@ def predicate_bipartite(sub: Subobject) -> bool:
     return True
 
 
-# Planarity verdicts keyed by the relabelled edge list of the touched
-# vertices; shared across calls and emptied whenever it reaches the cap, so
-# it never holds more than PLANARITY_CACHE_CAP keys. A ladder-4 planar solve
-# leaves 11, since subobjects of at most 8 edges skip it.
-PLANARITY_CACHE_CAP = 1 << 14
-_PLANARITY_CACHE = {}
-
-
-def _simple_paths(adj, a, b, banned):
-    """All simple a-b paths whose internal vertices avoid `banned`."""
-    out = []
-    stack = [(a, [a], {a})]
-    while stack:
-        v, path, seen = stack.pop()
-        for w in adj.get(v, ()):
-            if w == b:
-                out.append(path + [b])
-            elif w not in seen and w not in banned:
-                stack.append((w, path + [w], seen | {w}))
-    return out if a != b else []
-
-
-def _link_pairs(adj, branch, pairs, used):
-    """Vertex-disjoint linkage search: internal vertices are private per path
-    and never branch vertices."""
-    if not pairs:
-        return True
-    a, b = pairs[0]
-    rest = pairs[1:]
-    banned = (branch - {a, b}) | used
-    for path in _simple_paths(adj, a, b, banned):
-        internals = set(path[1:-1])
-        if internals & used:
+def _some_cycle(adj):
+    """One cycle of the graph, as its vertices in order: a BFS-tree path
+    closed by the first non-tree edge met. None for a forest."""
+    parent = {}
+    for root in adj:
+        if root in parent:
             continue
-        if _link_pairs(adj, branch, rest, used | internals):
-            return True
-    return False
+        parent[root] = None
+        queue = [root]
+        for x in queue:
+            for y in adj[x]:
+                if y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+                elif y != parent[x]:
+                    up = [x]
+                    while parent[up[-1]] is not None:
+                        up.append(parent[up[-1]])
+                    depth = {v: i for i, v in enumerate(up)}
+                    down = []
+                    while y not in depth:
+                        down.append(y)
+                        y = parent[y]
+                    return up[: depth[y] + 1] + down[::-1]
+    return None
 
 
-def _has_subdivision(adj, degrees, parts) -> bool:
-    """parts = [5] searches for a K5 subdivision, [3, 3] for K3,3."""
-    if len(parts) == 1:
-        k = parts[0]
-        need = k - 1
-        candidates = [v for v in adj if degrees[v] >= need]
-        for branch in itertools.combinations(candidates, k):
-            pairs = list(itertools.combinations(branch, 2))
-            if _link_pairs(adj, set(branch), pairs, set()):
-                return True
-        return False
-    a, b = parts
-    candidates = [v for v in adj if degrees[v] >= min(a, b)]
-    for chosen in itertools.combinations(candidates, a + b):
-        for left in itertools.combinations(chosen, a):
-            if chosen.index(left[0]) != 0:
-                break  # fix the first chosen vertex on the left to kill symmetry
-            right = tuple(v for v in chosen if v not in left)
-            pairs = [(x, y) for x in left for y in right]
-            if _link_pairs(adj, set(chosen), pairs, set()):
-                return True
-    return False
+def _planar(adj) -> bool:
+    """Path-addition planarity test (Demoucron, Malgrange & Pertuiset 1964)
+    of a simple graph given as vertex -> neighbour set, which it consumes.
 
-
-def _component_planar(adj) -> bool:
-    adj = {v: set(nb) for v, nb in adj.items()}
-    # series reduction preserves planarity: drop degree<=1 vertices, smooth
-    # degree-2 vertices (duplicate edges fold away in a simple graph)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            nb = adj[v]
-            if len(nb) <= 1:
-                for u in nb:
-                    adj[u].discard(v)
-                del adj[v]
-                changed = True
-            elif len(nb) == 2:
-                x, y = sorted(nb)
-                adj[x].discard(v)
-                adj[y].discard(v)
-                del adj[v]
-                if x != y:
-                    adj[x].add(y)
-                    adj[y].add(x)
-                changed = True
-    n = len(adj)
-    m = sum(len(nb) for nb in adj.values()) // 2
-    if n <= 4 or m <= 8:
+    H starts as one cycle with its two faces. A fragment is a non-H edge
+    between two H vertices, or a component of G - H with its attaching
+    edges. A fragment with at most one attachment meets the rest only at a
+    cut vertex, so it is tested on its own and dropped. Every other fragment
+    must fit a face whose boundary holds all its attachments; a path through
+    a fragment with the fewest fitting faces then splits that face in two.
+    """
+    cycle = _some_cycle(adj)
+    if cycle is None:
         return True
-    if m > 3 * n - 6:
-        return False
-    degrees = {v: len(nb) for v, nb in adj.items()}
-    if _has_subdivision(adj, degrees, [5]):
-        return False
-    if _has_subdivision(adj, degrees, [3, 3]):
-        return False
-    return True
+    placed = {v: set() for v in cycle}  # H as vertex -> H-neighbour set
+    for u, w in zip(cycle, cycle[1:] + cycle[:1]):
+        placed[u].add(w)
+        placed[w].add(u)
+    faces = [cycle, cycle[::-1]]
+    while True:
+        fragments = [
+            ({u, w}, None)
+            for u, h_nbrs in placed.items()
+            for w in adj[u] - h_nbrs
+            if u < w and w in placed
+        ]
+        seen = set(placed)
+        for start in list(adj):
+            if start in seen:
+                continue
+            seen.add(start)
+            comp, attach = [start], set()
+            for x in comp:
+                for y in adj[x]:
+                    if y in placed:
+                        attach.add(y)
+                    elif y not in seen:
+                        seen.add(y)
+                        comp.append(y)
+            if len(attach) > 1:
+                fragments.append((attach, set(comp)))
+                continue
+            keep = attach.union(comp)
+            if not _planar({v: adj[v] & keep for v in keep}):
+                return False
+            for v in comp:
+                del adj[v]
+            for a in attach:
+                adj[a].difference_update(comp)
+        if not fragments:
+            return True
+        fits, attach, comp = min(
+            (([f for f in faces if attach.issubset(f)], attach, comp) for attach, comp in fragments),
+            key=lambda fit: len(fit[0]),
+        )
+        if not fits:
+            return False
+        face = fits[0]
+        a = min(attach)
+        if comp is None:
+            path = sorted(attach)
+        else:
+            # BFS inside the component from a neighbour of a to a neighbour
+            # of another attachment
+            first = min(adj[a] & comp)
+            parent = {first: None}
+            queue = [first]
+            for x in queue:
+                b = min((adj[x] & attach) - {a}, default=None)
+                if b is not None:
+                    break
+                for y in adj[x] & comp:
+                    if y not in parent:
+                        parent[y] = x
+                        queue.append(y)
+            path = [b]
+            while x is not None:
+                path.append(x)
+                x = parent[x]
+            path.append(a)
+            path.reverse()
+        for u, w in zip(path, path[1:]):
+            placed.setdefault(u, set()).add(w)
+            placed.setdefault(w, set()).add(u)
+        # split the face along the path from a = path[0] to b = path[-1]
+        i = face.index(path[0])
+        rotated = face[i:] + face[:i]
+        j = rotated.index(path[-1])
+        faces.remove(face)
+        faces.append(rotated[: j + 1] + path[-2:0:-1])
+        faces.append(rotated[j:] + path[:-1])
 
 
 def predicate_planar(sub: Subobject) -> bool:
-    """Planarity via the edge-count bound plus exhaustive search for K5 and
-    K3,3 subdivisions; meant for brute-force-scale subobjects."""
+    """Planarity by the path-addition test, after cheap exits on the edge
+    count of the graph reduced to minimum degree 3."""
     if len(sub.edges) <= 8:
         # a nonplanar graph contains a subdivision of K3,3 (9 edges) or of
         # K5 (10 edges), by Kuratowski's theorem
         return True
-    touched = set()
-    for e in sub.edges:
-        touched.update(e)
-    order = sorted(touched)
-    rename = {v: i for i, v in enumerate(order)}
-    key = (len(order), tuple(sorted((rename[u], rename[v]) for u, v in sub.edges)))
-    cached = _PLANARITY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n, edges = key
-    if n >= 3 and len(edges) > 3 * n - 6:
-        result = False
-    else:
-        adj = {v: set() for v in range(n)}
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        result = True
-        for comp in connected_components(Graph(n, edges)):
-            if len(comp) >= 5:
-                if not _component_planar({v: adj[v] for v in comp}):
-                    result = False
-                    break
-    if len(_PLANARITY_CACHE) >= PLANARITY_CACHE_CAP:
-        _PLANARITY_CACHE.clear()
-    _PLANARITY_CACHE[key] = result
-    return result
+    adj = {}
+    for u, v in sub.edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    # deleting a vertex of degree at most 1, or smoothing one of degree 2
+    # (keeping one edge where that makes two), preserves planarity; no
+    # degree rises, so a queued vertex still has degree at most 2
+    low = [v for v, nb in adj.items() if len(nb) <= 2]
+    while low:
+        v = low.pop()
+        nb = adj.pop(v, None)
+        if nb is None:
+            continue
+        for u in nb:
+            adj[u].discard(v)
+        if len(nb) == 2:
+            x, y = nb
+            adj[x].add(y)
+            adj[y].add(x)
+        low.extend(u for u in nb if len(adj[u]) <= 2)
+    edges = sum(map(len, adj.values())) // 2
+    if edges <= 8:
+        return True
+    if edges > 3 * len(adj) - 6:
+        return False
+    return _planar(adj)
 
 
 @dataclass(frozen=True)
@@ -646,16 +668,9 @@ def solve_on_decomposition(
 
 
 def _is_single_path(sub: Subobject) -> bool:
-    """A connected path (possibly a single vertex, not empty)."""
-    if not sub.vertices:
-        return False
-    deg = _degrees(sub)
-    if any(x > 2 for x in deg.values()):
-        return False
-    if len(sub.edges) != len(sub.vertices) - 1:
-        return False
-    # acyclic with n-1 edges and degrees <= 2 means one path component
-    return predicate_paths(sub)
+    """A connected path (possibly a single vertex, not empty): a disjoint
+    union of paths with one edge fewer than vertices."""
+    return len(sub.edges) == len(sub.vertices) - 1 and predicate_paths(sub)
 
 
 def _solve_named(g, d, predicate, labeling, keep):

@@ -6,15 +6,15 @@ k? It starts one below a known upper bound and lowers k until the answer is
 no or k falls below a lower bound. States are surviving-vertex masks, and
 the states that fail go into a dead set that every k shares, because a state
 that fails at k fails at any smaller k. Tree-width costs a bag by its size
-minus one, after a simplicial-vertex reduction; a degeneracy lower bound and
-a min-fill upper bound bound its search, which is capped at TREEWIDTH_CAP
-vertices. Layered tree-width costs a bag by the most of its vertices in one
-layer. It works one connected component at a time and runs the search once
-per layering of the component, generated directly as a level function in
-which every edge spans at most one step (one of each reversal pair, the BFS
-layering first). Each search is bounded above by the best width found so
-far, and the layerings stop at a lower bound from the clique number and odd
-cycles. Its cap is LAYERED_CAP vertices.
+minus one; a degeneracy lower bound and a min-fill upper bound, both taken
+on the same neighbour masks, bound its search, which is capped at
+TREEWIDTH_CAP vertices. Layered tree-width costs a bag by the most of its
+vertices in one layer. It works one connected component at a time and runs
+the search once per layering of the component, generated directly as a
+level function in which every edge spans at most one step (one of each
+reversal pair, the BFS layering first). Each search is bounded above by
+the best width found so far, and the layerings stop at a lower bound from
+the clique number and odd cycles. Its cap is LAYERED_CAP vertices.
 """
 from __future__ import annotations
 
@@ -285,44 +285,45 @@ def width(d: StructuredDecomposition) -> int:
     return max(object_size(b) for b in d.bags) - 1
 
 
-def _greedy_fill_width(adj: dict) -> int:
-    """Width attained by the min-fill elimination heuristic (an upper bound)."""
-    adj = {v: set(s) for v, s in adj.items()}
-    best = 0
-    while adj:
-        def fill_count(v):
-            nb = adj[v]
-            return sum(1 for a, b in itertools.combinations(sorted(nb), 2) if b not in adj[a])
-
-        v = min(adj, key=lambda u: (fill_count(u), len(adj[u]), u))
-        best = max(best, len(adj[v]))
-        nb = adj.pop(v)
-        for a in nb:
-            adj[a].discard(v)
-        for a, b in itertools.combinations(sorted(nb), 2):
-            adj[a].add(b)
-            adj[b].add(a)
-    return best
-
-
-def _degeneracy(adj: dict) -> int:
-    """Max over the min-degree elimination of the degree seen (a lower bound)."""
-    adj = {v: set(s) for v, s in adj.items()}
-    best = 0
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        best = max(best, len(adj[v]))
-        for a in adj.pop(v):
-            adj[a].discard(v)
-    return best
-
-
 def _bits(mask: int):
     """The set bits of mask, lowest first, as bit indices."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _min_fill_width(nbrs: list) -> int:
+    """Width attained by the min-fill elimination heuristic (an upper bound)
+    on neighbour masks; a simplicial vertex adds no fill, so it goes first."""
+    fill = list(nbrs)
+    remaining = (1 << len(nbrs)) - 1
+    best = 0
+
+    def fill_count(v):
+        nb = fill[v]
+        return sum((nb & ~fill[u] & ~(1 << u)).bit_count() for u in _bits(nb)) // 2
+
+    while remaining:
+        v = min(_bits(remaining), key=lambda u: (fill_count(u), fill[u].bit_count()))
+        nb = fill[v]
+        best = max(best, nb.bit_count())
+        for u in _bits(nb):
+            fill[u] = (fill[u] | nb) & ~(1 << u | 1 << v)
+        remaining &= ~(1 << v)
+    return best
+
+
+def _degeneracy(nbrs: list) -> int:
+    """Max over the min-degree elimination of the degree seen (a lower bound)
+    on neighbour masks."""
+    remaining = (1 << len(nbrs)) - 1
+    best = 0
+    while remaining:
+        v = min(_bits(remaining), key=lambda u: (nbrs[u] & remaining).bit_count())
+        best = max(best, (nbrs[v] & remaining).bit_count())
+        remaining &= ~(1 << v)
+    return best
 
 
 def _min_elimination_cost(nbrs: list, cost, lower: int, upper: int) -> int:
@@ -388,39 +389,15 @@ def treewidth_exact(g: Graph) -> int:
     """Exact tree-width by elimination-ordering search, capped at TREEWIDTH_CAP
     vertices.
 
-    Simplicial vertices are eliminated outright (always optimal). The
-    degeneracy lower bound and the min-fill upper bound of the remaining
-    kernel return at once when they meet, and otherwise bound the shared
-    elimination-order search, which costs a bag by its size minus one.
+    The degeneracy lower bound and the min-fill upper bound bound the shared
+    elimination-order search, which costs a bag by its size minus one and
+    eliminates simplicial vertices outright.
     """
     if g.vertices > TREEWIDTH_CAP:
         raise TooLarge(f"exact tree-width is limited to {TREEWIDTH_CAP} vertices")
-    if g.vertices == 0:
-        return 0
-    adj = dict(enumerate(g.neighbor_sets()))
-
-    floor = 0
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(adj):
-            nb = adj[v]
-            if all(b in adj[a] for a, b in itertools.combinations(sorted(nb), 2)):
-                floor = max(floor, len(nb))
-                for a in adj.pop(v):
-                    adj[a].discard(v)
-                changed = True
-                break
-    if not adj:
-        return floor
-
-    ub = max(floor, _greedy_fill_width(adj))
-    lb = max(floor, _degeneracy(adj))
-    if lb == ub:
-        return ub
-    bit = {v: i for i, v in enumerate(sorted(adj))}
-    nbrs = [sum(1 << bit[u] for u in adj[v]) for v in sorted(adj)]
-    return _min_elimination_cost(nbrs, lambda bag: bag.bit_count() - 1, lb, ub)
+    nbrs = [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
+    lower, upper = _degeneracy(nbrs), _min_fill_width(nbrs)
+    return _min_elimination_cost(nbrs, lambda bag: bag.bit_count() - 1, lower, upper)
 
 
 def complemented_treewidth(g: Graph) -> int:

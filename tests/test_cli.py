@@ -9,6 +9,7 @@ from sdkit import FinSet, Graph, decomposition_from_json
 from sdkit import cli
 from sdkit.cli import VERBS, build_parser, run
 from sdkit.width import LAYERED_CAP
+from util import grid
 
 
 def invoke(capsys, *argv):
@@ -154,6 +155,18 @@ class TestVerbs:
         )
         assert code == 0
         assert json.loads(out) == {"hWidth": 3}
+
+    def test_h_width_planar_on_a_one_bag_grid(self, capsys, tmp_path):
+        one_bag = tmp_path / "grid.dec.json"
+        one_bag.write_text(json.dumps({
+            "shape": {"vertices": 1, "edges": []},
+            "valueKind": "graph",
+            "bags": [grid(3, 7).to_json()],
+            "adhesions": [],
+        }))
+        code, out = invoke(capsys, "h-width", "-d", str(one_bag), "--property", "planar")
+        assert code == 0
+        assert json.loads(out) == {"hWidth": 0}
 
     def test_removed_solver_flags_are_rejected(self, capsys, fixtures_dir):
         code, out = invoke(

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -42,6 +43,7 @@ from sdkit.solver import EMPTY_SUBOBJECT, best_entry, translate_subobject, _is_s
 from util import (
     all_subobjects,
     graphs_up_to_iso,
+    grid,
     random_graph,
     random_graph_decomposition,
     random_monic_graph_span,
@@ -73,6 +75,49 @@ def random_subobject(rng, g):
         e for e in g.edges if e[0] in verts and e[1] in verts and rng.random() < 0.7
     )
     return Subobject(verts, edges)
+
+
+def nx_planar(sub):
+    h = nx.Graph()
+    h.add_nodes_from(sub.vertices)
+    h.add_edges_from(sub.edges)
+    return nx.check_planarity(h)[0]
+
+
+def kuratowski_gluings():
+    """K5 and K3,3, whole or less one edge, plain or with every edge
+    subdivided, each with planar blocks hung off it at cut vertices: a
+    triangle at 0, a K4 at 1 with a 4-cycle off the K4, a pendant path at 2
+    and a second copy of the core at 3."""
+    out = []
+    for core in (K5.edge_list(), [(i, 3 + j) for i in range(3) for j in range(3)]):
+        for edges in (core, core[1:]):
+            for subdivided in (False, True):
+                n = 6 if len(core) == 9 else 5
+                if subdivided:
+                    split = []
+                    for u, v in edges:
+                        split += [(u, n), (v, n)]
+                        n += 1
+                    edges = split
+                base = n
+                blocks = [(0, n), (0, n + 1), (n, n + 1)]
+                blocks += itertools.combinations([1, n + 2, n + 3, n + 4], 2)
+                blocks += [(n + 4, n + 5), (n + 5, n + 6), (n + 6, n + 7), (n + 7, n + 4)]
+                blocks += [(2, n + 8), (n + 8, n + 9)]
+                n += 10
+                copy = {v: n + v - 1 for v in range(1, base)} | {0: 3}
+                blocks += [(copy[u], copy[v]) for u, v in edges]
+                n += base - 1
+                out.append(Graph(n, list(edges) + blocks))
+    return out
+
+
+PLANARITY_FAMILIES = {
+    "up to iso, n <= 7": lambda: [g for n in range(8) for g in graphs_up_to_iso(n)],
+    "Kuratowski gluings": kuratowski_gluings,
+    "3 x k grids": lambda: [grid(3, k) for k in range(1, 11)] + [grid(3, 8, diagonals=True)],
+}
 
 
 class TestPredicates:
@@ -133,6 +178,15 @@ class TestPredicates:
             expected_paths = nx.is_forest(h) if h.nodes else True
             expected_paths = expected_paths and all(d <= 2 for _, d in h.degree)
             assert predicate_paths(sub) == expected_paths
+
+    @pytest.mark.parametrize("family", sorted(PLANARITY_FAMILIES))
+    def test_planar_agrees_with_networkx(self, family):
+        for g in PLANARITY_FAMILIES[family]():
+            sub = whole(g)
+            start = time.perf_counter()
+            verdict = predicate_planar(sub)
+            assert time.perf_counter() - start < 0.05, g
+            assert verdict == nx_planar(sub), g
 
     def test_predicates_absorb_subobjects(self):
         rng = random.Random(67)
@@ -262,24 +316,6 @@ class TestLeafPredicateCalls:
     def test_a_predicate_rejecting_the_empty_subobject_gives_an_empty_table(self):
         never = dataclasses.replace(PATHS, evaluator=lambda sub: False)
         assert enumerate_subp_bruteforce(K3, never).entries == frozenset()
-
-
-class TestPlanarityCache:
-    def test_cache_never_exceeds_its_cap(self, monkeypatch):
-        from sdkit import solver
-
-        monkeypatch.setattr(solver, "PLANARITY_CACHE_CAP", 5)
-        monkeypatch.setattr(solver, "_PLANARITY_CACHE", {})
-        rng = random.Random(89)
-        for _ in range(60):
-            g = random_graph(rng, 7, p=0.6)
-            sub = whole(g)
-            h = nx.Graph()
-            h.add_nodes_from(sub.vertices)
-            h.add_edges_from(sub.edges)
-            assert predicate_planar(sub) == nx.check_planarity(h)[0]
-            assert len(solver._PLANARITY_CACHE) <= 5
-        assert solver._PLANARITY_CACHE
 
 
 class TestTableCap:

@@ -53,14 +53,15 @@ from sdkit.width import (
     LAYERED_CAP,
     _clique_number,
     _degeneracy,
-    _greedy_fill_width,
     _level_functions,
     _min_elimination_cost,
+    _min_fill_width,
 )
 from util import (
     all_graphs_labeled,
     fs_adhesion,
     graphs_up_to_iso,
+    grid,
     is_chordal_dirac,
     layered_treewidth_by_all_orders,
     layered_treewidth_by_partitions,
@@ -79,17 +80,6 @@ def cycle(n):
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def grid(rows, cols):
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((r * cols + c, r * cols + c + 1))
-            if r + 1 < rows:
-                edges.append((r * cols + c, (r + 1) * cols + c))
-    return Graph(rows * cols, edges)
 
 
 def disjoint_union(a, b):
@@ -371,10 +361,10 @@ class TestTreewidth:
                 all(b in adj[a] for a, b in itertools.combinations(sorted(adj[v]), 2)) for v in adj
             )
             tw = treewidth_by_subsets(g)
-            assert _degeneracy(adj) < tw < _greedy_fill_width(adj)
+            nbrs = [sum(1 << u for u in adj[v]) for v in range(g.vertices)]
+            assert _degeneracy(nbrs) < tw < _min_fill_width(nbrs)
             assert treewidth_exact(g) == tw
             # from the trivial bounds the search steps down n - 1 - tw times
-            nbrs = [sum(1 << u for u in adj[v]) for v in range(g.vertices)]
             assert _min_elimination_cost(nbrs, lambda bag: bag.bit_count() - 1, 0, g.vertices) == tw
 
     def test_cap(self):

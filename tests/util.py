@@ -42,6 +42,22 @@ def random_graph(rng: random.Random, max_n: int, p: float = 0.5, min_n: int = 0)
     return Graph(n, edges)
 
 
+def grid(rows: int, cols: int, diagonals: bool = False) -> Graph:
+    """The rows x cols grid, vertex r * cols + c at row r and column c; with
+    diagonals, every square also gets its down-right diagonal."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+                if diagonals and c + 1 < cols:
+                    edges.append((v, v + cols + 1))
+    return Graph(rows * cols, edges)
+
+
 def random_tree_shape(rng: random.Random, max_bags: int, min_bags: int = 1) -> Graph:
     n = rng.randint(min_bags, max_bags)
     return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
@@ -206,20 +222,28 @@ def all_graphs_labeled(n: int):
 
 @functools.cache
 def graphs_up_to_iso(n: int) -> tuple:
-    """Representatives of isomorphism classes of n-vertex graphs: the first
-    labeled graph of each class. Only graphs that agree on every vertex's
-    degree and sorted neighbour degrees are compared by isomorphism search."""
+    """Representatives of isomorphism classes of n-vertex graphs. Every
+    n-vertex graph is isomorphic to a representative on n - 1 vertices plus a
+    vertex n - 1 joined to some subset of it (delete any vertex and relabel),
+    so only those candidates are tried. Only candidates that agree on every
+    vertex's degree and sorted neighbour degrees are compared by isomorphism
+    search."""
     from sdkit import is_isomorphic
 
+    if n == 0:
+        return (Graph(0),)
     reps = []
     classes = {}
-    for g in all_graphs_labeled(n):
-        nbrs = g.neighbor_sets()
-        key = tuple(sorted((len(nb), tuple(sorted(len(nbrs[u]) for u in nb))) for nb in nbrs))
-        same_key = classes.setdefault(key, [])
-        if not any(is_isomorphic(g, h) for h in same_key):
-            same_key.append(g)
-            reps.append(g)
+    for smaller in graphs_up_to_iso(n - 1):
+        for r in range(n):
+            for joined in itertools.combinations(range(n - 1), r):
+                g = Graph(n, list(smaller.edges) + [(u, n - 1) for u in joined])
+                nbrs = g.neighbor_sets()
+                key = tuple(sorted((len(nb), tuple(sorted(len(nbrs[u]) for u in nb))) for nb in nbrs))
+                same_key = classes.setdefault(key, [])
+                if not any(is_isomorphic(g, h) for h in same_key):
+                    same_key.append(g)
+                    reps.append(g)
     return tuple(reps)
 
 
