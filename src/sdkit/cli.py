@@ -237,7 +237,9 @@ def _cmd_solve(args) -> int:
             "value": result.value,
             "witness": witness.to_json() if witness is not None else None,
             "stats": {
+                "edgeSets": list(result.stats.edge_sets),
                 "pairCompositions": result.stats.pair_compositions,
+                "predicateCalls": dict(zip(("leaf", "glue"), result.stats.predicate_calls)),
                 "tableSizes": list(result.stats.table_sizes),
             },
         },

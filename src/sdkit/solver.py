@@ -1,16 +1,23 @@
 """Compositional optimization over predicate-closed subgraph tables.
 
 A table holds every subobject of an ambient graph satisfying a
-subgraph-closed predicate. Two tables whose ambients lie inside one graph
-glue into the table over the union of those ambients: a glue A | B is kept
-when the predicate accepts it. Only pairs that agree on the overlap of the
-two ambients need trying, because an accepted union restricts to an entry of
-each (full, subgraph-closed) table and both restrictions share one trace on
-the overlap. `compose` glues the tables over the feet of a monic span inside
-its pushout; `solve_on_decomposition` pushes every bag's table once into the
-colimit of a tame tree-shaped decomposition, where every partial colimit
-embeds, and glues them there in post-order. `_compose_entries` does every
-glue.
+subgraph-closed predicate that ignores isolated vertices. Over a graph with
+vertex set V it is therefore {(V', E) : E accepted, ends(E) <= V' <= V}, and
+the solver carries it as its accepted edge sets, with the entries they stand
+for counted, not built. Two tables whose ambients lie inside one graph glue
+into the table over the union of those ambients: a union of accepted edge
+sets is kept when the predicate accepts it. Only pairs that agree on the
+edges the two ambients share need trying, because an accepted union
+restricts to an accepted edge set of each (full, subgraph-closed) table and
+both restrictions share one trace on the shared edges. `compose` glues the
+tables over the feet of a monic span inside its pushout;
+`solve_on_decomposition` enumerates every bag's accepted edge sets on its
+image in the colimit of a tame tree-shaped decomposition, where every
+partial colimit embeds, and glues them there in post-order.
+`_compose_entries` does every glue. An Objective weighs a subobject by its
+vertex or edge count, so the best entry, ties broken by the smallest
+encoding, is read off the edge sets; the full table of a solve is built
+only when SolveResult.table is read.
 
 The planar predicate is the path-addition test of Demoucron, Malgrange &
 Pertuiset (1964), polynomial in the subobject and without state between
@@ -20,11 +27,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .core import (
     Graph,
-    GraphMorphism,
     Span,
     _normalize_edge,
     connected_components,
@@ -50,9 +57,11 @@ from .width import tree_decomposition_reading
 
 DEFAULT_BRUTE_CAP = 10
 BRUTE_CAP_ENV = "SDKIT_MAX_BRUTE"
-# Largest table, leaf or glued, that a solve may build. At peak RSS a
-# ladder-5 solve spends 1.1-1.2 KiB per entry, so this bounds a solve near
-# 1.3 GB; ladder-6's largest table has 584,143 entries.
+# Largest table, leaf or glued, that a solve may stand for, counted in
+# entries (vertex set, edge set) although the fold keeps only the accepted
+# edge sets. ladder-6's largest table has 584,143 entries; ladder-7 paths
+# reaches the cap after 0.26-0.35 s at 65 MiB peak RSS (in process, Python
+# 3.11).
 MAX_TABLE_ENTRIES = 1 << 20
 
 
@@ -329,19 +338,32 @@ def predicate_by_name(name: str) -> PropertyPredicate:
 
 @dataclass(frozen=True)
 class Objective:
-    """A weight on subobjects together with an optimization direction."""
+    """A subobject's vertex count or edge count (counts is "vertices" or
+    "edges") together with an optimization direction.
+
+    Weighing by one of the two counts is what lets the fold name the best
+    entry with a given edge set without building the other entries (see
+    _best_in_family).
+    """
 
     name: str
-    weight: Callable
+    counts: str
     direction: str
+
+    def __post_init__(self):
+        if self.counts not in ("vertices", "edges"):
+            raise ValidationError(f"an objective counts vertices or edges, not {self.counts!r}")
+
+    def weight(self, sub: Subobject) -> int:
+        return len(sub.vertices) if self.counts == "vertices" else len(sub.edges)
 
     def best_value(self, values):
         return max(values) if self.direction == "max" else min(values)
 
 
-MAX_EDGES = Objective("max-edges", lambda s: len(s.edges), "max")
-MAX_VERTICES = Objective("max-vertices", lambda s: len(s.vertices), "max")
-MIN_EDGES = Objective("min-edges", lambda s: len(s.edges), "min")
+MAX_EDGES = Objective("max-edges", "edges", "max")
+MAX_VERTICES = Objective("max-vertices", "vertices", "max")
+MIN_EDGES = Objective("min-edges", "edges", "min")
 OBJECTIVES = {o.name: o for o in (MAX_EDGES, MAX_VERTICES, MIN_EDGES)}
 
 
@@ -375,37 +397,35 @@ def _table_too_large() -> TooLarge:
     return TooLarge(f"a Sub_P table grew past {MAX_TABLE_ENTRIES} entries")
 
 
-def enumerate_subp_bruteforce(g: Graph, predicate: PropertyPredicate) -> SubPTable:
-    """Every (vertex subset, edge subset) pair satisfying the predicate.
+def _ends(edges) -> frozenset:
+    return frozenset(v for edge in edges for v in edge)
 
-    Rests on the PropertyPredicate contract. The accepted edge sets form a
-    downward-closed family, listed level by level from the empty set
-    (Apriori): a candidate S | {e}, with e after S's last edge in edge_list
-    order, is tested on the ends of its edges only when every set one edge
-    smaller was accepted, so the predicate is called once per accepted edge
-    set and once per minimal rejected one. Every accepted edge set is then
-    paired with every vertex set that contains its ends.
+
+def _accepted_edge_sets(edge_list, n: int, predicate: PropertyPredicate) -> tuple:
+    """(family, size, calls) for the Sub_P table of a graph with n vertices
+    and the edges in edge_list, in whatever numbering those edges use.
+
+    family lists every accepted edge set with its ends, the empty set first;
+    size is the number of entries they stand for (2^(n - |ends|) each) and
+    calls the number of predicate calls. Rests on the PropertyPredicate
+    contract: the accepted edge sets form a downward-closed family, listed
+    level by level from the empty set (Apriori). A candidate S | {e}, with e
+    after S's last edge in edge_list order, is tested on the ends of its
+    edges only when every set one edge smaller was accepted, so the
+    predicate is called once per accepted edge set and once per minimal
+    rejected one.
     """
-    cap = brute_force_cap()
-    if g.vertices > cap:
-        raise TooLarge(
-            f"brute-force enumeration is limited to {cap} vertices "
-            f"(override with {BRUTE_CAP_ENV})"
-        )
     if not predicate(EMPTY_SUBOBJECT):
-        return SubPTable(g, predicate.name, frozenset())
-    n = g.vertices
+        return [], 0, 1
+    calls = 1
     # every vertex set with no edges is an entry
-    total = 1 << n
-    if total > MAX_TABLE_ENTRIES:
+    size = 1 << n
+    if size > MAX_TABLE_ENTRIES:
         raise _table_too_large()
-    vsets = [frozenset(v for v in range(n) if mask >> v & 1) for mask in range(total)]
-    edge_list = g.edge_list()
-    edge_ends = [(1 << u) | (1 << v) for u, v in edge_list]
     # accepted edge sets of the current size: edge-index bitmask ->
-    # (edge indices, edge set, vertex bitmask of their ends)
-    level = {0: ((), frozenset(), 0)}
-    accepted = [(frozenset(), 0)]
+    # (edge indices, edge set, ends)
+    level = {0: ((), frozenset(), frozenset())}
+    family = [(frozenset(), frozenset())]
     while level:
         grown = {}
         for mask, (indices, edges, ends) in level.items():
@@ -414,25 +434,52 @@ def enumerate_subp_bruteforce(g: Graph, predicate: PropertyPredicate) -> SubPTab
                 if any(candidate ^ (1 << i) not in level for i in indices):
                     continue
                 cand_edges = edges | {edge_list[j]}
-                cand_ends = ends | edge_ends[j]
-                if predicate(Subobject(vsets[cand_ends], cand_edges)):
+                cand_ends = ends.union(edge_list[j])
+                calls += 1
+                if predicate(Subobject(cand_ends, cand_edges)):
                     grown[candidate] = (indices + (j,), cand_edges, cand_ends)
-                    accepted.append((cand_edges, cand_ends))
-                    total += 1 << (n - cand_ends.bit_count())
-                    if total > MAX_TABLE_ENTRIES:
+                    family.append((cand_edges, cand_ends))
+                    size += 1 << (n - len(cand_ends))
+                    if size > MAX_TABLE_ENTRIES:
                         raise _table_too_large()
         level = grown
+    return family, size, calls
+
+
+def _expand(family, vertices) -> frozenset:
+    """The entries that a family of (edge set, ends) stands for: every edge
+    set with every vertex set between its ends and `vertices`."""
+    if not family:
+        return frozenset()
+    order = sorted(vertices)
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    vsets = [frozenset(v for v in order if bit[v] & mask) for mask in range(1 << len(order))]
+    full = len(vsets) - 1
     entries = []
-    full = (1 << n) - 1
-    for edges, ends in accepted:
-        free = full ^ ends
+    for edges, ends in family:
+        low = sum(bit[v] for v in ends)
+        free = full ^ low
         extra = free
         while True:
-            entries.append(Subobject(vsets[ends | extra], edges))
+            entries.append(Subobject(vsets[low | extra], edges))
             if not extra:
                 break
             extra = (extra - 1) & free
-    return SubPTable(g, predicate.name, frozenset(entries))
+    return frozenset(entries)
+
+
+def enumerate_subp_bruteforce(g: Graph, predicate: PropertyPredicate) -> SubPTable:
+    """Every (vertex subset, edge subset) pair satisfying the predicate:
+    every accepted edge set (see _accepted_edge_sets) paired with every
+    vertex set that contains its ends."""
+    cap = brute_force_cap()
+    if g.vertices > cap:
+        raise TooLarge(
+            f"brute-force enumeration is limited to {cap} vertices "
+            f"(override with {BRUTE_CAP_ENV})"
+        )
+    family, _, _ = _accepted_edge_sets(g.edge_list(), g.vertices, predicate)
+    return SubPTable(g, predicate.name, _expand(family, range(g.vertices)))
 
 
 def translate_subobject(sub: Subobject, mapping) -> Subobject:
@@ -442,55 +489,67 @@ def translate_subobject(sub: Subobject, mapping) -> Subobject:
     )
 
 
-def _embed(table: SubPTable, leg: GraphMorphism) -> tuple:
-    """(part, entries): a table pushed along an injective leg, together with
-    the image of the leg as a subobject of the leg's codomain."""
-    part = Subobject(leg.image_vertices(), leg.image_edges())
-    if leg.mapping == tuple(range(leg.dom.vertices)):
-        # an identity leg (a one-bag decomposition has one) keeps the table:
-        # a copy of a large leaf table costs time and memory for no change
-        return part, table.entries
-    return part, [translate_subobject(sub, leg.mapping) for sub in table.entries]
+class _Table(NamedTuple):
+    """The full Sub_P table of a part (a subgraph) of one ambient graph,
+    kept as its accepted edge sets: it holds every (V, E) with (E, ends(E))
+    in family and ends(E) <= V <= vertices. size counts those entries."""
+
+    vertices: frozenset
+    edges: frozenset
+    family: list
+    size: int
 
 
-def _compose_entries(images_l, images_r, predicate, overlap: Subobject) -> set:
-    """Both tables plus every glue A | B that satisfies the predicate.
+def _compose_entries(left: _Table, right: _Table, predicate: PropertyPredicate) -> tuple:
+    """(table, calls): the table over the union of two parts, glued from
+    theirs, and the number of predicate calls the glue made.
 
-    The inputs are the full Sub_P tables of two subgraphs L and R of one
-    ambient graph, which meet in `overlap` (the vertices and the edges that
-    lie in both). Only pairs with the same trace on the overlap are glued:
-    if S = A | B satisfies the predicate, so do S & L and S & R, which are
-    entries of the two tables with one shared trace and the union S. Matched
-    pairs give distinct unions, so no union is evaluated twice; a pair with
-    one entry inside the overlap gives back the other entry and is skipped.
+    An edge set U of the union is accepted exactly when the predicate
+    accepts it and U & left.edges and U & right.edges are accepted, which
+    are edge sets of the two families with one trace on the shared edges.
+    So only pairs with the same trace are glued, with one predicate call on
+    the ends of the union. A pair with one side inside the shared edges
+    gives back the other side and is skipped; every other matched pair gives
+    a new edge set, and no two give the same one.
+
+    Sizes count entries, so the glue raises TooLarge exactly when gluing the
+    entries one by one would: when the glued table is past the cap and holds
+    an entry that neither table has.
     """
-    shared_v, shared_e = overlap
+    shared = left.edges & right.edges
+    vertices = left.vertices | right.vertices
+    n = len(vertices)
+    family = list(left.family)
+    size = sum(1 << (n - len(ends)) for _, ends in family)
     by_trace = {}
-    for b in images_r:
-        trace = (b.vertices & shared_v, b.edges & shared_e)
-        if trace != b:
-            by_trace.setdefault(trace, []).append(b)
-    kept = set(images_l)
-    kept.update(images_r)
-    for a in images_l:
-        trace = (a.vertices & shared_v, a.edges & shared_e)
-        if trace == a:
+    for entry in right.family:
+        trace = entry[0] & shared
+        if trace != entry[0]:
+            by_trace.setdefault(trace, []).append(entry)
+            family.append(entry)
+            size += 1 << (n - len(entry[1]))
+    if size > MAX_TABLE_ENTRIES:
+        # the entries of both tables, less those inside the overlap (the
+        # Sub_P table of the overlap), which each of them holds
+        m = len(left.vertices & right.vertices)
+        inside = sum(1 << (m - len(ends)) for edges, ends in left.family if edges <= shared)
+        if size > left.size + right.size - inside:
+            raise _table_too_large()
+    calls = 0
+    for edges, ends in left.family:
+        trace = edges & shared
+        if trace == edges:
             continue
-        for b in by_trace.get(trace, ()):
-            candidate = Subobject(a.vertices | b.vertices, a.edges | b.edges)
-            if predicate(candidate):
-                kept.add(candidate)
-                if len(kept) > MAX_TABLE_ENTRIES:
+        matched = by_trace.get(trace, ())
+        calls += len(matched)
+        for other, other_ends in matched:
+            union, union_ends = edges | other, ends | other_ends
+            if predicate(Subobject(union_ends, union)):
+                family.append((union, union_ends))
+                size += 1 << (n - len(union_ends))
+                if size > MAX_TABLE_ENTRIES:
                     raise _table_too_large()
-    return kept
-
-
-def _glue(left: tuple, right: tuple, predicate: PropertyPredicate) -> tuple:
-    """Glue two (part, entries) tables whose parts lie in one ambient graph."""
-    (part_l, entries_l), (part_r, entries_r) = left, right
-    overlap = Subobject(part_l.vertices & part_r.vertices, part_l.edges & part_r.edges)
-    part = Subobject(part_l.vertices | part_r.vertices, part_l.edges | part_r.edges)
-    return part, _compose_entries(entries_l, entries_r, predicate, overlap)
+    return _Table(vertices, left.edges | right.edges, family, size), calls
 
 
 def compose(span: Span, sub_l: SubPTable, sub_r: SubPTable, predicate: PropertyPredicate):
@@ -498,11 +557,12 @@ def compose(span: Span, sub_l: SubPTable, sub_r: SubPTable, predicate: PropertyP
     feet.
 
     The tables must be full, as enumerate_subp_bruteforce and compose build
-    them: a table that leaves out the trace of one of its entries on the
-    apex is rejected. Both tables are pushed into the pushout along its
-    cocone (injective by adhesivity) and glued there. op_counter counts
-    |sub_l| * |sub_r| pair compositions, although only the pairs that agree
-    on the image of the apex are glued.
+    them: every accepted edge set appears with every vertex set that holds
+    its ends, and with its trace on the apex. Other tables are rejected. The
+    accepted edge sets of both are pushed into the pushout along its cocone
+    (injective by adhesivity) and glued there. op_counter counts
+    |sub_l| * |sub_r| pair compositions, although only the edge sets that
+    agree on the image of the apex are glued.
     """
     if not span.is_monic():
         raise NonMonicSpan("table composition requires a monic span")
@@ -510,15 +570,20 @@ def compose(span: Span, sub_l: SubPTable, sub_r: SubPTable, predicate: PropertyP
         raise ValidationError("tables do not match the span feet")
     if sub_l.predicate_name != predicate.name or sub_r.predicate_name != predicate.name:
         raise ValidationError("tables were built for a different predicate")
-    for table, leg in ((sub_l, span.left), (sub_r, span.right)):
-        shared_v, shared_e = leg.image_vertices(), leg.image_edges()
-        for sub in table.entries:
-            if Subobject(sub.vertices & shared_v, sub.edges & shared_e) not in table.entries:
-                raise ValidationError("compose needs the full Sub_P tables of the span feet")
     glued, cocone = pushout(span)
-    _, kept = _glue(_embed(sub_l, cocone.left), _embed(sub_r, cocone.right), predicate)
+    parts = []
+    for table, leg, into in ((sub_l, span.left, cocone.left), (sub_r, span.right, cocone.right)):
+        family = {sub.edges: _ends(sub.edges) for sub in table.entries}
+        shared = leg.image_edges()
+        full = table.entries == _expand(family.items(), range(table.ambient.vertices))
+        if not full or any(edges & shared not in family for edges in family):
+            raise ValidationError("compose needs the full Sub_P tables of the span feet")
+        images = [translate_subobject(Subobject(ends, edges), into.mapping) for edges, ends in family.items()]
+        family = [(sub.edges, sub.vertices) for sub in images]
+        parts.append(_Table(into.image_vertices(), into.image_edges(), family, len(table.entries)))
+    part, _ = _compose_entries(parts[0], parts[1], predicate)
     pair_count = len(sub_l.entries) * len(sub_r.entries)
-    return SubPTable(glued, predicate.name, frozenset(kept), pair_count)
+    return SubPTable(glued, predicate.name, _expand(part.family, range(glued.vertices)), pair_count)
 
 
 def compose_optimize(
@@ -548,17 +613,44 @@ def best_entry(table: SubPTable, objective: Objective):
     return _best(table.entries, objective)
 
 
+def _best_in_family(family, n: int, objective: Objective):
+    """best_entry of the full table over the vertices 0..n-1 that family
+    stands for, without building it; None if empty.
+
+    The entries with edge set E have every vertex set between ends(E) and
+    all vertices. The best of them with the smallest encoding is
+    0..max ends(E) (the smallest sorted tuple that holds ends(E); empty for
+    E empty) when the objective counts edges, every vertex when it
+    maximizes vertices, and ends(E) when it minimizes them. One candidate
+    per edge set is therefore enough.
+    """
+    if objective.counts == "edges":
+        prefixes = [frozenset(range(k)) for k in range(n + 1)]
+        lowest = lambda ends: prefixes[max(ends) + 1] if ends else prefixes[0]
+    elif objective.direction == "max":
+        everything = frozenset(range(n))
+        lowest = lambda ends: everything
+    else:
+        lowest = lambda ends: ends
+    return _best([Subobject(lowest(ends), edges) for edges, ends in family], objective)
+
+
 @dataclass(frozen=True)
 class SolveStats:
     """Deterministic counters of one fold.
 
-    compositions holds (|L|, |R|) per glue, in fold order; pair_compositions
-    is the sum of |L| * |R| over them, the size of the full pair space. Only
-    the pairs whose traces match on the overlap are actually glued.
+    table_sizes holds the entries of every table, leaf or glued, in fold
+    order, and edge_sets the accepted edge sets they stand for. compositions
+    holds (|L|, |R|) per glue; pair_compositions is the sum of |L| * |R|
+    over them, the size of the full pair space. Only the edge sets whose
+    traces match on the overlap are actually glued. predicate_calls is
+    (leaf, glue).
     """
 
     table_sizes: tuple
     compositions: tuple
+    edge_sets: tuple
+    predicate_calls: tuple
 
     @property
     def pair_compositions(self) -> int:
@@ -567,10 +659,21 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Value, witness and counters of one solve. The colimit's Sub_P table
+    is kept as its accepted edge sets with their ends (family); table, the
+    full SubPTable, is built from them when first read."""
+
     value: object
     witness: Subobject
-    table: SubPTable
     stats: SolveStats
+    ambient: Graph
+    predicate_name: str
+    family: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def table(self) -> SubPTable:
+        entries = _expand(self.family, range(self.ambient.vertices))
+        return SubPTable(self.ambient, self.predicate_name, entries, self.stats.pair_compositions)
 
 
 def solve_on_decomposition(
@@ -581,13 +684,15 @@ def solve_on_decomposition(
 ) -> SolveResult:
     """Fold table composition over a tree-shaped tame decomposition.
 
-    Every bag's brute-force table is pushed once along its leg of the
-    cocone of evaluate_colimit(d), which is injective for a tame tree, so
-    every partial colimit is a subgraph of the colimit and the fold works in
-    its canonical vertex numbering throughout. In post-order, every shape
-    edge glues the child subtree's table onto the parent's accumulated
+    Every bag's accepted edge sets are enumerated on its image under its
+    leg of the cocone of evaluate_colimit(d), which is injective for a tame
+    tree, so every partial colimit is a subgraph of the colimit and the fold
+    works in its canonical vertex numbering throughout. In post-order, every
+    shape edge glues the child subtree's table onto the parent's accumulated
     table; forest shapes are folded per component and then glued in
-    component order. The result does not depend on the chosen root.
+    component order. No table is expanded into its entries: sizes are
+    counted, and the witness is read off the edge sets. The result does not
+    depend on the chosen root.
     """
     require_valid(d)
     if d.value_kind != GRAPH:
@@ -606,25 +711,32 @@ def solve_on_decomposition(
     assert all(leg.is_mono() for leg in cocone), "a tame tree embeds every bag in its colimit"
 
     if not d.bags:
-        entries = {EMPTY_SUBOBJECT} if predicate(EMPTY_SUBOBJECT) else set()
-        table = SubPTable(glued, predicate.name, frozenset(entries))
-        stats = SolveStats((), ())
-        witness = best_entry(table, objective)
+        family, _, made = _accepted_edge_sets([], 0, predicate)
+        stats = SolveStats((), (), (), (made, 0))
+        witness = _best_in_family(family, 0, objective)
         value = objective.weight(witness) if witness is not None else None
-        return SolveResult(value, witness, table, stats)
+        return SolveResult(value, witness, stats, glued, predicate.name, tuple(family))
 
     table_sizes = []
+    edge_sets = []
     compositions = []
+    calls = [0, 0]  # leaf, glue
 
-    def leaf(t) -> tuple:
-        part = _embed(enumerate_subp_bruteforce(d.bags[t], predicate), cocone[t])
-        table_sizes.append(len(part[1]))
-        return part
+    def leaf(t) -> _Table:
+        mapping = cocone[t].mapping
+        edge_list = [_normalize_edge(mapping[u], mapping[v]) for u, v in d.bags[t].edge_list()]
+        family, size, made = _accepted_edge_sets(edge_list, d.bags[t].vertices, predicate)
+        calls[0] += made
+        table_sizes.append(size)
+        edge_sets.append(len(family))
+        return _Table(cocone[t].image_vertices(), frozenset(edge_list), family, size)
 
-    def glue(left, right) -> tuple:
-        compositions.append((len(left[1]), len(right[1])))
-        part = _glue(left, right, predicate)
-        table_sizes.append(len(part[1]))
+    def glue(left, right) -> _Table:
+        compositions.append((left.size, right.size))
+        part, made = _compose_entries(left, right, predicate)
+        calls[1] += made
+        table_sizes.append(part.size)
+        edge_sets.append(len(part.family))
         return part
 
     shape_nbrs = d.shape.neighbor_sets()
@@ -634,7 +746,7 @@ def solve_on_decomposition(
             raise ValidationError(f"root {root} is not a shape vertex")
         components.sort(key=lambda comp: (root not in comp, comp))
 
-    def fold_component(component) -> tuple:
+    def fold_component(component) -> _Table:
         start = root if root is not None and root in component else component[0]
         # iterative post-order over the tree component
         order = []
@@ -647,7 +759,7 @@ def solve_on_decomposition(
                 if u not in parent:
                     parent[u] = v
                     stack.append(u)
-        state = {}  # shape vertex -> (part, entries) of its folded subtree
+        state = {}  # shape vertex -> table of its folded subtree
         for v in reversed(order):
             acc = leaf(v)
             for child in sorted(shape_nbrs[v]):
@@ -660,11 +772,10 @@ def solve_on_decomposition(
     for component in components[1:]:
         acc = glue(acc, fold_component(component))
 
-    stats = SolveStats(tuple(table_sizes), tuple(compositions))
-    table = SubPTable(glued, predicate.name, frozenset(acc[1]), stats.pair_compositions)
-    witness = best_entry(table, objective)
+    stats = SolveStats(tuple(table_sizes), tuple(compositions), tuple(edge_sets), tuple(calls))
+    witness = _best_in_family(acc.family, glued.vertices, objective)
     value = objective.weight(witness) if witness is not None else None
-    return SolveResult(value, witness, table, stats)
+    return SolveResult(value, witness, stats, glued, predicate.name, tuple(acc.family))
 
 
 def _is_single_path(sub: Subobject) -> bool:
@@ -673,7 +784,16 @@ def _is_single_path(sub: Subobject) -> bool:
     return len(sub.edges) == len(sub.vertices) - 1 and predicate_paths(sub)
 
 
-def _solve_named(g, d, predicate, labeling, keep):
+def _longest_single_path(result: SolveResult):
+    """The best single path of the full table by MAX_EDGES: one with edges
+    is its edge set on the ends, the others are single vertices."""
+    paths = [Subobject(ends, edges) for edges, ends in result.family if _is_single_path(Subobject(ends, edges))]
+    if result.family:
+        paths += [Subobject(frozenset({v}), frozenset()) for v in range(result.ambient.vertices)]
+    return _best(paths, MAX_EDGES)
+
+
+def _solve_named(g, d, predicate, labeling, pick=lambda result: result.witness):
     reading = tree_decomposition_reading(g, d, labeling)
     if reading is None:
         raise NotATreeDecomposition(
@@ -681,7 +801,7 @@ def _solve_named(g, d, predicate, labeling, keep):
         )
     _, colim_to_g = reading
     result = solve_on_decomposition(d, predicate, MAX_EDGES)
-    best = _best([sub for sub in result.table.entries if keep(sub)], MAX_EDGES)
+    best = pick(result)
     if best is None:
         return 0, EMPTY_SUBOBJECT, result.stats
     return len(best.edges), translate_subobject(best, colim_to_g), result.stats
@@ -690,12 +810,12 @@ def _solve_named(g, d, predicate, labeling, keep):
 def longest_path(g: Graph, d: StructuredDecomposition, labeling=None):
     """Maximum edge count over single connected paths, with a witness in g's
     own numbering."""
-    return _solve_named(g, d, PATHS, labeling, _is_single_path)
+    return _solve_named(g, d, PATHS, labeling, _longest_single_path)
 
 
 def max_bipartite_subgraph(g: Graph, d: StructuredDecomposition, labeling=None):
-    return _solve_named(g, d, BIPARTITE, labeling, lambda s: True)
+    return _solve_named(g, d, BIPARTITE, labeling)
 
 
 def max_planar_subgraph(g: Graph, d: StructuredDecomposition, labeling=None):
-    return _solve_named(g, d, PLANAR, labeling, lambda s: True)
+    return _solve_named(g, d, PLANAR, labeling)

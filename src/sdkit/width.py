@@ -9,8 +9,8 @@ that fails at k fails at any smaller k. Tree-width costs a bag by its size
 minus one; a degeneracy lower bound and a min-fill upper bound, both taken
 on the same neighbour masks, bound its search, which is capped at
 TREEWIDTH_CAP vertices. Layered tree-width costs a bag by the most of its
-vertices in one layer. It works one connected component at a time and runs
-the search once per layering of the component, generated directly as a
+vertices in one layer. It works one block (2-connected piece) at a time and
+runs the search once per layering of the block, generated directly as a
 level function in which every edge spans at most one step (one of each
 reversal pair, the BFS layering first). Each search is bounded above by
 the best width found so far, and the layerings stop at a lower bound from
@@ -28,7 +28,6 @@ from .core import (
     SetFunction,
     Span,
     _UnionFind,
-    connected_components,
     is_json_int,
     find_isomorphism,
     is_forest,
@@ -547,7 +546,7 @@ def _level_functions(nbrs: list):
     return extend(1, True)
 
 
-def _component_layered_treewidth(nbrs: list, floor: int) -> int:
+def _block_layered_treewidth(nbrs: list, floor: int) -> int:
     """max(floor, layered tree-width) of a connected neighbour-mask list."""
     upper = (len(nbrs) + 1) // 2  # one bag over any two-layer split
     if upper <= floor:
@@ -568,22 +567,63 @@ def _component_layered_treewidth(nbrs: list, floor: int) -> int:
     return best
 
 
+def _blocks(g: Graph) -> list:
+    """The vertex lists of the blocks of g (its maximal 2-connected
+    subgraphs and its bridges), by depth-first search with low points
+    (Hopcroft & Tarjan 1973). An isolated vertex is in no block."""
+    nbrs = g.neighbor_sets()
+    depth = [-1] * g.vertices
+    low = [0] * g.vertices
+    blocks = []
+    for root in range(g.vertices):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        trail = [root]  # visited vertices not yet assigned to a block
+        stack = [(root, iter(sorted(nbrs[root])))]
+        while stack:
+            v, rest = stack[-1]
+            for u in rest:
+                if depth[u] < 0:
+                    depth[u] = low[u] = depth[v] + 1
+                    trail.append(u)
+                    stack.append((u, iter(sorted(nbrs[u]))))
+                    break
+                low[v] = min(low[v], depth[u])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[v])
+                    if low[v] >= depth[p]:
+                        # p separates v's subtree, which closes a block
+                        block = [p]
+                        while block[-1] != v:
+                            block.append(trail.pop())
+                        blocks.append(block)
+    return blocks
+
+
 def layered_treewidth_exact(g: Graph) -> int:
     """Minimum layered width over every layering and tree decomposition,
     capped at LAYERED_CAP vertices (Dujmovic, Morin & Wood, arXiv:1306.1595).
 
-    The answer is the largest over the connected components, since their
-    layerings and decompositions combine freely. A component of n vertices
-    has width at most ceil(n / 2), the width of a two-layer split with one
-    bag, and at least ceil(omega / 2), because a clique lies in one bag and
-    spans at most two adjacent layers, and at least 2 when it has an odd
-    cycle, because some edge of it then stays within a layer and its two
-    ends share a bag. A component that cannot beat the width found so far is
-    skipped. Otherwise each of its layerings (level functions in which every
-    edge spans at most one step, one per reversal pair, BFS layering first)
-    runs the elimination-order search that computes tree-width with another
-    bag cost: the largest number of vertices of the bag {v} | later that
-    share one layer. This is exact because every tree decomposition has an
+    The answer is the largest over the blocks (1 for a graph with no block
+    of three vertices, 0 for the empty graph). A block is a connected
+    subgraph, so a layering of g restricts to one of it; and the layerings
+    of two pieces that share one vertex, or none, combine after a shift of
+    levels, while their decompositions combine by one tree edge between
+    bags holding that vertex. A block of n vertices has width at most
+    ceil(n / 2), the width of a two-layer split with one bag, and at least
+    ceil(omega / 2), because a clique lies in one bag and spans at most two
+    adjacent layers, and at least 2 when it has an odd cycle, because some
+    edge of it then stays within a layer and its two ends share a bag. A
+    block that cannot beat the width found so far is skipped. Otherwise each
+    of its layerings (level functions in which every edge spans at most one
+    step, one per reversal pair, BFS layering first) runs the
+    elimination-order search that computes tree-width with another bag
+    cost: the largest number of vertices of the bag {v} | later that share
+    one layer. This is exact because every tree decomposition has an
     elimination order whose bags each lie inside one of its bags. The search
     only asks whether a layering beats the best width so far, and the
     layerings stop once that width meets the lower bound.
@@ -593,10 +633,11 @@ def layered_treewidth_exact(g: Graph) -> int:
     if g.vertices == 0:
         return 0
     best = 1
-    for component in connected_components(g):
-        piece = g.induced_subgraph(component)
-        nbrs = [sum(1 << u for u in nb) for nb in piece.neighbor_sets()]
-        best = _component_layered_treewidth(nbrs, best)
+    for block in _blocks(g):
+        if len(block) > 2:
+            piece = g.induced_subgraph(block)
+            nbrs = [sum(1 << u for u in nb) for nb in piece.neighbor_sets()]
+            best = _block_layered_treewidth(nbrs, best)
     return best
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import pathlib
 import random
 import time
 
@@ -13,10 +14,12 @@ from sdkit import (
     Graph,
     GraphMorphism,
     MAX_EDGES,
+    MAX_VERTICES,
     MIN_EDGES,
     NonMonicSpan,
     NonTreeShape,
     NotATreeDecomposition,
+    Objective,
     PATHS,
     PLANAR,
     Span,
@@ -29,6 +32,7 @@ from sdkit import (
     compose,
     compose_optimize,
     enumerate_subp_bruteforce,
+    evaluate_colimit,
     longest_path,
     max_bipartite_subgraph,
     max_planar_subgraph,
@@ -44,6 +48,7 @@ from util import (
     all_subobjects,
     graphs_up_to_iso,
     grid,
+    ladder,
     random_graph,
     random_graph_decomposition,
     random_monic_graph_span,
@@ -376,6 +381,13 @@ class TestCompose:
         with pytest.raises(ValidationError):
             compose(span, full, without_apex_vertex(span.right), PATHS)
 
+    def test_table_missing_a_vertex_set_of_an_edge_set_is_rejected(self):
+        # the traces on the apex are all there, but ({0, 1, 2}, {}) is not
+        full = enumerate_subp_bruteforce(K3, PATHS)
+        gap = SubPTable(K3, PATHS.name, full.entries - {Subobject(frozenset(range(3)), frozenset())})
+        with pytest.raises(ValidationError):
+            compose(bowtie_span(), gap, full, PATHS)
+
     def test_degenerate_identity_span(self):
         span = Span(GraphMorphism.identity(K1), GraphMorphism.identity(K1))
         base = enumerate_subp_bruteforce(K1, PATHS)
@@ -437,7 +449,7 @@ class TestComposeOptimize:
         span = bowtie_span()
         left = enumerate_subp_bruteforce(K3, PATHS)
         right = enumerate_subp_bruteforce(K3, PATHS)
-        min_vertices = Objective("min-vertices", lambda s: len(s.vertices), "min")
+        min_vertices = Objective("min-vertices", "vertices", "min")
         smallest = compose_optimize(span, left, right, PATHS, min_vertices)
         assert smallest == EMPTY_SUBOBJECT
 
@@ -626,3 +638,122 @@ class TestPendantTriangle:
         glued, _ = evaluate_colimit(d)
         assert result.value == 3
         assert result.table.entries == enumerate_subp_bruteforce(glued, PATHS).entries
+
+
+class TestSolveCounters:
+    """stats.predicate_calls and stats.edge_sets against what the fold did."""
+
+    @staticmethod
+    def counted_solve(d, predicate):
+        made = []
+
+        def evaluator(sub):
+            made.append(sub)
+            return predicate.evaluator(sub)
+
+        result = solve_on_decomposition(d, dataclasses.replace(predicate, evaluator=evaluator), MAX_EDGES)
+        return result, len(made)
+
+    def test_bowtie_paths(self):
+        # two K3 leaves of 8 calls each; no edge is shared, so each of the
+        # 6 x 6 pairs of non-empty edge sets is glued once, and 9 of them
+        # give the shared vertex degree 3 or 4
+        result, made = self.counted_solve(two_bag_bowtie_decomposition(), PATHS)
+        assert result.stats.predicate_calls == (16, 36) and made == 52
+        assert result.stats.edge_sets == (7, 7, 7 + 6 + 36 - 9)
+
+    @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE, PLANAR], ids=lambda p: p.name)
+    def test_calls_and_edge_sets_on_the_bowtie_and_ladder_4(self, predicate):
+        for d in (two_bag_bowtie_decomposition(), ladder(4)[1]):
+            result, made = self.counted_solve(d, predicate)
+            leaf, glue = result.stats.predicate_calls
+            assert leaf + glue == made
+            assert leaf == sum(TestLeafPredicateCalls.calls(bag, predicate) for bag in d.bags)
+            sizes, edge_sets = result.stats.table_sizes, result.stats.edge_sets
+            assert len(edge_sets) == len(sizes)
+            leaves = [enumerate_subp_bruteforce(bag, predicate) for bag in d.bags]
+            assert [edge_sets[i] for i in (0, 1, 3) if i < len(sizes)] == [
+                len({sub.edges for sub in table.entries}) for table in leaves
+            ]
+            assert edge_sets[-1] == len({sub.edges for sub in result.table.entries})
+            assert sizes[-1] == len(result.table.entries)
+
+
+GOLDEN_SOLVES = json.loads((pathlib.Path(__file__).resolve().parent / "golden" / "solve.json").read_text())
+
+
+class TestNoFullTableIsBuilt:
+    def test_solve_and_longest_path_answer_from_the_edge_sets(self, monkeypatch, capsys, fixtures_dir):
+        from sdkit import solver
+        from sdkit.cli import run
+
+        def refuse(*args):
+            raise AssertionError("a full Sub_P table was built")
+
+        g, d, labeling = ladder(4)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_expand", refuse)
+            for case, expected in sorted(GOLDEN_SOLVES.items()):
+                fixture, prop, objective = case.split()
+                argv = ["solve", "-d", str(fixtures_dir / fixture), "--property", prop, "--objective", objective]
+                assert run(argv) == 0
+                assert json.loads(capsys.readouterr().out) == expected
+            value, witness, _ = longest_path(g, d, labeling)
+            result = solve_on_decomposition(d, PATHS, MAX_EDGES)
+        assert value == 7 and _is_single_path(witness) and witness.edges <= g.edges
+        glued, _ = evaluate_colimit(d)
+        assert result.table.entries == enumerate_subp_bruteforce(glued, PATHS).entries
+        assert result.table.op_counter == result.stats.pair_compositions == 22080
+
+
+def oracle_instances(count=200):
+    """Seeded tame decompositions whose colimits the brute force lists fast:
+    the empty decomposition, then random ones, edgeless bags among them."""
+    rng = random.Random(137)
+    out = [StructuredDecomposition(Graph(0), GRAPH, (), ())]
+    while len(out) < count:
+        d = random_graph_decomposition(rng, 4, 4, edge_p=rng.choice((0.0, 0.5, 0.8)))
+        glued, _ = evaluate_colimit(d)
+        if glued.vertices <= 7 and len(glued.edges) <= 9:
+            out.append(d)
+    return out
+
+
+ORACLE_INSTANCES = oracle_instances()
+MIN_VERTICES = Objective("min-vertices", "vertices", "min")
+
+
+class TestRandomOracle:
+    def test_the_instances_include_edgeless_bags(self):
+        bags = [bag for d in ORACLE_INSTANCES for bag in d.bags]
+        assert any(not bag.edges and bag.vertices > 1 for bag in bags)
+        assert not ORACLE_INSTANCES[0].bags
+
+    @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE, PLANAR], ids=lambda p: p.name)
+    def test_value_and_witness_are_the_best_entry_of_the_colimit_table(self, predicate):
+        for d in ORACLE_INSTANCES:
+            glued, _ = evaluate_colimit(d)
+            table = enumerate_subp_bruteforce(glued, predicate)
+            for objective in (MAX_EDGES, MAX_VERTICES, MIN_EDGES, MIN_VERTICES):
+                best = best_entry(table, objective)
+                for root in [None, *range(d.shape.vertices)]:
+                    result = solve_on_decomposition(d, predicate, objective, root=root)
+                    assert result.witness == best
+                    assert result.value == objective.weight(best)
+
+    @pytest.mark.parametrize(
+        "solve, predicate, keep",
+        [
+            (longest_path, PATHS, _is_single_path),
+            (max_bipartite_subgraph, BIPARTITE, lambda sub: True),
+            (max_planar_subgraph, PLANAR, lambda sub: True),
+        ],
+        ids=["longest_path", "max_bipartite_subgraph", "max_planar_subgraph"],
+    )
+    def test_named_problems_pick_from_the_colimit_table(self, solve, predicate, keep):
+        for d in ORACLE_INSTANCES:
+            glued, _ = evaluate_colimit(d)
+            table = enumerate_subp_bruteforce(glued, predicate)
+            kept = SubPTable(glued, predicate.name, frozenset(filter(keep, table.entries)))
+            best = best_entry(kept, MAX_EDGES) or EMPTY_SUBOBJECT
+            assert solve(glued, d)[:2] == (len(best.edges), best)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -549,6 +550,22 @@ class TestLayering:
         for density in (0.3, 0.5, 0.7):
             g = random_graph(rng, 7, density, min_n=7)
             assert layered_treewidth_exact(g) == layered_treewidth_by_partitions(g), g
+
+    def test_a_pendant_path_costs_no_search(self):
+        # a bipartite core of width 2 with 37,544 level functions as a whole
+        # graph; its blocks are the core and bridges
+        core = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4)]
+        g = Graph(12, core + [(5, 6)] + [(i, i + 1) for i in range(6, 11)])
+        started = time.perf_counter()
+        assert layered_treewidth_exact(g) == 2
+        assert time.perf_counter() - started < 0.5
+
+    def test_blocks_combine_at_cut_vertices(self):
+        # a triangle and a K4 that share vertex 2, and a pendant edge off the
+        # K4, against the partition oracle on the whole graph
+        k4 = [(u, v) for u, v in itertools.combinations((2, 3, 4, 5), 2)]
+        g = Graph(7, [(0, 1), (1, 2), (0, 2)] + k4 + [(5, 6)])
+        assert layered_treewidth_exact(g) == layered_treewidth_by_partitions(g) == 2
 
     def test_exact_layered_treewidth_cap(self):
         assert layered_treewidth_exact(Graph(LAYERED_CAP)) == 1

@@ -58,6 +58,25 @@ def grid(rows: int, cols: int, diagonals: bool = False) -> Graph:
     return Graph(rows * cols, edges)
 
 
+def ladder(k: int):
+    """(g, d, labeling): the 2 x k grid (top j = j, bottom j = k + j), its
+    path decomposition with bags {top i, bot i, top i+1, bot i+1}, glued
+    along the rungs, and the labeling of those bags."""
+    g = Graph(2 * k, [(j, k + j) for j in range(k)]
+              + [(j, j + 1) for j in range(k - 1)]
+              + [(k + j, k + j + 1) for j in range(k - 1)])
+    bag = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
+    rung = Graph(2, [(0, 1)])
+    adhesions = tuple(
+        Adhesion((i, i + 1), Span(GraphMorphism(rung, bag, (2, 3)), GraphMorphism(rung, bag, (0, 1))))
+        for i in range(k - 2)
+    )
+    shape = Graph(k - 1, [(i, i + 1) for i in range(k - 2)])
+    d = StructuredDecomposition(shape, GRAPH, (bag,) * (k - 1), adhesions)
+    labeling = [[i, k + i, i + 1, k + i + 1] for i in range(k - 1)]
+    return g, d, labeling
+
+
 def random_tree_shape(rng: random.Random, max_bags: int, min_bags: int = 1) -> Graph:
     n = rng.randint(min_bags, max_bags)
     return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
