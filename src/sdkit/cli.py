@@ -28,7 +28,6 @@ from .decomposition import (
     restrict_decomposition,
     from_arrow,
     to_arrow,
-    validate,
 )
 from .errors import SdkitError, ValidationError
 from .solver import (
@@ -129,8 +128,7 @@ def _cmd_check(args) -> int:
             violations.append(str(exc))
     if args.decomposition:
         try:
-            d = decomposition_from_json(_load_json(args.decomposition))
-            violations.extend(validate(d))
+            decomposition_from_json(_load_json(args.decomposition))
         except ValidationError as exc:
             violations.append(str(exc))
     _emit_json({"violations": violations}, args.output)
@@ -292,12 +290,20 @@ def _cmd_bench(args) -> int:
         if not isinstance(config, dict):
             raise ValidationError("bench config must be a JSON object")
         predicates = config.get("predicates", predicates)
-        if not isinstance(predicates, list):
-            raise ValidationError("bench config 'predicates' must be an array")
-        for entry in config.get("instances", []):
-            if not isinstance(entry, dict) or not isinstance(entry.get("decomposition"), str):
+        if not isinstance(predicates, list) or not all(isinstance(p, str) for p in predicates):
+            raise ValidationError("bench config 'predicates' must be an array of names")
+        entries = config.get("instances", [])
+        if not isinstance(entries, list):
+            raise ValidationError("bench config 'instances' must be an array")
+        for entry in entries:
+            if (
+                not isinstance(entry, dict)
+                or not isinstance(entry.get("decomposition"), str)
+                or not isinstance(entry.get("id", ""), str)
+            ):
                 raise ValidationError(
                     "bench config instances must be objects with a 'decomposition' path"
+                    " and an optional string 'id'"
                 )
             d = _load_decomposition(entry["decomposition"])
             instances.append((entry.get("id", entry["decomposition"]), d))

@@ -175,105 +175,62 @@ def decomposition_from_chordal(h: Graph) -> StructuredDecomposition:
 
 
 def tree_decomposition_reading(g: Graph, d: StructuredDecomposition, labeling=None):
-    """Read d's bags as subgraphs of g, if d is a tree decomposition of g.
+    """Read d's bags as subgraphs of g, if d is a tree decomposition of g:
+    a tame, forest-shaped, graph-valued decomposition whose colimit is g.
 
-    Returns (labeling, colim_to_g) or None. labeling[i][b] is the g-vertex
-    of local bag vertex b; colim_to_g translates evaluate_colimit(d) vertices
-    into g vertices. With no supplied labeling the bags are read through the
-    colimit, which must equal g or be isomorphic to it (brute-force search,
-    so g must stay small in that case).
+    Returns (labeling, colim_to_g) or None. colim_to_g is a bijection from
+    the vertices of evaluate_colimit(d) onto g's that sends edges onto edges,
+    and labeling[i][b] is the g-vertex of local bag vertex b. Gluing a tame
+    forest already keeps each bag's labels distinct and each vertex's bags
+    connected in the shape. A supplied labeling must give every colimit
+    vertex one g-vertex. Without one, colim_to_g is the identity when the
+    colimit equals g, and otherwise comes from an isomorphism search, which
+    needs g to have at most ISO_VERTEX_CAP vertices.
     """
     if d.value_kind != GRAPH or validate(d) or not is_forest(d.shape) or not is_tame(d):
         return None
     glued, cocone = evaluate_colimit(d)
-    if labeling is None:
-        if glued == g:
-            iso = tuple(range(g.vertices))
-        elif glued.vertices != g.vertices or len(glued.edges) != len(g.edges):
-            return None
-        else:
-            if g.vertices > ISO_VERTEX_CAP:
-                raise TooLarge(
-                    "deriving a bag labeling needs an isomorphism search; "
-                    f"supply a labeling for graphs over {ISO_VERTEX_CAP} vertices"
-                )
-            iso = find_isomorphism(glued, g)
-            if iso is None:
-                return None
-        labeling = tuple(
-            tuple(iso[leg(b)] for b in range(bag.vertices))
-            for bag, leg in zip(d.bags, cocone)
-        )
-        colim_to_g = iso
-    else:
+    if glued.vertices != g.vertices or len(glued.edges) != len(g.edges):
+        return None
+    if labeling is not None:
         labeling = tuple(tuple(lab) for lab in labeling)
         if len(labeling) != len(d.bags):
             return None
-        # the labels must factor through the gluing as a bijection onto g
-        if glued.vertices != g.vertices:
-            return None
-        translate = [-1] * glued.vertices
+        translate = [None] * glued.vertices
         for lab, bag, leg in zip(labeling, d.bags, cocone):
             if len(lab) != bag.vertices:
                 return None
-            for b in range(bag.vertices):
-                x = lab[b]
-                if not is_json_int(x) or not 0 <= x < g.vertices:
+            for b, x in enumerate(lab):
+                if not is_json_int(x) or translate[leg(b)] not in (None, x):
                     return None
-                if translate[leg(b)] == -1:
-                    translate[leg(b)] = x
-                elif translate[leg(b)] != x:
-                    return None
-        if sorted(translate) != list(range(g.vertices)):
-            return None
+                translate[leg(b)] = x
         colim_to_g = tuple(translate)
-    for bag, lab in zip(d.bags, labeling):
-        if len(set(lab)) != len(lab):
-            return None
-        for b, b2 in bag.edges:
-            if not g.has_edge(lab[b], lab[b2]):
-                return None
-    for a in d.adhesions:
-        u, v = a.edge
-        for x in range(object_size(a.span.apex)):
-            if labeling[u][a.span.left(x)] != labeling[v][a.span.right(x)]:
-                return None
-    # T1: every edge of g appears inside some bag
-    covered = set()
-    for bag, lab in zip(d.bags, labeling):
-        for b, b2 in bag.edges:
-            e = (lab[b], lab[b2])
-            covered.add(e if e[0] < e[1] else (e[1], e[0]))
-    if not set(g.edges) <= covered:
+    elif glued == g:
+        colim_to_g = tuple(range(g.vertices))
+    else:
+        if g.vertices > ISO_VERTEX_CAP:
+            raise TooLarge(
+                "deriving a bag labeling needs an isomorphism search; "
+                f"supply a labeling for graphs over {ISO_VERTEX_CAP} vertices"
+            )
+        colim_to_g = find_isomorphism(glued, g)
+    if (
+        colim_to_g is None
+        or sorted(colim_to_g) != list(range(g.vertices))
+        or not all(g.has_edge(colim_to_g[u], colim_to_g[v]) for u, v in glued.edges)
+    ):
         return None
-    # T2: each vertex's bag support is non-empty and connected in the shape
-    support = [set() for _ in range(g.vertices)]
-    for i, lab in enumerate(labeling):
-        for x in lab:
-            support[x].add(i)
-    shape_nbrs = d.shape.neighbor_sets()
-    for v in range(g.vertices):
-        nodes = support[v]
-        if not nodes:
-            return None
-        start = next(iter(nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            for t2 in shape_nbrs[t]:
-                if t2 in nodes and t2 not in seen:
-                    seen.add(t2)
-                    stack.append(t2)
-        if seen != nodes:
-            return None
+    labeling = tuple(
+        tuple(colim_to_g[leg(b)] for b in range(bag.vertices))
+        for bag, leg in zip(d.bags, cocone)
+    )
     return labeling, colim_to_g
 
 
 def is_tree_decomposition(g: Graph, d: StructuredDecomposition, labeling=None) -> bool:
-    """Check the two tree-decomposition conditions: every edge of g lies in
-    some bag, and each vertex's bag support induces a non-empty connected
-    subtree of the shape."""
+    """Whether d is a tree decomposition of g: a tame, forest-shaped,
+    graph-valued decomposition whose colimit, read through labeling (or
+    through an isomorphism search when none is given), is g."""
     return tree_decomposition_reading(g, d, labeling) is not None
 
 

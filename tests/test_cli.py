@@ -5,11 +5,11 @@ import sys
 
 import pytest
 
-from sdkit import FinSet, Graph, decomposition_from_json
+from sdkit import FinSet, Graph, decomposition_from_json, decomposition_to_json
 from sdkit import cli
 from sdkit.cli import VERBS, build_parser, run
 from sdkit.width import LAYERED_CAP
-from util import grid
+from util import grid, grid_path_decomposition
 
 
 def invoke(capsys, *argv):
@@ -226,6 +226,16 @@ class TestErrorHandling:
         code, out = invoke(capsys, "layered-width", "-g", str(big), "--exact")
         assert code == 3
 
+    def test_solve_on_a_relabeled_graph_over_the_isomorphism_cap_exits_three(self, capsys, tmp_path):
+        d, _, relabeled = grid_path_decomposition()
+        dec = tmp_path / "d.json"
+        dec.write_text(json.dumps(decomposition_to_json(d)))
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(relabeled.to_json()))
+        code, out = invoke(capsys, "solve", "-g", str(graph), "-d", str(dec))
+        assert code == 3
+        assert "supply a labeling" in json.loads(out)["error"]
+
     def test_unknown_flag_rejected(self, fixtures_dir):
         with pytest.raises(SystemExit) as excinfo:
             run(["treewidth", "-g", fx(fixtures_dir, "k5.json"), "--bogus"])
@@ -336,6 +346,24 @@ class TestBench:
         code, out = invoke(capsys, "bench", "--config", str(cfg))
         assert code == 2
         assert "decomposition" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "config, complaint",
+        [
+            ({"instances": 5}, "'instances' must be an array"),
+            ({"instances": None}, "'instances' must be an array"),
+            ({"instances": [], "predicates": [["paths"]]}, "'predicates' must be an array of names"),
+            ({"instances": [], "predicates": [3]}, "'predicates' must be an array of names"),
+            ({"instances": [{"id": {"a": 1}, "decomposition": "bowtie.dec.json"}]}, "string 'id'"),
+            ({"instances": [{"id": 7, "decomposition": "bowtie.dec.json"}]}, "string 'id'"),
+        ],
+    )
+    def test_malformed_config_is_a_validation_error(self, capsys, tmp_path, config, complaint):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out = invoke(capsys, "bench", "--config", str(cfg))
+        assert code == 2
+        assert complaint in json.loads(out)["error"]
 
     def test_same_seed_same_instances(self, capsys):
         first = invoke(capsys, "bench", "--generate", "3", "--seed", "7")[1]

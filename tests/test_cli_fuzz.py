@@ -1,5 +1,6 @@
 """Mutated fixture JSON never breaks the CLI's contract: every verb that reads
-a file exits 0, 2 or 3, prints JSON, and lets no exception escape."""
+a file exits 0, 2 or 3, prints JSON (bench prints its CSV on exit 0), and
+lets no exception escape."""
 import contextlib
 import copy
 import io
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from sdkit import decomposition_from_json, to_arrow
 from sdkit.decomposition import arrow_to_json
-from sdkit.cli import run
-from conftest import load_fixture
+from sdkit.cli import BENCH_HEADER, run
+from conftest import FIXTURES, load_fixture
 
 GRAPHS = ["bowtie.json", "completion_g.json", "k5.json", "p3.json", "td_example_g.json"]
 DECOMPOSITIONS = [
@@ -22,6 +23,17 @@ DECOMPOSITIONS = [
     "td_example.dec.json",
 ]
 ARROW = "five_bag_tree.arrow.json"
+# bench configs naming fixture decompositions; the finset one cannot be solved
+BENCH_CONFIGS = {
+    "graphs.bench.json": {
+        "instances": [{"id": "bowtie", "decomposition": "bowtie.dec.json"}, {"decomposition": "p3.dec.json"}],
+        "predicates": ["paths", "planar"],
+    },
+    "finset.bench.json": {
+        "instances": [{"id": "p3", "decomposition": "p3.dec.json"}, {"decomposition": "completion_dh.dec.json"}],
+        "predicates": ["bipartite"],
+    },
+}
 
 # (verb and flags, [(file flag, fixture the file starts from), ...])
 CASES = (
@@ -37,6 +49,7 @@ CASES = (
     + [(["solve"], [("-g", "bowtie.json"), ("-d", "bowtie.dec.json")])]
     + [(["restrict"], [("-d", "bowtie.dec.json"), ("-g", "bowtie.json")])]
     + [(["from-arrow", "--arrow"], [("", ARROW)])]
+    + [(["bench", "--config"], [("", name)]) for name in BENCH_CONFIGS]
 )
 
 # a mutation replaces a node of the JSON tree with an integer, with a value of
@@ -49,6 +62,11 @@ OTHER_VALUES = (None, True, False, "0", 1.5, -1, [], {}, [[]], {"vertices": 0, "
 def _source(name):
     if name == ARROW:
         return arrow_to_json(to_arrow(decomposition_from_json(load_fixture("five_bag_tree.dec.json"))))
+    if name in BENCH_CONFIGS:
+        config = copy.deepcopy(BENCH_CONFIGS[name])
+        for entry in config["instances"]:
+            entry["decomposition"] = str(FIXTURES / entry["decomposition"])
+        return config
     return load_fixture(name)
 
 
@@ -114,4 +132,10 @@ def test_mutated_inputs_keep_the_exit_code_and_json_contract(tmp_path, case, tar
     with contextlib.redirect_stdout(out):
         code = run(argv)
     assert code in (0, 2, 3), (argv, code)
-    json.loads(out.getvalue())
+    text = out.getvalue()
+    if verb[0] != "bench":
+        json.loads(text)
+    elif code == 0:
+        assert text.split("\n", 1)[0] == ",".join(BENCH_HEADER)
+    else:
+        assert list(json.loads(text)) == ["error"]

@@ -1,25 +1,30 @@
 """perfbench's traced mode wraps sdkit functions by (module, name). A name it
 no longer finds is skipped quietly and its time moves into its caller's, so
-every name it spans must still exist."""
+every name it spans must still exist. What it touches outside SPANNED it
+reads unguarded, so a missing one would crash every traced pass."""
 import ast
+import dataclasses
 import importlib
 import pathlib
+
+from util import ladder
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def spanned():
-    """SPANNED of perfbench/tracer.py, read from the file without running it."""
+def tracer_constant(name):
+    """A top-level constant of perfbench/tracer.py, read from the file
+    without running it."""
     for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "SPANNED" for target in node.targets
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no SPANNED table in {TRACER}")
+    raise AssertionError(f"no {name} in {TRACER}")
 
 
 def test_every_spanned_function_exists():
-    names = spanned()
+    names = tracer_constant("SPANNED")
     assert names
     missing = [
         f"{module}.{attr}"
@@ -27,3 +32,22 @@ def test_every_spanned_function_exists():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_what_the_tracer_reads_outside_spanned_exists():
+    for module in tracer_constant("MODULES"):
+        importlib.import_module(module)
+    # Tracer.install counts layerings through sdkit.width.is_layering
+    assert callable(importlib.import_module("sdkit.width").is_layering)
+    # ... and swaps in each predicate with a wrapped evaluator
+    solver = importlib.import_module("sdkit.solver")
+    assert solver.PREDICATES
+    for predicate in solver.PREDICATES.values():
+        assert "evaluator" in {field.name for field in dataclasses.fields(predicate)}
+        assert dataclasses.replace(predicate, evaluator=predicate.evaluator) == predicate
+    # every traced leaf enumeration and solve is read back
+    g, d, _ = ladder(3)
+    assert len(solver.enumerate_subp_bruteforce(g, solver.PATHS).entries) > 0
+    result = solver.solve_on_decomposition(d, solver.PATHS, solver.MAX_EDGES)
+    assert len(result.table.entries) == result.stats.table_sizes[-1]
+    assert result.stats.pair_compositions == sum(l * r for l, r in result.stats.compositions)

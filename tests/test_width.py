@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 import time
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -49,6 +51,7 @@ from sdkit import (
     treewidth_exact,
     width,
 )
+from sdkit.core import is_json_int
 from sdkit.decomposition import Adhesion
 from sdkit.width import (
     LAYERED_CAP,
@@ -57,12 +60,14 @@ from sdkit.width import (
     _level_functions,
     _min_elimination_cost,
     _min_fill_width,
+    tree_decomposition_reading,
 )
 from util import (
     all_graphs_labeled,
     fs_adhesion,
     graphs_up_to_iso,
     grid,
+    grid_path_decomposition,
     is_chordal_dirac,
     layered_treewidth_by_all_orders,
     layered_treewidth_by_partitions,
@@ -70,6 +75,8 @@ from util import (
     random_chordal_graph,
     random_finset_decomposition,
     random_graph,
+    random_tree_shape,
+    tree_decomposition_by_conditions,
     treewidth_by_all_orders,
     treewidth_by_subsets,
 )
@@ -278,6 +285,133 @@ class TestTreeDecompositionCheck:
         )
         d = StructuredDecomposition(Graph(2, [(0, 1)]), GRAPH, bags, (empty_adh,))
         assert not is_tree_decomposition(g, d, ((0, 1), (1, 2)))
+
+    def test_reading_equals_the_condition_by_condition_oracle(self):
+        rng = random.Random(20260901)
+        outcomes = Counter()
+        for _ in range(2400):
+            g, d, labeling = _reading_case(rng)
+            for supplied in (labeling, None):
+                reading = tree_decomposition_reading(g, d, supplied)
+                assert reading == tree_decomposition_by_conditions(g, d, supplied), (g, d, supplied)
+                outcomes[supplied is None, reading is not None] += 1
+        # with a labeling and through the colimit, both accepted and rejected
+        assert min(outcomes.values()) > 500 and len(outcomes) == 4, outcomes
+
+    def test_relabeled_graph_over_the_isomorphism_cap_is_too_large(self):
+        d, _, relabeled = grid_path_decomposition()
+        with pytest.raises(TooLarge, match="supply a labeling"):
+            is_tree_decomposition(relabeled, d)
+
+    def test_colimit_numbering_needs_no_search(self, monkeypatch):
+        d, glued, _ = grid_path_decomposition()
+
+        def no_search(*args):
+            raise AssertionError("an isomorphism search ran")
+
+        # sdkit.width names the width() function, so patch through sys.modules
+        monkeypatch.setattr(sys.modules["sdkit.width"], "find_isomorphism", no_search)
+        assert is_tree_decomposition(glued, d)
+
+
+def _elimination_bags(rng, g):
+    """(shape, bag vertex sets) of a tree decomposition of g, read off a
+    random elimination order: bag v holds v and its later neighbours in the
+    filled graph, and hangs below the bag of the first of them."""
+    order = list(range(g.vertices))
+    rng.shuffle(order)
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = g.neighbor_sets()
+    bag_sets, shape_edges = [], []
+    for v in order:
+        later = {u for u in nbrs[v] if pos[u] > pos[v]}
+        bag_sets.append(sorted({v} | later))
+        for a, b in itertools.combinations(later, 2):
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        if later:
+            shape_edges.append((pos[v], min(pos[u] for u in later)))
+    return Graph(g.vertices, shape_edges), bag_sets
+
+
+def _without_bag_edge(d, i, e):
+    """d with edge e deleted from bag i and from every adhesion apex it
+    no longer lies under in both bags."""
+    bags = list(d.bags)
+    bags[i] = Graph(bags[i].vertices, bags[i].edges - {e})
+    adhesions = []
+    for a in d.adhesions:
+        (u, v), left, right = a.edge, a.span.left, a.span.right
+        kept = [
+            (x, y)
+            for x, y in left.dom.edges
+            if bags[u].has_edge(left(x), left(y)) and bags[v].has_edge(right(x), right(y))
+        ]
+        apex = Graph(left.dom.vertices, kept)
+        adhesions.append(Adhesion(a.edge, Span(
+            GraphMorphism(apex, bags[u], left.mapping), GraphMorphism(apex, bags[v], right.mapping)
+        )))
+    return StructuredDecomposition(d.shape, GRAPH, tuple(bags), tuple(adhesions))
+
+
+MUTATIONS = (
+    "none", "extra_g_edge", "drop_bag_vertex", "add_bag_vertex", "random_bags",
+    "cyclic_shape", "drop_bag_edge", "relabel_entry", "swap_entries", "bool_entry",
+    "short_bag_label", "missing_bag_label",
+)
+
+
+def _reading_case(rng):
+    """(g, d, labeling): a random graph on at most 8 vertices with
+    a tree decomposition of it, broken in one way or left intact, and then
+    relabeled half the time."""
+    g = random_graph(rng, 8, p=rng.choice((0.2, 0.4, 0.7)))
+    n = g.vertices
+    shape, bag_sets = _elimination_bags(rng, g)
+    mutation = rng.choice(MUTATIONS)
+    if mutation == "random_bags":
+        shape = random_tree_shape(rng, 5)
+        bag_sets = [rng.sample(range(n), rng.randint(0, n)) for _ in range(shape.vertices)]
+    elif mutation == "cyclic_shape" and shape.vertices > 2:
+        missing = [e for e in itertools.combinations(range(shape.vertices), 2) if e not in shape.edges]
+        shape = Graph(shape.vertices, list(shape.edges) + [rng.choice(missing)])
+    elif mutation == "drop_bag_vertex" and shape.vertices:
+        i = rng.randrange(shape.vertices)
+        bag_sets[i] = bag_sets[i][1:] if rng.random() < 0.5 else bag_sets[i][:-1]
+    elif mutation == "add_bag_vertex" and shape.vertices:
+        rng.choice(bag_sets).append(rng.randrange(n))
+    d, labeling = decomposition_from_vertex_bags(g, shape, bag_sets)
+    labeling = [list(lab) for lab in labeling]
+    located = [(i, b) for i, lab in enumerate(labeling) for b in range(len(lab))]
+    if mutation == "extra_g_edge" and len(g.edges) < n * (n - 1) // 2:
+        missing = [e for e in itertools.combinations(range(n), 2) if e not in g.edges]
+        g = Graph(n, list(g.edges) + [rng.choice(missing)])
+    elif mutation == "drop_bag_edge":
+        bag_edges = [(i, e) for i, bag in enumerate(d.bags) for e in sorted(bag.edges)]
+        if bag_edges:
+            d = _without_bag_edge(d, *rng.choice(bag_edges))
+    elif mutation == "relabel_entry" and located:
+        i, b = rng.choice(located)
+        labeling[i][b] = rng.randrange(-1, n + 1)
+    elif mutation == "swap_entries":
+        long_bags = [lab for lab in labeling if len(lab) > 1]
+        if long_bags:
+            lab = rng.choice(long_bags)
+            b, b2 = rng.sample(range(len(lab)), 2)
+            lab[b], lab[b2] = lab[b2], lab[b]
+    elif mutation == "bool_entry" and located:
+        i, b = rng.choice(located)
+        labeling[i][b] = bool(labeling[i][b])
+    elif mutation == "short_bag_label" and located:
+        rng.choice([lab for lab in labeling if lab]).pop()
+    elif mutation == "missing_bag_label" and labeling:
+        labeling.pop()
+    if rng.random() < 0.5:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+        labeling = [[perm[x] if is_json_int(x) and 0 <= x < n else x for x in lab] for lab in labeling]
+    return g, d, labeling
 
 
 class TestWidth:

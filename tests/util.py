@@ -18,9 +18,17 @@ from sdkit import (
     StructuredDecomposition,
     SubPTable,
     Subobject,
+    TooLarge,
     complete_graph,
+    decomposition_from_vertex_bags,
+    evaluate_colimit,
+    find_isomorphism,
+    is_forest,
     is_layering,
+    is_tame,
+    validate,
 )
+from sdkit.core import ISO_VERTEX_CAP, is_json_int, object_size
 from sdkit.width import _min_elimination_cost
 
 
@@ -75,6 +83,20 @@ def ladder(k: int):
     d = StructuredDecomposition(shape, GRAPH, (bag,) * (k - 1), adhesions)
     labeling = [[i, k + i, i + 1, k + i + 1] for i in range(k - 1)]
     return g, d, labeling
+
+
+def grid_path_decomposition():
+    """(d, glued, relabeled): a path decomposition of the 3 x 3 grid with
+    bags {v, .., v + 3}, its colimit, and the colimit with vertices 0 and 1
+    swapped. Nine vertices are one over ISO_VERTEX_CAP."""
+    g = grid(3, 3)
+    d, _ = decomposition_from_vertex_bags(g, Graph(6, [(i, i + 1) for i in range(5)]),
+                                          [range(v, v + 4) for v in range(6)])
+    glued, _ = evaluate_colimit(d)
+    swap = (1, 0) + tuple(range(2, 9))
+    relabeled = Graph(9, [(swap[u], swap[v]) for u, v in glued.edges])
+    assert glued.vertices == ISO_VERTEX_CAP + 1 and relabeled != glued
+    return d, glued, relabeled
 
 
 def random_tree_shape(rng: random.Random, max_bags: int, min_bags: int = 1) -> Graph:
@@ -523,3 +545,103 @@ def layered_treewidth_by_partitions(g: Graph) -> int:
 
         best = _min_elimination_cost(nbrs, bag_cost, 1, best)
     return best
+
+
+def tree_decomposition_by_conditions(g: Graph, d: StructuredDecomposition, labeling=None):
+    """Read d's bags as subgraphs of g, if d is a tree decomposition of g,
+    checking each condition on its own: bag edges are edges of g, labels
+    agree across adhesions, no bag repeats a label, every edge of g lies in
+    some bag (T1), and each vertex's bags are connected in the shape (T2).
+    The oracle for width.tree_decomposition_reading, which returns the same.
+
+    Returns (labeling, colim_to_g) or None. labeling[i][b] is the g-vertex
+    of local bag vertex b; colim_to_g translates evaluate_colimit(d) vertices
+    into g vertices. With no supplied labeling the bags are read through the
+    colimit, which must equal g or be isomorphic to it (brute-force search,
+    so g must stay small in that case).
+    """
+    if d.value_kind != GRAPH or validate(d) or not is_forest(d.shape) or not is_tame(d):
+        return None
+    glued, cocone = evaluate_colimit(d)
+    if labeling is None:
+        if glued == g:
+            iso = tuple(range(g.vertices))
+        elif glued.vertices != g.vertices or len(glued.edges) != len(g.edges):
+            return None
+        else:
+            if g.vertices > ISO_VERTEX_CAP:
+                raise TooLarge(
+                    "deriving a bag labeling needs an isomorphism search; "
+                    f"supply a labeling for graphs over {ISO_VERTEX_CAP} vertices"
+                )
+            iso = find_isomorphism(glued, g)
+            if iso is None:
+                return None
+        labeling = tuple(
+            tuple(iso[leg(b)] for b in range(bag.vertices))
+            for bag, leg in zip(d.bags, cocone)
+        )
+        colim_to_g = iso
+    else:
+        labeling = tuple(tuple(lab) for lab in labeling)
+        if len(labeling) != len(d.bags):
+            return None
+        # the labels must factor through the gluing as a bijection onto g
+        if glued.vertices != g.vertices:
+            return None
+        translate = [-1] * glued.vertices
+        for lab, bag, leg in zip(labeling, d.bags, cocone):
+            if len(lab) != bag.vertices:
+                return None
+            for b in range(bag.vertices):
+                x = lab[b]
+                if not is_json_int(x) or not 0 <= x < g.vertices:
+                    return None
+                if translate[leg(b)] == -1:
+                    translate[leg(b)] = x
+                elif translate[leg(b)] != x:
+                    return None
+        if sorted(translate) != list(range(g.vertices)):
+            return None
+        colim_to_g = tuple(translate)
+    for bag, lab in zip(d.bags, labeling):
+        if len(set(lab)) != len(lab):
+            return None
+        for b, b2 in bag.edges:
+            if not g.has_edge(lab[b], lab[b2]):
+                return None
+    for a in d.adhesions:
+        u, v = a.edge
+        for x in range(object_size(a.span.apex)):
+            if labeling[u][a.span.left(x)] != labeling[v][a.span.right(x)]:
+                return None
+    # T1: every edge of g appears inside some bag
+    covered = set()
+    for bag, lab in zip(d.bags, labeling):
+        for b, b2 in bag.edges:
+            e = (lab[b], lab[b2])
+            covered.add(e if e[0] < e[1] else (e[1], e[0]))
+    if not set(g.edges) <= covered:
+        return None
+    # T2: each vertex's bag support is non-empty and connected in the shape
+    support = [set() for _ in range(g.vertices)]
+    for i, lab in enumerate(labeling):
+        for x in lab:
+            support[x].add(i)
+    shape_nbrs = d.shape.neighbor_sets()
+    for v in range(g.vertices):
+        nodes = support[v]
+        if not nodes:
+            return None
+        start = next(iter(nodes))
+        seen = {start}
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            for t2 in shape_nbrs[t]:
+                if t2 in nodes and t2 not in seen:
+                    seen.add(t2)
+                    stack.append(t2)
+        if seen != nodes:
+            return None
+    return labeling, colim_to_g
