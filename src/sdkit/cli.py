@@ -149,15 +149,17 @@ def _cmd_from_arrow(args) -> int:
 
 def _cmd_restrict(args) -> int:
     d = _load_decomposition(args.decomposition)
+    if not args.morphism and not args.graph:
+        raise ValidationError("restrict needs --morphism or -g/--graph")
+    if d.value_kind != GRAPH:  # before any morphism into its colimit is built
+        raise ValidationError("restriction is defined for graph-valued decompositions")
     glued, _ = evaluate_colimit(d)
     if args.morphism:
         delta = _load_morphism(args.morphism, glued)
-    elif args.graph:
+    else:
         # subgraph given in colimit coordinates; embed by vertex identity
         sub = _load_graph(args.graph)
         delta = GraphMorphism(sub, glued, tuple(range(sub.vertices)))
-    else:
-        raise ValidationError("restrict needs --morphism or -g/--graph")
     restricted, _ = restrict_decomposition(d, delta)
     _emit_json(decomposition_to_json(restricted), args.output)
     return 0
@@ -283,6 +285,8 @@ def _random_instance(rng: random.Random, index: int):
 
 
 def _cmd_bench(args) -> int:
+    if args.generate < 0:
+        raise ValidationError("bench --generate must be a non-negative count")
     instances = []
     predicates = args.property.split(",") if args.property else ["paths"]
     if args.config:
@@ -366,33 +370,97 @@ VERBS = {
 }
 
 
-def _add_verb(sub, name) -> None:
-    func, needs = VERBS[name]
-    p = sub.add_parser(name)
+# A flag is (option strings, dest, kind, default, required); kind is VALUE
+# (the next word), INT (the next word through int()) or SWITCH (store_true).
+VALUE, INT, SWITCH = "value", "int", "switch"
+
+
+def _declare(needs) -> tuple:
+    """A verb's flags, in the order of its `VERB -h`."""
+    flags = []
     if needs.get("graph"):
-        p.add_argument("-g", "--graph", required=needs["graph"] == "required")
+        flags.append((("-g", "--graph"), "graph", VALUE, None, needs["graph"] == "required"))
     if needs.get("decomposition"):
-        p.add_argument("-d", "--decomposition", required=needs["decomposition"] == "required")
+        flags.append(
+            (("-d", "--decomposition"), "decomposition", VALUE, None, needs["decomposition"] == "required")
+        )
     if needs.get("layering"):
-        p.add_argument("-l", "--layering")
+        flags.append((("-l", "--layering"), "layering", VALUE, None, False))
     if needs.get("arrow"):
-        p.add_argument("--arrow", required=True)
+        flags.append((("--arrow",), "arrow", VALUE, None, True))
     if needs.get("morphism"):
-        p.add_argument("--morphism")
+        flags.append((("--morphism",), "morphism", VALUE, None, False))
     if needs.get("property"):
-        p.add_argument("--property", default=needs["property"])
+        flags.append((("--property",), "property", VALUE, needs["property"], False))
     if needs.get("objective"):
-        p.add_argument("--objective", default="max-edges")
+        flags.append((("--objective",), "objective", VALUE, "max-edges", False))
     if needs.get("exact"):
-        p.add_argument("--exact", action="store_true")
+        flags.append((("--exact",), "exact", SWITCH, False, False))
     if needs.get("bench_flags"):
-        p.add_argument("--config")
-        p.add_argument("--generate", type=int, default=0)
-        p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
+        flags.append((("--config",), "config", VALUE, None, False))
+        flags.append((("--generate",), "generate", INT, 0, False))
+        flags.append((("--seed",), "seed", INT, 0, False))
+    flags.append((("-o", "--output"), "output", VALUE, None, False))
     if needs.get("bench_flags"):  # bench's help lists --property after -o
-        p.add_argument("--property", default=None)
-    p.set_defaults(func=func)
+        flags.append((("--property",), "property", VALUE, None, False))
+    return tuple(flags)
+
+
+FLAGS = {name: _declare(needs) for name, (_, needs) in VERBS.items()}
+# per verb: every option string -> its flag
+_OPTIONS = {name: {option: flag for flag in flags for option in flag[0]} for name, flags in FLAGS.items()}
+
+
+def _add_verb(sub, name) -> None:
+    p = sub.add_parser(name)
+    for options, _, kind, default, required in FLAGS[name]:
+        if kind == SWITCH:
+            p.add_argument(*options, action="store_true")
+        else:
+            p.add_argument(*options, type=int if kind == INT else None, default=default, required=required)
+    p.set_defaults(func=VERBS[name][0])
+
+
+def _parse_from_table(argv):
+    """The Namespace argparse builds for a well-formed argv, else None.
+
+    Well-formed: a verb, then only its flags spelled exactly as declared,
+    each value in the next word and not starting with "-", every INT value
+    accepted by int(), and every required flag present. Anything else (-h,
+    abbreviations, --flag=value, -gX, a missing value) is for argparse,
+    which alone writes help and error text.
+    """
+    if not argv or argv[0] not in VERBS:
+        return None
+    verb = argv[0]
+    options = _OPTIONS[verb]
+    values = {}
+    i, n = 1, len(argv)
+    while i < n:
+        flag = options.get(argv[i])
+        if flag is None:
+            return None
+        _, dest, kind, _, _ = flag
+        if kind == SWITCH:
+            values[dest] = True
+            i += 1
+            continue
+        if i + 1 == n or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if kind == INT:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[dest] = value
+        i += 2
+    for _, dest, _, default, required in FLAGS[verb]:
+        if dest not in values:
+            if required:
+                return None
+            values[dest] = default
+    return argparse.Namespace(verb=verb, func=VERBS[verb][0], **values)
 
 
 def build_parser(verb=None) -> argparse.ArgumentParser:
@@ -421,8 +489,10 @@ def build_parser(verb=None) -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    verb = argv[0] if argv and argv[0] in VERBS else None
-    args = build_parser(verb).parse_args(argv)
+    args = _parse_from_table(argv)
+    if args is None:
+        verb = argv[0] if argv and argv[0] in VERBS else None
+        args = build_parser(verb).parse_args(argv)
     try:
         return args.func(args)
     except SdkitError as exc:

@@ -182,10 +182,11 @@ def tree_decomposition_reading(g: Graph, d: StructuredDecomposition, labeling=No
     the vertices of evaluate_colimit(d) onto g's that sends edges onto edges,
     and labeling[i][b] is the g-vertex of local bag vertex b. Gluing a tame
     forest already keeps each bag's labels distinct and each vertex's bags
-    connected in the shape. A supplied labeling must give every colimit
-    vertex one g-vertex. Without one, colim_to_g is the identity when the
-    colimit equals g, and otherwise comes from an isomorphism search, which
-    needs g to have at most ISO_VERTEX_CAP vertices.
+    connected in the shape. A supplied labeling is a list (or tuple) of one
+    list per bag, and must give every colimit vertex one g-vertex; any other
+    value is read as no tree decomposition. Without one, colim_to_g is the
+    identity when the colimit equals g, and otherwise comes from an
+    isomorphism search, which needs g to have at most ISO_VERTEX_CAP vertices.
     """
     if d.value_kind != GRAPH or validate(d) or not is_forest(d.shape) or not is_tame(d):
         return None
@@ -193,12 +194,11 @@ def tree_decomposition_reading(g: Graph, d: StructuredDecomposition, labeling=No
     if glued.vertices != g.vertices or len(glued.edges) != len(g.edges):
         return None
     if labeling is not None:
-        labeling = tuple(tuple(lab) for lab in labeling)
-        if len(labeling) != len(d.bags):
+        if not isinstance(labeling, (list, tuple)) or len(labeling) != len(d.bags):
             return None
         translate = [None] * glued.vertices
         for lab, bag, leg in zip(labeling, d.bags, cocone):
-            if len(lab) != bag.vertices:
+            if not isinstance(lab, (list, tuple)) or len(lab) != bag.vertices:
                 return None
             for b, x in enumerate(lab):
                 if not is_json_int(x) or translate[leg(b)] not in (None, x):

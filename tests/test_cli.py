@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -7,7 +10,7 @@ import pytest
 
 from sdkit import FinSet, Graph, decomposition_from_json, decomposition_to_json
 from sdkit import cli
-from sdkit.cli import VERBS, build_parser, run
+from sdkit.cli import FLAGS, VERBS, build_parser, run
 from sdkit.width import LAYERED_CAP
 from util import grid, grid_path_decomposition
 
@@ -197,6 +200,15 @@ class TestErrorHandling:
         )
         assert code == 2 and "error" in json.loads(out)
 
+    def test_restrict_rejects_a_finset_valued_decomposition(self, capsys, tmp_path, fixtures_dir):
+        morphism = tmp_path / "m.json"
+        morphism.write_text(json.dumps({"dom": Graph(3).to_json(), "map": [0, 1, 2]}))
+        finset = fx(fixtures_dir, "completion_dh.dec.json")
+        for flag, path in (("-g", fx(fixtures_dir, "p3.json")), ("--morphism", str(morphism))):
+            code, out = invoke(capsys, "restrict", "-d", finset, flag, path)
+            assert code == 2
+            assert json.loads(out) == {"error": "restriction is defined for graph-valued decompositions"}
+
     def test_malformed_json_exits_two_with_position(self, capsys, tmp_path):
         broken = tmp_path / "broken.json"
         broken.write_text('{"vertices": 3, "edges": [[0, 1]')
@@ -365,6 +377,11 @@ class TestBench:
         assert code == 2
         assert complaint in json.loads(out)["error"]
 
+    def test_negative_generate_count_is_a_validation_error(self, capsys):
+        code, out = invoke(capsys, "bench", "--generate", "-3")
+        assert code == 2
+        assert "--generate" in json.loads(out)["error"]
+
     def test_same_seed_same_instances(self, capsys):
         first = invoke(capsys, "bench", "--generate", "3", "--seed", "7")[1]
         second = invoke(capsys, "bench", "--generate", "3", "--seed", "7")[1]
@@ -408,7 +425,7 @@ def valid_call(verb, fixtures_dir, tmp_path):
         "solve": ["-d", "bowtie.dec.json", "-g", "bowtie.json"],
         "bench": ["--generate", "0"],
     }[verb]
-    return [verb] + [f if f.startswith("-") else fx(fixtures_dir, f) for f in flags]
+    return [verb] + [fx(fixtures_dir, f) if f.endswith(".json") else f for f in flags]
 
 
 def outcome(capsys, argv):
@@ -421,9 +438,12 @@ def outcome(capsys, argv):
 
 
 def test_one_verb_parser_answers_as_the_full_parser(capsys, monkeypatch, tmp_path, fixtures_dir):
-    cases = [[], ["-h"], ["bogus"], ["SOLVE"]]
+    cases, well_formed = [[], ["-h"], ["bogus"], ["SOLVE"]], []
     for verb in VERBS:
         valid = valid_call(verb, fixtures_dir, tmp_path)
+        well_formed.append(valid)
+        if not any(required for *_, required in FLAGS[verb]):
+            well_formed.append([verb])
         cases += [valid, [verb, "-h"], [verb], valid + ["--bogus"]]
     capsys.readouterr()
     built = []
@@ -432,14 +452,68 @@ def test_one_verb_parser_answers_as_the_full_parser(capsys, monkeypatch, tmp_pat
         built.append(verb)
         return build_parser(verb)
 
+    def parsers_for(argvs):
+        return [argv[0] if argv and argv[0] in VERBS else None for argv in argvs]
+
     monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    table = [outcome(capsys, argv) for argv in cases]
+    # a well-formed line builds no parser at all
+    assert built == parsers_for([argv for argv in cases if argv not in well_formed])
+    built.clear()
+    monkeypatch.setattr(cli, "_parse_from_table", lambda argv: None)
     one_verb = [outcome(capsys, argv) for argv in cases]
-    assert built == [argv[0] if argv and argv[0] in VERBS else None for argv in cases]
+    assert built == parsers_for(cases)
     monkeypatch.setattr(cli, "build_parser", lambda verb=None: build_parser())
     full = [outcome(capsys, argv) for argv in cases]
-    for argv, got, expected in zip(cases, one_verb, full):
-        assert got == expected, argv
+    for argv, got, by_one_verb, expected in zip(cases, table, one_verb, full):
+        assert got == by_one_verb == expected, argv
     assert {code for code, _, _ in full} == {0, 2}
+
+
+# words a command line is drawn from: option strings, malformed spellings of
+# them, and values argparse reads in its own ways
+OPTION_WORDS = sorted({option for flags in FLAGS.values() for flag in flags for option in flag[0]})
+ODD_WORDS = ["-h", "--help", "--graph=x", "-gx", "--grap", "--gen", "--", "-", "--bogus", "", "x"]
+VALUE_WORDS = [
+    "", "a b", "x", "fixtures/k5.json", "-1", "--", "-", "-h", "--graph=x", "-gx", "--grap",
+    "5_000", "7", " 3 ", "0x10", "1" * 5000, "solve", "--exact",
+]
+
+
+def random_command_line(rng):
+    """A verb (now and then a non-verb) and a random run of flags, each
+    given a value about two times in three."""
+    verb = rng.choice(list(VERBS)) if rng.random() < 0.95 else rng.choice(["", "-h", "SOLVE", "bogus"])
+    own = [option for flag in FLAGS.get(verb, ()) for option in flag[0]] or OPTION_WORDS
+    argv = [verb]
+    for _ in range(rng.randint(0, 5)):
+        argv.append(rng.choice(own) if rng.random() < 0.8 else rng.choice(OPTION_WORDS + ODD_WORDS))
+        if rng.random() < 0.7:
+            argv.append(rng.choice(VALUE_WORDS) if rng.random() < 0.3 else f"v{rng.randrange(10)}")
+    return argv
+
+
+def test_table_parser_agrees_with_argparse_on_random_command_lines():
+    rng = random.Random(20261018)
+    read_from_table = fell_back = 0
+    for _ in range(2500):
+        argv = random_command_line(rng)
+        if rng.random() < 0.05:  # a repeated flag
+            argv += argv[1:3]
+        args = cli._parse_from_table(argv)
+        verb = argv[0] if argv[0] in VERBS else None
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                expected = build_parser(verb).parse_args(argv)
+        except SystemExit:
+            expected = None
+        if args is not None:
+            assert args == expected, argv
+            read_from_table += 1
+        elif expected is not None:
+            fell_back += 1
+    # the table reads many lines, and leaves argparse some that it accepts
+    assert read_from_table > 250 and fell_back > 20, (read_from_table, fell_back)
 
 
 def test_python_dash_m_sdkit_runs_the_cli(fixtures_dir):

@@ -48,6 +48,7 @@ CASES = (
     + [(["solve", "--property", prop], [("-d", name)]) for prop in ("paths", "bipartite", "planar") for name in DECOMPOSITIONS]
     + [(["solve"], [("-g", "bowtie.json"), ("-d", "bowtie.dec.json")])]
     + [(["restrict"], [("-d", "bowtie.dec.json"), ("-g", "bowtie.json")])]
+    + [(["restrict"], [("-d", "completion_dh.dec.json"), ("-g", "p3.json")])]
     + [(["from-arrow", "--arrow"], [("", ARROW)])]
     + [(["bench", "--config"], [("", name)]) for name in BENCH_CONFIGS]
 )

@@ -69,6 +69,7 @@ from util import (
     grid,
     grid_path_decomposition,
     is_chordal_dirac,
+    ladder,
     layered_treewidth_by_all_orders,
     layered_treewidth_by_partitions,
     ordered_set_partitions,
@@ -286,6 +287,13 @@ class TestTreeDecompositionCheck:
         d = StructuredDecomposition(Graph(2, [(0, 1)]), GRAPH, bags, (empty_adh,))
         assert not is_tree_decomposition(g, d, ((0, 1), (1, 2)))
 
+    def test_a_labeling_that_is_not_a_list_of_lists_reads_as_none(self):
+        g, d, labeling = ladder(3)
+        assert is_tree_decomposition(g, d, labeling)
+        for bad in ([labeling[0], 5], 5, "ab", [labeling[0], "ab"], {0: labeling[0]}):
+            assert tree_decomposition_reading(g, d, bad) is None, bad
+            assert tree_decomposition_by_conditions(g, d, bad) is None, bad
+
     def test_reading_equals_the_condition_by_condition_oracle(self):
         rng = random.Random(20260901)
         outcomes = Counter()
@@ -357,7 +365,7 @@ def _without_bag_edge(d, i, e):
 MUTATIONS = (
     "none", "extra_g_edge", "drop_bag_vertex", "add_bag_vertex", "random_bags",
     "cyclic_shape", "drop_bag_edge", "relabel_entry", "swap_entries", "bool_entry",
-    "short_bag_label", "missing_bag_label",
+    "short_bag_label", "missing_bag_label", "int_bag_label", "int_labeling",
 )
 
 
@@ -411,6 +419,11 @@ def _reading_case(rng):
         rng.shuffle(perm)
         g = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
         labeling = [[perm[x] if is_json_int(x) and 0 <= x < n else x for x in lab] for lab in labeling]
+    # labelings that are not a list of lists
+    if mutation == "int_bag_label" and labeling:
+        labeling[rng.randrange(len(labeling))] = 5
+    elif mutation == "int_labeling":
+        labeling = 5
     return g, d, labeling
 
 

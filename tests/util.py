@@ -583,6 +583,11 @@ def tree_decomposition_by_conditions(g: Graph, d: StructuredDecomposition, label
         )
         colim_to_g = iso
     else:
+        # a list (or tuple) of one list of g-vertices per bag
+        if not isinstance(labeling, (list, tuple)) or not all(
+            isinstance(lab, (list, tuple)) for lab in labeling
+        ):
+            return None
         labeling = tuple(tuple(lab) for lab in labeling)
         if len(labeling) != len(d.bags):
             return None
