@@ -1,9 +1,9 @@
 """Batch front door: parse JSON inputs, dispatch, emit deterministic output.
 
 Exit codes: 0 success, 2 validation failure (including malformed JSON, with
-a position-annotated message), 3 instance over a brute-force cap. Output is
-byte-for-byte deterministic for identical inputs, except for the wall-time
-column of `bench`.
+a position-annotated message), 3 instance over a documented size cap.
+Output is byte-for-byte deterministic for identical inputs, except for the
+wall-time column of `bench`.
 """
 from __future__ import annotations
 
@@ -411,16 +411,6 @@ FLAGS = {name: _declare(needs) for name, (_, needs) in VERBS.items()}
 _OPTIONS = {name: {option: flag for flag in flags for option in flag[0]} for name, flags in FLAGS.items()}
 
 
-def _add_verb(sub, name) -> None:
-    p = sub.add_parser(name)
-    for options, _, kind, default, required in FLAGS[name]:
-        if kind == SWITCH:
-            p.add_argument(*options, action="store_true")
-        else:
-            p.add_argument(*options, type=int if kind == INT else None, default=default, required=required)
-    p.set_defaults(func=VERBS[name][0])
-
-
 def _parse_from_table(argv):
     """The Namespace argparse builds for a well-formed argv, else None.
 
@@ -463,36 +453,29 @@ def _parse_from_table(argv):
     return argparse.Namespace(verb=verb, func=VERBS[verb][0], **values)
 
 
-def build_parser(verb=None) -> argparse.ArgumentParser:
-    """The CLI parser, with every verb's subparser or only verb's.
-
-    A parser for one verb parses that verb's command lines exactly as the
-    full parser does: its subparser is built the same way, and the verb
-    list in the usage line is spelled out in full. Anything else (no verb,
-    -h, an unknown verb) needs the full parser for its help or error text;
-    that parser keeps argparse's default metavar, since its errors name the
-    verb argument "verb".
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser with every verb's subparser, for the command
+    lines _parse_from_table leaves: it writes help and error text."""
     parser = argparse.ArgumentParser(
         prog="sdkit",
         description="structured decompositions: gluing, width measures, compositional solving",
     )
-    if verb is None:
-        sub = parser.add_subparsers(dest="verb", required=True)
-        for name in VERBS:
-            _add_verb(sub, name)
-    else:
-        metavar = "{" + ",".join(VERBS) + "}"
-        sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
-        _add_verb(sub, verb)
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name in VERBS:
+        p = sub.add_parser(name)
+        for options, _, kind, default, required in FLAGS[name]:
+            if kind == SWITCH:
+                p.add_argument(*options, action="store_true")
+            else:
+                p.add_argument(*options, type=int if kind == INT else None, default=default, required=required)
+        p.set_defaults(func=VERBS[name][0])
     return parser
 
 
 def run(argv) -> int:
     args = _parse_from_table(argv)
     if args is None:
-        verb = argv[0] if argv and argv[0] in VERBS else None
-        args = build_parser(verb).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SdkitError as exc:

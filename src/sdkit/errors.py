@@ -2,7 +2,7 @@
 
 Every error carries an ``exit_code`` so the CLI can map failures onto its
 documented exit statuses (2 = invalid input / violated precondition,
-3 = instance exceeds a brute-force size cap).
+3 = instance exceeds a documented size cap).
 """
 
 
@@ -61,6 +61,6 @@ class NotATreeDecomposition(ValidationError):
 
 
 class TooLarge(SdkitError):
-    """Instance exceeds the documented brute-force size cap."""
+    """Instance exceeds a documented size cap."""
 
     exit_code = 3

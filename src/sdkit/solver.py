@@ -3,21 +3,25 @@
 A table holds every subobject of an ambient graph satisfying a
 subgraph-closed predicate that ignores isolated vertices. Over a graph with
 vertex set V it is therefore {(V', E) : E accepted, ends(E) <= V' <= V}, and
-the solver carries it as its accepted edge sets, with the entries they stand
-for counted, not built. Two tables whose ambients lie inside one graph glue
-into the table over the union of those ambients: a union of accepted edge
-sets is kept when the predicate accepts it. Only pairs that agree on the
-edges the two ambients share need trying, because an accepted union
-restricts to an accepted edge set of each (full, subgraph-closed) table and
-both restrictions share one trace on the shared edges. `compose` glues the
-tables over the feet of a monic span inside its pushout;
-`solve_on_decomposition` enumerates every bag's accepted edge sets on its
-image in the colimit of a tame tree-shaped decomposition, where every
-partial colimit embeds, and glues them there in post-order.
+the solver carries it as its accepted edge sets. Two tables whose ambients
+lie inside one graph glue into the table over the union of those ambients:
+a union of accepted edge sets is kept when the predicate accepts it. Only
+pairs that agree on the edges the two ambients share need trying, because
+an accepted union restricts to an accepted edge set of each (full,
+subgraph-closed) table and both restrictions share one trace on the shared
+edges. `compose` glues the tables over the feet of a monic span inside its
+pushout; `solve_on_decomposition` enumerates every bag's accepted edge sets
+on its image in the colimit of a tame tree-shaped decomposition, where
+every partial colimit embeds, and glues them there in post-order.
 `_compose_entries` does every glue. An Objective weighs a subobject by its
 vertex or edge count, so the best entry, ties broken by the smallest
 encoding, is read off the edge sets; the full table of a solve is built
 only when SolveResult.table is read.
+
+Three caps raise TooLarge, each on what it protects: BRUTE_CAP on the
+vertices of a bag, MAX_EDGE_SETS on the accepted edge sets any table of the
+fold holds, and MAX_TABLE_ENTRIES on the entries of a table about to be
+built (_expand).
 
 The planar predicate is the path-addition test of Demoucron, Malgrange &
 Pertuiset (1964), polynomial in the subobject and without state between
@@ -25,7 +29,6 @@ calls.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -55,27 +58,18 @@ from .errors import (
 )
 from .width import tree_decomposition_reading
 
-DEFAULT_BRUTE_CAP = 10
-BRUTE_CAP_ENV = "SDKIT_MAX_BRUTE"
-# Largest table, leaf or glued, that a solve may stand for, counted in
-# entries (vertex set, edge set) although the fold keeps only the accepted
-# edge sets. ladder-6's largest table has 584,143 entries; ladder-7 paths
-# reaches the cap after 0.26-0.35 s at 65 MiB peak RSS (in process, Python
-# 3.11).
+# Most vertices a bag may have. A count of held edge sets does not bound the
+# rejected candidates a leaf tries: a star K1,m under paths holds about m^2/2
+# edge sets but tries C(m, 3) candidates.
+BRUTE_CAP = 10
+# Most accepted edge sets one table of the fold may hold, leaf or glued: the
+# largest power of two at which every known worst input (README "Size caps")
+# is refused or answered within 5 s wall and 512 MiB peak RSS. A held set
+# costs about 17-18 us and 1.2 KB.
+MAX_EDGE_SETS = 1 << 18
+# Most entries (vertex set, edge set) a built table may have: compose,
+# enumerate_subp_bruteforce and SolveResult.table build every entry.
 MAX_TABLE_ENTRIES = 1 << 20
-
-
-def brute_force_cap() -> int:
-    raw = os.environ.get(BRUTE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_BRUTE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ValidationError(f"{BRUTE_CAP_ENV} must be a non-negative integer, got {raw!r}")
-    return cap
 
 
 class Subobject(NamedTuple):
@@ -393,21 +387,26 @@ class SubPTable:
         return sorted(self.entries, key=Subobject.encoding)
 
 
-def _table_too_large() -> TooLarge:
-    return TooLarge(f"a Sub_P table grew past {MAX_TABLE_ENTRIES} entries")
+def _too_many_edge_sets() -> TooLarge:
+    return TooLarge(f"a Sub_P table grew past {MAX_EDGE_SETS} accepted edge sets")
 
 
 def _ends(edges) -> frozenset:
     return frozenset(v for edge in edges for v in edge)
 
 
-def _accepted_edge_sets(edge_list, n: int, predicate: PropertyPredicate) -> tuple:
-    """(family, size, calls) for the Sub_P table of a graph with n vertices
-    and the edges in edge_list, in whatever numbering those edges use.
+def _entry_count(family, n: int) -> int:
+    """The entries a family of (edge set, ends) stands for over n vertices:
+    2^(n - |ends|) per edge set."""
+    return sum(1 << (n - len(ends)) for _, ends in family)
 
-    family lists every accepted edge set with its ends, the empty set first;
-    size is the number of entries they stand for (2^(n - |ends|) each) and
-    calls the number of predicate calls. Rests on the PropertyPredicate
+
+def _accepted_edge_sets(edge_list, predicate: PropertyPredicate) -> tuple:
+    """(family, calls) for the Sub_P table of the graph with the edges in
+    edge_list, in whatever numbering those edges use.
+
+    family lists every accepted edge set with its ends, the empty set first,
+    and calls counts the predicate calls. Rests on the PropertyPredicate
     contract: the accepted edge sets form a downward-closed family, listed
     level by level from the empty set (Apriori). A candidate S | {e}, with e
     after S's last edge in edge_list order, is tested on the ends of its
@@ -416,12 +415,8 @@ def _accepted_edge_sets(edge_list, n: int, predicate: PropertyPredicate) -> tupl
     rejected one.
     """
     if not predicate(EMPTY_SUBOBJECT):
-        return [], 0, 1
+        return [], 1
     calls = 1
-    # every vertex set with no edges is an entry
-    size = 1 << n
-    if size > MAX_TABLE_ENTRIES:
-        raise _table_too_large()
     # accepted edge sets of the current size: edge-index bitmask ->
     # (edge indices, edge set, ends)
     level = {0: ((), frozenset(), frozenset())}
@@ -439,16 +434,18 @@ def _accepted_edge_sets(edge_list, n: int, predicate: PropertyPredicate) -> tupl
                 if predicate(Subobject(cand_ends, cand_edges)):
                     grown[candidate] = (indices + (j,), cand_edges, cand_ends)
                     family.append((cand_edges, cand_ends))
-                    size += 1 << (n - len(cand_ends))
-                    if size > MAX_TABLE_ENTRIES:
-                        raise _table_too_large()
+                    if len(family) > MAX_EDGE_SETS:
+                        raise _too_many_edge_sets()
         level = grown
-    return family, size, calls
+    return family, calls
 
 
 def _expand(family, vertices) -> frozenset:
     """The entries that a family of (edge set, ends) stands for: every edge
     set with every vertex set between its ends and `vertices`."""
+    count = _entry_count(family, len(vertices))
+    if count > MAX_TABLE_ENTRIES:
+        raise TooLarge(f"a Sub_P table of {count} entries is past the cap of {MAX_TABLE_ENTRIES}")
     if not family:
         return frozenset()
     order = sorted(vertices)
@@ -472,13 +469,9 @@ def enumerate_subp_bruteforce(g: Graph, predicate: PropertyPredicate) -> SubPTab
     """Every (vertex subset, edge subset) pair satisfying the predicate:
     every accepted edge set (see _accepted_edge_sets) paired with every
     vertex set that contains its ends."""
-    cap = brute_force_cap()
-    if g.vertices > cap:
-        raise TooLarge(
-            f"brute-force enumeration is limited to {cap} vertices "
-            f"(override with {BRUTE_CAP_ENV})"
-        )
-    family, _, _ = _accepted_edge_sets(g.edge_list(), g.vertices, predicate)
+    if g.vertices > BRUTE_CAP:
+        raise TooLarge(f"brute-force enumeration is limited to {BRUTE_CAP} vertices")
+    family, _ = _accepted_edge_sets(g.edge_list(), predicate)
     return SubPTable(g, predicate.name, _expand(family, range(g.vertices)))
 
 
@@ -492,12 +485,11 @@ def translate_subobject(sub: Subobject, mapping) -> Subobject:
 class _Table(NamedTuple):
     """The full Sub_P table of a part (a subgraph) of one ambient graph,
     kept as its accepted edge sets: it holds every (V, E) with (E, ends(E))
-    in family and ends(E) <= V <= vertices. size counts those entries."""
+    in family and ends(E) <= V <= vertices."""
 
     vertices: frozenset
     edges: frozenset
     family: list
-    size: int
 
 
 def _compose_entries(left: _Table, right: _Table, predicate: PropertyPredicate) -> tuple:
@@ -511,30 +503,17 @@ def _compose_entries(left: _Table, right: _Table, predicate: PropertyPredicate) 
     the ends of the union. A pair with one side inside the shared edges
     gives back the other side and is skipped; every other matched pair gives
     a new edge set, and no two give the same one.
-
-    Sizes count entries, so the glue raises TooLarge exactly when gluing the
-    entries one by one would: when the glued table is past the cap and holds
-    an entry that neither table has.
     """
     shared = left.edges & right.edges
-    vertices = left.vertices | right.vertices
-    n = len(vertices)
     family = list(left.family)
-    size = sum(1 << (n - len(ends)) for _, ends in family)
     by_trace = {}
     for entry in right.family:
         trace = entry[0] & shared
         if trace != entry[0]:
             by_trace.setdefault(trace, []).append(entry)
             family.append(entry)
-            size += 1 << (n - len(entry[1]))
-    if size > MAX_TABLE_ENTRIES:
-        # the entries of both tables, less those inside the overlap (the
-        # Sub_P table of the overlap), which each of them holds
-        m = len(left.vertices & right.vertices)
-        inside = sum(1 << (m - len(ends)) for edges, ends in left.family if edges <= shared)
-        if size > left.size + right.size - inside:
-            raise _table_too_large()
+    if len(family) > MAX_EDGE_SETS:
+        raise _too_many_edge_sets()
     calls = 0
     for edges, ends in left.family:
         trace = edges & shared
@@ -546,10 +525,9 @@ def _compose_entries(left: _Table, right: _Table, predicate: PropertyPredicate) 
             union, union_ends = edges | other, ends | other_ends
             if predicate(Subobject(union_ends, union)):
                 family.append((union, union_ends))
-                size += 1 << (n - len(union_ends))
-                if size > MAX_TABLE_ENTRIES:
-                    raise _table_too_large()
-    return _Table(vertices, left.edges | right.edges, family, size), calls
+                if len(family) > MAX_EDGE_SETS:
+                    raise _too_many_edge_sets()
+    return _Table(left.vertices | right.vertices, left.edges | right.edges, family), calls
 
 
 def compose(span: Span, sub_l: SubPTable, sub_r: SubPTable, predicate: PropertyPredicate):
@@ -580,7 +558,7 @@ def compose(span: Span, sub_l: SubPTable, sub_r: SubPTable, predicate: PropertyP
             raise ValidationError("compose needs the full Sub_P tables of the span feet")
         images = [translate_subobject(Subobject(ends, edges), into.mapping) for edges, ends in family.items()]
         family = [(sub.edges, sub.vertices) for sub in images]
-        parts.append(_Table(into.image_vertices(), into.image_edges(), family, len(table.entries)))
+        parts.append(_Table(into.image_vertices(), into.image_edges(), family))
     part, _ = _compose_entries(parts[0], parts[1], predicate)
     pair_count = len(sub_l.entries) * len(sub_r.entries)
     return SubPTable(glued, predicate.name, _expand(part.family, range(glued.vertices)), pair_count)
@@ -690,9 +668,10 @@ def solve_on_decomposition(
     works in its canonical vertex numbering throughout. In post-order, every
     shape edge glues the child subtree's table onto the parent's accumulated
     table; forest shapes are folded per component and then glued in
-    component order. No table is expanded into its entries: sizes are
-    counted, and the witness is read off the edge sets. The result does not
-    depend on the chosen root.
+    component order. No table is expanded into its entries: the stats count
+    them, and the witness is read off the edge sets. A table holding more
+    than MAX_EDGE_SETS accepted edge sets raises TooLarge. The result does
+    not depend on the chosen root.
     """
     require_valid(d)
     if d.value_kind != GRAPH:
@@ -701,17 +680,16 @@ def solve_on_decomposition(
         raise NonTreeShape("solving folds over a tree: the shape must be acyclic")
     if not is_tame(d):
         raise NotTame("solving requires injective adhesion legs")
-    cap = brute_force_cap()
     for bag in d.bags:
-        if bag.vertices > cap:
+        if bag.vertices > BRUTE_CAP:
             raise TooLarge(
-                f"bag with {bag.vertices} vertices exceeds the brute-force cap {cap}"
+                f"bag with {bag.vertices} vertices exceeds the brute-force cap {BRUTE_CAP}"
             )
     glued, cocone = evaluate_colimit(d)
     assert all(leg.is_mono() for leg in cocone), "a tame tree embeds every bag in its colimit"
 
     if not d.bags:
-        family, _, made = _accepted_edge_sets([], 0, predicate)
+        family, made = _accepted_edge_sets([], predicate)
         stats = SolveStats((), (), (), (made, 0))
         witness = _best_in_family(family, 0, objective)
         value = objective.weight(witness) if witness is not None else None
@@ -722,22 +700,26 @@ def solve_on_decomposition(
     compositions = []
     calls = [0, 0]  # leaf, glue
 
-    def leaf(t) -> _Table:
+    def counted(table):
+        """(table, the entries it stands for), recorded in the stats."""
+        size = _entry_count(table.family, len(table.vertices))
+        table_sizes.append(size)
+        edge_sets.append(len(table.family))
+        return table, size
+
+    def leaf(t):
         mapping = cocone[t].mapping
         edge_list = [_normalize_edge(mapping[u], mapping[v]) for u, v in d.bags[t].edge_list()]
-        family, size, made = _accepted_edge_sets(edge_list, d.bags[t].vertices, predicate)
+        family, made = _accepted_edge_sets(edge_list, predicate)
         calls[0] += made
-        table_sizes.append(size)
-        edge_sets.append(len(family))
-        return _Table(cocone[t].image_vertices(), frozenset(edge_list), family, size)
+        return counted(_Table(cocone[t].image_vertices(), frozenset(edge_list), family))
 
-    def glue(left, right) -> _Table:
-        compositions.append((left.size, right.size))
+    def glue(left, right):
+        (left, left_size), (right, right_size) = left, right
+        compositions.append((left_size, right_size))
         part, made = _compose_entries(left, right, predicate)
         calls[1] += made
-        table_sizes.append(part.size)
-        edge_sets.append(len(part.family))
-        return part
+        return counted(part)
 
     shape_nbrs = d.shape.neighbor_sets()
     components = connected_components(d.shape)
@@ -746,7 +728,7 @@ def solve_on_decomposition(
             raise ValidationError(f"root {root} is not a shape vertex")
         components.sort(key=lambda comp: (root not in comp, comp))
 
-    def fold_component(component) -> _Table:
+    def fold_component(component):
         start = root if root is not None and root in component else component[0]
         # iterative post-order over the tree component
         order = []
@@ -759,7 +741,7 @@ def solve_on_decomposition(
                 if u not in parent:
                     parent[u] = v
                     stack.append(u)
-        state = {}  # shape vertex -> table of its folded subtree
+        state = {}  # shape vertex -> (table, entries) of its folded subtree
         for v in reversed(order):
             acc = leaf(v)
             for child in sorted(shape_nbrs[v]):
@@ -771,11 +753,12 @@ def solve_on_decomposition(
     acc = fold_component(components[0])
     for component in components[1:]:
         acc = glue(acc, fold_component(component))
+    family = acc[0].family
 
     stats = SolveStats(tuple(table_sizes), tuple(compositions), tuple(edge_sets), tuple(calls))
-    witness = _best_in_family(acc.family, glued.vertices, objective)
+    witness = _best_in_family(family, glued.vertices, objective)
     value = objective.weight(witness) if witness is not None else None
-    return SolveResult(value, witness, stats, glued, predicate.name, tuple(acc.family))
+    return SolveResult(value, witness, stats, glued, predicate.name, tuple(family))
 
 
 def _is_single_path(sub: Subobject) -> bool:

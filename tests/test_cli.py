@@ -437,7 +437,7 @@ def outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_one_verb_parser_answers_as_the_full_parser(capsys, monkeypatch, tmp_path, fixtures_dir):
+def test_table_parser_answers_as_the_full_parser(capsys, monkeypatch, tmp_path, fixtures_dir):
     cases, well_formed = [[], ["-h"], ["bogus"], ["SOLVE"]], []
     for verb in VERBS:
         valid = valid_call(verb, fixtures_dir, tmp_path)
@@ -448,25 +448,18 @@ def test_one_verb_parser_answers_as_the_full_parser(capsys, monkeypatch, tmp_pat
     capsys.readouterr()
     built = []
 
-    def recording_build_parser(verb=None):
-        built.append(verb)
-        return build_parser(verb)
-
-    def parsers_for(argvs):
-        return [argv[0] if argv and argv[0] in VERBS else None for argv in argvs]
+    def recording_build_parser():
+        built.append(True)
+        return build_parser()
 
     monkeypatch.setattr(cli, "build_parser", recording_build_parser)
     table = [outcome(capsys, argv) for argv in cases]
     # a well-formed line builds no parser at all
-    assert built == parsers_for([argv for argv in cases if argv not in well_formed])
-    built.clear()
+    assert len(built) == len([argv for argv in cases if argv not in well_formed])
     monkeypatch.setattr(cli, "_parse_from_table", lambda argv: None)
-    one_verb = [outcome(capsys, argv) for argv in cases]
-    assert built == parsers_for(cases)
-    monkeypatch.setattr(cli, "build_parser", lambda verb=None: build_parser())
     full = [outcome(capsys, argv) for argv in cases]
-    for argv, got, by_one_verb, expected in zip(cases, table, one_verb, full):
-        assert got == by_one_verb == expected, argv
+    for argv, got, expected in zip(cases, table, full):
+        assert got == expected, argv
     assert {code for code, _, _ in full} == {0, 2}
 
 
@@ -501,10 +494,9 @@ def test_table_parser_agrees_with_argparse_on_random_command_lines():
         if rng.random() < 0.05:  # a repeated flag
             argv += argv[1:3]
         args = cli._parse_from_table(argv)
-        verb = argv[0] if argv[0] in VERBS else None
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                expected = build_parser(verb).parse_args(argv)
+                expected = build_parser().parse_args(argv)
         except SystemExit:
             expected = None
         if args is not None:

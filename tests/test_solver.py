@@ -3,6 +3,8 @@ import itertools
 import json
 import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import networkx as nx
@@ -31,6 +33,7 @@ from sdkit import (
     complete_graph,
     compose,
     compose_optimize,
+    decomposition_to_json,
     enumerate_subp_bruteforce,
     evaluate_colimit,
     longest_path,
@@ -224,19 +227,6 @@ class TestBruteForce:
         with pytest.raises(TooLarge):
             enumerate_subp_bruteforce(Graph(11), PATHS)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SDKIT_MAX_BRUTE", "11")
-        assert len(enumerate_subp_bruteforce(Graph(11), PATHS).entries) == 2**11
-
-    def test_negative_env_cap_is_a_validation_error(self, monkeypatch, capsys, fixtures_dir):
-        from sdkit.cli import run
-
-        monkeypatch.setenv("SDKIT_MAX_BRUTE", "-1")
-        with pytest.raises(ValidationError):
-            enumerate_subp_bruteforce(K1, PATHS)
-        assert run(["solve", "-d", str(fixtures_dir / "bowtie.dec.json")]) == 2
-        assert "SDKIT_MAX_BRUTE" in json.loads(capsys.readouterr().out)["error"]
-
     def test_matches_all_pairs_on_every_graph_up_to_five_vertices(self):
         for n in range(6):
             for g in graphs_up_to_iso(n):
@@ -324,21 +314,45 @@ class TestLeafPredicateCalls:
 
 
 class TestTableCap:
-    # the bowtie's leaf tables (paths in K3) have 17 entries each; side by
-    # side they hold 32, and glued 156
+    """MAX_TABLE_ENTRIES bounds the tables that are built entry by entry.
+    The bowtie's leaf tables (paths in K3) have 17 entries each and the
+    glued table 156; the fold that solve runs builds none of them."""
+
     @pytest.mark.parametrize("cap", [16, 17, 155])
+    def test_a_table_past_the_cap_is_too_large(self, monkeypatch, cap):
+        from sdkit import solver
+
+        monkeypatch.setattr(solver, "MAX_TABLE_ENTRIES", cap)
+        if cap < 17:
+            with pytest.raises(TooLarge, match=str(cap)):
+                enumerate_subp_bruteforce(K3, PATHS)
+        else:
+            leaf = enumerate_subp_bruteforce(K3, PATHS)
+            with pytest.raises(TooLarge, match=str(cap)):
+                compose(bowtie_span(), leaf, leaf, PATHS)
+        result = solve_on_decomposition(two_bag_bowtie_decomposition(), PATHS, MAX_EDGES)
+        assert result.value == 4
+        with pytest.raises(TooLarge, match=str(cap)):
+            result.table
+
+    def test_a_table_at_the_cap_is_kept(self, monkeypatch):
+        from sdkit import solver
+
+        monkeypatch.setattr(solver, "MAX_TABLE_ENTRIES", 156)
+        result = solve_on_decomposition(two_bag_bowtie_decomposition(), PATHS, MAX_EDGES)
+        assert result.value == 4 and len(result.table.entries) == 156
+
+
+class TestEdgeSetCap:
+    """MAX_EDGE_SETS bounds every table of the fold. The bowtie's leaf
+    tables hold 7 accepted edge sets each and the glued table 40."""
+
+    @pytest.mark.parametrize("cap", [6, 39])
     def test_a_table_past_the_cap_is_too_large(self, monkeypatch, capsys, fixtures_dir, cap):
         from sdkit import solver
         from sdkit.cli import run
 
-        monkeypatch.setattr(solver, "MAX_TABLE_ENTRIES", cap)
-        if cap < 17:
-            with pytest.raises(TooLarge):
-                enumerate_subp_bruteforce(K3, PATHS)
-        else:
-            leaf = enumerate_subp_bruteforce(K3, PATHS)
-            with pytest.raises(TooLarge):
-                compose(bowtie_span(), leaf, leaf, PATHS)
+        monkeypatch.setattr(solver, "MAX_EDGE_SETS", cap)
         with pytest.raises(TooLarge):
             solve_on_decomposition(two_bag_bowtie_decomposition(), PATHS, MAX_EDGES)
         assert run(["solve", "-d", str(fixtures_dir / "bowtie.dec.json")]) == 3
@@ -347,9 +361,60 @@ class TestTableCap:
     def test_a_table_at_the_cap_is_kept(self, monkeypatch):
         from sdkit import solver
 
-        monkeypatch.setattr(solver, "MAX_TABLE_ENTRIES", 156)
+        monkeypatch.setattr(solver, "MAX_EDGE_SETS", 40)
         result = solve_on_decomposition(two_bag_bowtie_decomposition(), PATHS, MAX_EDGES)
-        assert result.value == 4 and len(result.table.entries) == 156
+        assert result.value == 4 and result.stats.edge_sets == (7, 7, 40)
+
+
+# The budget the caps are chosen for (README "Size caps"): a solve is
+# refused, or answered, within 5 s wall and 512 MiB peak RSS. The child runs
+# the CLI under an address-space limit on itself, and both bounds are twice
+# the budget, so that a slower machine passes and a missing cap does not.
+BUDGET_S, BUDGET_MIB = 5, 512
+CHILD = """
+import resource, sys
+from sdkit.cli import main
+limit = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+main()
+"""
+
+
+def one_bag(g):
+    return StructuredDecomposition(Graph(1), GRAPH, (g,), ())
+
+
+class TestCapsInAChildProcess:
+    """Every known worst input of a cap ends in its answer or in exit 3
+    within the budget."""
+
+    @pytest.mark.parametrize(
+        "d, prop, value",
+        [
+            # MAX_EDGE_SETS at a one-bag leaf: K8 under bipartite is the
+            # slowest, about 4.5 s for its first 2^18 accepted edge sets
+            pytest.param(one_bag(complete_graph(8)), "bipartite", None, id="K8-bipartite"),
+            pytest.param(one_bag(complete_graph(7)), "planar", None, id="K7-planar"),
+            pytest.param(one_bag(complete_graph(10)), "paths", None, id="K10-paths"),
+            # MAX_EDGE_SETS at a glue: ladder-7 paths holds 154,594 edge
+            # sets at most and is solved; bipartite holds all 2^19
+            pytest.param(ladder(7)[1], "paths", 13, id="ladder-7-paths"),
+            pytest.param(ladder(7)[1], "bipartite", None, id="ladder-7-bipartite"),
+            # BRUTE_CAP: a bag one vertex past it is refused before any work
+            pytest.param(one_bag(complete_graph(11)), "paths", None, id="K11-paths"),
+        ],
+    )
+    def test_ends_within_the_budget(self, tmp_path, d, prop, value):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(decomposition_to_json(d)))
+        argv = [str(2 * BUDGET_MIB << 20), "solve", "-d", str(path), "--property", prop]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True)
+        wall = time.perf_counter() - start
+        assert proc.returncode == (0 if value is not None else 3), proc.stderr
+        if value is not None:
+            assert json.loads(proc.stdout)["value"] == value
+        assert wall < 2 * BUDGET_S, wall
 
 
 class TestCompose:
