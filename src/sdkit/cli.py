@@ -341,72 +341,68 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-# Every verb with its handler and the flags it takes, in the order of
-# `sdkit -h`. graph and decomposition are "required" or "optional";
-# property is the --property default.
-VERBS = {
-    "colim": (_cmd_colim, {"decomposition": "required"}),
-    "check": (_cmd_check, {"graph": "optional", "decomposition": "optional"}),
-    "to-arrow": (_cmd_to_arrow, {"decomposition": "required"}),
-    "from-arrow": (_cmd_from_arrow, {"arrow": True}),
-    "restrict": (
-        _cmd_restrict,
-        {"decomposition": "required", "graph": "optional", "morphism": True},
-    ),
-    "chordal": (_cmd_chordal, {"graph": "required"}),
-    "clique-tree": (_cmd_clique_tree, {"graph": "required"}),
-    "treewidth": (_cmd_treewidth, {"graph": "required"}),
-    "co-treewidth": (_cmd_co_treewidth, {"graph": "required"}),
-    "layered-width": (
-        _cmd_layered_width,
-        {"graph": "required", "layering": True, "decomposition": "optional", "exact": True},
-    ),
-    "h-width": (_cmd_h_width, {"decomposition": "required", "property": "bipartite"}),
-    "solve": (
-        _cmd_solve,
-        {"graph": "optional", "decomposition": "required", "property": "paths", "objective": True},
-    ),
-    "bench": (_cmd_bench, {"bench_flags": True}),
-}
-
-
 # A flag is (option strings, dest, kind, default, required); kind is VALUE
 # (the next word), INT (the next word through int()) or SWITCH (store_true).
 VALUE, INT, SWITCH = "value", "int", "switch"
+NEEDS_GRAPH = (("-g", "--graph"), "graph", VALUE, None, True)
+OPTIONAL_GRAPH = (("-g", "--graph"), "graph", VALUE, None, False)
+NEEDS_DECOMPOSITION = (("-d", "--decomposition"), "decomposition", VALUE, None, True)
+OPTIONAL_DECOMPOSITION = (("-d", "--decomposition"), "decomposition", VALUE, None, False)
+OUTPUT = (("-o", "--output"), "output", VALUE, None, False)
 
 
-def _declare(needs) -> tuple:
-    """A verb's flags, in the order of its `VERB -h`."""
-    flags = []
-    if needs.get("graph"):
-        flags.append((("-g", "--graph"), "graph", VALUE, None, needs["graph"] == "required"))
-    if needs.get("decomposition"):
-        flags.append(
-            (("-d", "--decomposition"), "decomposition", VALUE, None, needs["decomposition"] == "required")
-        )
-    if needs.get("layering"):
-        flags.append((("-l", "--layering"), "layering", VALUE, None, False))
-    if needs.get("arrow"):
-        flags.append((("--arrow",), "arrow", VALUE, None, True))
-    if needs.get("morphism"):
-        flags.append((("--morphism",), "morphism", VALUE, None, False))
-    if needs.get("property"):
-        flags.append((("--property",), "property", VALUE, needs["property"], False))
-    if needs.get("objective"):
-        flags.append((("--objective",), "objective", VALUE, "max-edges", False))
-    if needs.get("exact"):
-        flags.append((("--exact",), "exact", SWITCH, False, False))
-    if needs.get("bench_flags"):
-        flags.append((("--config",), "config", VALUE, None, False))
-        flags.append((("--generate",), "generate", INT, 0, False))
-        flags.append((("--seed",), "seed", INT, 0, False))
-    flags.append((("-o", "--output"), "output", VALUE, None, False))
-    if needs.get("bench_flags"):  # bench's help lists --property after -o
-        flags.append((("--property",), "property", VALUE, None, False))
-    return tuple(flags)
+def _property(default):
+    return (("--property",), "property", VALUE, default, False)
 
 
-FLAGS = {name: _declare(needs) for name, (_, needs) in VERBS.items()}
+# Every verb with its handler and its flags, verbs in the order of `sdkit -h`
+# and flags in the order of `VERB -h`.
+VERBS = {
+    "colim": (_cmd_colim, (NEEDS_DECOMPOSITION, OUTPUT)),
+    "check": (_cmd_check, (OPTIONAL_GRAPH, OPTIONAL_DECOMPOSITION, OUTPUT)),
+    "to-arrow": (_cmd_to_arrow, (NEEDS_DECOMPOSITION, OUTPUT)),
+    "from-arrow": (_cmd_from_arrow, ((("--arrow",), "arrow", VALUE, None, True), OUTPUT)),
+    "restrict": (
+        _cmd_restrict,
+        (OPTIONAL_GRAPH, NEEDS_DECOMPOSITION, (("--morphism",), "morphism", VALUE, None, False), OUTPUT),
+    ),
+    "chordal": (_cmd_chordal, (NEEDS_GRAPH, OUTPUT)),
+    "clique-tree": (_cmd_clique_tree, (NEEDS_GRAPH, OUTPUT)),
+    "treewidth": (_cmd_treewidth, (NEEDS_GRAPH, OUTPUT)),
+    "co-treewidth": (_cmd_co_treewidth, (NEEDS_GRAPH, OUTPUT)),
+    "layered-width": (
+        _cmd_layered_width,
+        (
+            NEEDS_GRAPH,
+            OPTIONAL_DECOMPOSITION,
+            (("-l", "--layering"), "layering", VALUE, None, False),
+            (("--exact",), "exact", SWITCH, False, False),
+            OUTPUT,
+        ),
+    ),
+    "h-width": (_cmd_h_width, (NEEDS_DECOMPOSITION, _property("bipartite"), OUTPUT)),
+    "solve": (
+        _cmd_solve,
+        (
+            OPTIONAL_GRAPH,
+            NEEDS_DECOMPOSITION,
+            _property("paths"),
+            (("--objective",), "objective", VALUE, "max-edges", False),
+            OUTPUT,
+        ),
+    ),
+    "bench": (
+        _cmd_bench,
+        (
+            (("--config",), "config", VALUE, None, False),
+            (("--generate",), "generate", INT, 0, False),
+            (("--seed",), "seed", INT, 0, False),
+            OUTPUT,
+            _property(None),  # bench's help lists --property after -o
+        ),
+    ),
+}
+FLAGS = {name: flags for name, (_, flags) in VERBS.items()}
 # per verb: every option string -> its flag
 _OPTIONS = {name: {option: flag for flag in flags for option in flag[0]} for name, flags in FLAGS.items()}
 

@@ -214,10 +214,6 @@ class GraphMorphism:
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
-    @property
-    def vertex_map(self) -> SetFunction:
-        return SetFunction(FinSet(self.dom.vertices), FinSet(self.cod.vertices), self.mapping)
-
     @classmethod
     def identity(cls, g: Graph) -> "GraphMorphism":
         return cls(g, g, tuple(range(g.vertices)))
@@ -232,14 +228,6 @@ class GraphMorphism:
 
     def image_vertices(self) -> frozenset:
         return frozenset(self.mapping)
-
-    def image_edges(self) -> frozenset:
-        out = set()
-        for u, v in self.dom.edges:
-            fu, fv = self.mapping[u], self.mapping[v]
-            if fu != fv:
-                out.add(_normalize_edge(fu, fv))
-        return frozenset(out)
 
 
 Morphism = Union[SetFunction, GraphMorphism]

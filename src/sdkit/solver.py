@@ -9,14 +9,15 @@ a union of accepted edge sets is kept when the predicate accepts it. Only
 pairs that agree on the edges the two ambients share need trying, because
 an accepted union restricts to an accepted edge set of each (full,
 subgraph-closed) table and both restrictions share one trace on the shared
-edges. `compose` glues the tables over the feet of a monic span inside its
-pushout; `solve_on_decomposition` enumerates every bag's accepted edge sets
+edges. `solve_on_decomposition` enumerates every bag's accepted edge sets
 on its image in the colimit of a tame tree-shaped decomposition, where
-every partial colimit embeds, and glues them there in post-order.
-`_compose_entries` does every glue. An Objective weighs a subobject by its
-vertex or edge count, so the best entry, ties broken by the smallest
-encoding, is read off the edge sets; the full table of a solve is built
-only when SolveResult.table is read.
+every partial colimit embeds, and glues them there in post-order with
+`_compose_entries`. `compose` takes the Sub_P tables of the feet of a monic
+span, as `enumerate_subp_bruteforce` builds them, and runs that fold on the
+span's one-edge decomposition, whose colimit is the pushout. An Objective
+weighs a subobject by its vertex or edge count, so the best entry, ties
+broken by the smallest encoding, is read off the edge sets; the full table
+of a solve is built only when SolveResult.table is read.
 
 Three caps raise TooLarge, each on what it protects: BRUTE_CAP on the
 vertices of a bag, MAX_EDGE_SETS on the accepted edge sets any table of the
@@ -39,9 +40,9 @@ from .core import (
     _normalize_edge,
     connected_components,
     is_forest,
-    pushout,
 )
 from .decomposition import (
+    Adhesion,
     GRAPH,
     StructuredDecomposition,
     evaluate_colimit,
@@ -391,10 +392,6 @@ def _too_many_edge_sets() -> TooLarge:
     return TooLarge(f"a Sub_P table grew past {MAX_EDGE_SETS} accepted edge sets")
 
 
-def _ends(edges) -> frozenset:
-    return frozenset(v for edge in edges for v in edge)
-
-
 def _entry_count(family, n: int) -> int:
     """The entries a family of (edge set, ends) stands for over n vertices:
     2^(n - |ends|) per edge set."""
@@ -531,16 +528,15 @@ def _compose_entries(left: _Table, right: _Table, predicate: PropertyPredicate) 
 
 
 def compose(span: Span, sub_l: SubPTable, sub_r: SubPTable, predicate: PropertyPredicate):
-    """Table over the pushout of a monic span from the full tables over its
-    feet.
+    """Table over the pushout of a monic span from the Sub_P tables over its
+    feet, as enumerate_subp_bruteforce builds them; any other table is
+    rejected.
 
-    The tables must be full, as enumerate_subp_bruteforce and compose build
-    them: every accepted edge set appears with every vertex set that holds
-    its ends, and with its trace on the apex. Other tables are rejected. The
-    accepted edge sets of both are pushed into the pushout along its cocone
-    (injective by adhesivity) and glued there. op_counter counts
-    |sub_l| * |sub_r| pair compositions, although only the edge sets that
-    agree on the image of the apex are glued.
+    A span is the decomposition whose shape is one edge, and its pushout is
+    that decomposition's colimit, so the table is the fold's
+    (solve_on_decomposition) over it, in the pushout's numbering. op_counter
+    counts |sub_l| * |sub_r| pair compositions, although only the edge sets
+    that agree on the image of the apex are glued.
     """
     if not span.is_monic():
         raise NonMonicSpan("table composition requires a monic span")
@@ -548,20 +544,12 @@ def compose(span: Span, sub_l: SubPTable, sub_r: SubPTable, predicate: PropertyP
         raise ValidationError("tables do not match the span feet")
     if sub_l.predicate_name != predicate.name or sub_r.predicate_name != predicate.name:
         raise ValidationError("tables were built for a different predicate")
-    glued, cocone = pushout(span)
-    parts = []
-    for table, leg, into in ((sub_l, span.left, cocone.left), (sub_r, span.right, cocone.right)):
-        family = {sub.edges: _ends(sub.edges) for sub in table.entries}
-        shared = leg.image_edges()
-        full = table.entries == _expand(family.items(), range(table.ambient.vertices))
-        if not full or any(edges & shared not in family for edges in family):
+    for table in (sub_l, sub_r):
+        if table != enumerate_subp_bruteforce(table.ambient, predicate):
             raise ValidationError("compose needs the full Sub_P tables of the span feet")
-        images = [translate_subobject(Subobject(ends, edges), into.mapping) for edges, ends in family.items()]
-        family = [(sub.edges, sub.vertices) for sub in images]
-        parts.append(_Table(into.image_vertices(), into.image_edges(), family))
-    part, _ = _compose_entries(parts[0], parts[1], predicate)
-    pair_count = len(sub_l.entries) * len(sub_r.entries)
-    return SubPTable(glued, predicate.name, _expand(part.family, range(glued.vertices)), pair_count)
+    feet = (span.left.cod, span.right.cod)
+    d = StructuredDecomposition(Graph(2, [(0, 1)]), GRAPH, feet, (Adhesion((0, 1), span),))
+    return solve_on_decomposition(d, predicate, MAX_EDGES).table
 
 
 def compose_optimize(

@@ -341,6 +341,11 @@ def _min_elimination_cost(nbrs: list, cost, lower: int, upper: int) -> int:
     return best
 
 
+def _require_treewidth_cap(g: Graph) -> None:
+    if g.vertices > TREEWIDTH_CAP:
+        raise TooLarge(f"exact tree-width is limited to {TREEWIDTH_CAP} vertices")
+
+
 def treewidth_exact(g: Graph) -> int:
     """Exact tree-width by elimination-ordering search, capped at TREEWIDTH_CAP
     vertices.
@@ -349,17 +354,18 @@ def treewidth_exact(g: Graph) -> int:
     elimination-order search, which costs a bag by its size minus one and
     eliminates simplicial vertices outright.
     """
-    if g.vertices > TREEWIDTH_CAP:
-        raise TooLarge(f"exact tree-width is limited to {TREEWIDTH_CAP} vertices")
+    _require_treewidth_cap(g)
     nbrs = [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
     lower, upper = _degeneracy(nbrs), _min_fill_width(nbrs)
     return _min_elimination_cost(nbrs, lambda bag: bag.bit_count() - 1, lower, upper)
 
 
 def complemented_treewidth(g: Graph) -> int:
-    """Tree-width of the complement graph."""
+    """Tree-width of the complement graph. The cap is checked first: the
+    complement of a large graph costs quadratic time and memory to build."""
     from .core import complement
 
+    _require_treewidth_cap(g)
     return treewidth_exact(complement(g))
 
 

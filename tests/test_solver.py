@@ -453,6 +453,23 @@ class TestCompose:
         with pytest.raises(ValidationError):
             compose(bowtie_span(), gap, full, PATHS)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("kept", ["every subobject", "no edge"])
+    def test_table_that_is_not_the_sub_p_table_is_rejected(self, kept, side):
+        # every subobject of K3, the triangle included, is a full table for
+        # a predicate that accepts everything; the entries with no edge are
+        # full for one that accepts no edge. Neither is the table of paths.
+        full = enumerate_subp_bruteforce(K3, PATHS)
+        if kept == "every subobject":
+            entries = frozenset(all_subobjects(K3))
+            assert len(entries) == 18
+        else:
+            entries = frozenset(sub for sub in full.entries if not sub.edges)
+        table = SubPTable(K3, PATHS.name, entries)
+        tables = (table, full) if side == "left" else (full, table)
+        with pytest.raises(ValidationError, match="full Sub_P tables"):
+            compose(bowtie_span(), *tables, PATHS)
+
     def test_degenerate_identity_span(self):
         span = Span(GraphMorphism.identity(K1), GraphMorphism.identity(K1))
         base = enumerate_subp_bruteforce(K1, PATHS)

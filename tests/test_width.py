@@ -55,6 +55,7 @@ from sdkit.core import is_json_int
 from sdkit.decomposition import Adhesion
 from sdkit.width import (
     LAYERED_CAP,
+    TREEWIDTH_CAP,
     _clique_number,
     _degeneracy,
     _level_functions,
@@ -545,6 +546,14 @@ class TestComplementedTreewidth:
 
     def test_five_cycle(self):
         assert complemented_treewidth(cycle(5)) == 2
+
+    def test_cap_is_checked_before_the_complement_is_built(self, monkeypatch):
+        def fail(g):
+            raise AssertionError("complement built past the cap")
+
+        monkeypatch.setattr("sdkit.core.complement", fail)
+        with pytest.raises(TooLarge, match=f"limited to {TREEWIDTH_CAP} vertices"):
+            complemented_treewidth(Graph(TREEWIDTH_CAP + 1))
 
 
 class TestCompletionYieldsDecomposition:
