@@ -37,6 +37,7 @@ from .solver import (
     objective_by_name,
     predicate_by_name,
     solve_on_decomposition,
+    solve_on_graph,
 )
 from .width import (
     Layering,
@@ -46,7 +47,6 @@ from .width import (
     layered_treewidth_exact,
     layered_width,
     peo,
-    tree_decomposition_reading,
     treewidth_exact,
     width,
 )
@@ -221,14 +221,10 @@ def _cmd_solve(args) -> int:
     d = _load_decomposition(args.decomposition)
     predicate = predicate_by_name(args.property)
     objective = objective_by_name(args.objective)
-    translate = None
     if args.graph:
-        g = _load_graph(args.graph)
-        reading = tree_decomposition_reading(g, d)
-        if reading is None:
-            raise ValidationError("the decomposition is not a tree decomposition of the graph")
-        translate = reading[1]
-    result = solve_on_decomposition(d, predicate, objective)
+        result, translate = solve_on_graph(_load_graph(args.graph), d, predicate, objective)
+    else:
+        result, translate = solve_on_decomposition(d, predicate, objective), None
     witness = result.witness
     if witness is not None and translate is not None:
         witness = translate_subobject(witness, translate)
@@ -319,7 +315,6 @@ def _cmd_bench(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(BENCH_HEADER)
     for name, d in instances:
-        glued, _ = evaluate_colimit(d)
         for pred_name in predicates:
             predicate = predicate_by_name(pred_name)
             started = time.perf_counter()
@@ -328,8 +323,8 @@ def _cmd_bench(args) -> int:
             writer.writerow(
                 [
                     name,
-                    glued.vertices,
-                    len(glued.edges),
+                    result.ambient.vertices,
+                    len(result.ambient.edges),
                     width(d),
                     pred_name,
                     result.value,

@@ -2,9 +2,12 @@
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
-Colimits are computed by union-find on the disjoint union of the diagram's
-objects and renumbered canonically (classes sorted by their smallest
-(object index, element) member) so outputs are bit-stable across runs.
+SetFunction and GraphMorphism share one map body (_Map): lookup, identity,
+composition in diagram order and monicity are written once for both
+categories, and each class adds only its own checks. Colimits are computed
+by union-find on the disjoint union of the diagram's objects and renumbered
+canonically (classes sorted by their smallest (object index, element)
+member) so outputs are bit-stable across runs.
 """
 from __future__ import annotations
 
@@ -33,10 +36,6 @@ class FinSet:
         if self.size < 0:
             raise ValidationError(f"finite set size must be >= 0, got {self.size}")
 
-    @property
-    def elements(self) -> range:
-        return range(self.size)
-
     def to_json(self) -> dict:
         return {"size": self.size}
 
@@ -48,15 +47,43 @@ class FinSet:
 
 
 @dataclass(frozen=True)
-class SetFunction:
-    """A total function between finite sets, stored as a lookup tuple."""
+class _Map:
+    """The body of a map in either category: a lookup tuple from dom's
+    elements (or vertices) to cod's. Subclasses add their own checks."""
 
-    dom: FinSet
-    cod: FinSet
+    dom: object
+    cod: object
     mapping: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", tuple(self.mapping))
+
+    def __call__(self, x: int) -> int:
+        return self.mapping[x]
+
+    @classmethod
+    def identity(cls, obj):
+        return cls(obj, obj, tuple(range(object_size(obj))))
+
+    def then(self, other):
+        """Composition in diagram order: (f.then(g))(x) = g(f(x))."""
+        if self.cod != other.dom:
+            raise CodomainMismatch("cannot compose: codomain differs from domain")
+        return type(self)(self.dom, other.cod, tuple(other.mapping[y] for y in self.mapping))
+
+    def is_mono(self) -> bool:
+        return len(set(self.mapping)) == len(self.mapping)
+
+
+@dataclass(frozen=True)
+class SetFunction(_Map):
+    """A total function between finite sets, stored as a lookup tuple."""
+
+    dom: FinSet
+    cod: FinSet
+
+    def __post_init__(self):
+        super().__post_init__()
         if len(self.mapping) != self.dom.size:
             raise ValidationError(
                 f"mapping has {len(self.mapping)} entries for a domain of size {self.dom.size}"
@@ -66,25 +93,6 @@ class SetFunction:
                 raise ValidationError(
                     f"mapping sends {x} to {y!r}, outside codomain 0..{self.cod.size - 1}"
                 )
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
-    @classmethod
-    def identity(cls, obj: FinSet) -> "SetFunction":
-        return cls(obj, obj, tuple(range(obj.size)))
-
-    def then(self, other: "SetFunction") -> "SetFunction":
-        """Composition in diagram order: (f.then(g))(x) = g(f(x))."""
-        if self.cod != other.dom:
-            raise CodomainMismatch("cannot compose: codomain differs from domain")
-        return SetFunction(self.dom, other.cod, tuple(other.mapping[y] for y in self.mapping))
-
-    def is_mono(self) -> bool:
-        return len(set(self.mapping)) == len(self.mapping)
-
-    def image(self) -> frozenset:
-        return frozenset(self.mapping)
 
     def to_json(self) -> dict:
         return {"dom": self.dom.size, "cod": self.cod.size, "map": list(self.mapping)}
@@ -186,15 +194,14 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class GraphMorphism:
+class GraphMorphism(_Map):
     """A vertex map preserving edges (an edge may collapse onto a vertex)."""
 
     dom: Graph
     cod: Graph
-    mapping: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(self.mapping))
+        super().__post_init__()
         if len(self.mapping) != self.dom.vertices:
             raise ValidationError(
                 f"vertex map has {len(self.mapping)} entries for {self.dom.vertices} vertices"
@@ -210,21 +217,6 @@ class GraphMorphism:
                 raise ValidationError(
                     f"edge ({u},{v}) maps to non-edge ({fu},{fv}) of the codomain"
                 )
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
-    @classmethod
-    def identity(cls, g: Graph) -> "GraphMorphism":
-        return cls(g, g, tuple(range(g.vertices)))
-
-    def then(self, other: "GraphMorphism") -> "GraphMorphism":
-        if self.cod != other.dom:
-            raise CodomainMismatch("cannot compose: codomain differs from domain")
-        return GraphMorphism(self.dom, other.cod, tuple(other.mapping[y] for y in self.mapping))
-
-    def is_mono(self) -> bool:
-        return len(set(self.mapping)) == len(self.mapping)
 
     def image_vertices(self) -> frozenset:
         return frozenset(self.mapping)
@@ -332,7 +324,6 @@ def colimit(d: Diagram):
     """
     if not d.objects:
         raise IllFormedDiagram("colimit of an empty diagram has no canonical object here")
-    is_graph = isinstance(d.objects[0], Graph)
     elements = [
         (i, x) for i, obj in enumerate(d.objects) for x in range(object_size(obj))
     ]
@@ -343,24 +334,20 @@ def colimit(d: Diagram):
     reps = sorted({uf.find(e) for e in elements})
     index = {rep: i for i, rep in enumerate(reps)}
     classof = {e: index[uf.find(e)] for e in elements}
-    if is_graph:
+    if isinstance(d.objects[0], Graph):
         edges = set()
         for i, obj in enumerate(d.objects):
             for u, v in obj.edges:
                 cu, cv = classof[(i, u)], classof[(i, v)]
                 if cu != cv:
                     edges.add(_normalize_edge(cu, cv))
-        result = Graph(len(reps), edges)
-        cocone = tuple(
-            GraphMorphism(obj, result, tuple(classof[(i, x)] for x in range(obj.vertices)))
-            for i, obj in enumerate(d.objects)
-        )
+        result, leg = Graph(len(reps), edges), GraphMorphism
     else:
-        result = FinSet(len(reps))
-        cocone = tuple(
-            SetFunction(obj, result, tuple(classof[(i, x)] for x in range(obj.size)))
-            for i, obj in enumerate(d.objects)
-        )
+        result, leg = FinSet(len(reps)), SetFunction
+    cocone = tuple(
+        leg(obj, result, tuple(classof[(i, x)] for x in range(object_size(obj))))
+        for i, obj in enumerate(d.objects)
+    )
     return result, cocone
 
 
@@ -395,13 +382,12 @@ def pullback(c: Cospan):
             if f.dom.has_edge(a, a2) and g.dom.has_edge(b, b2):
                 edges.add(_normalize_edge(index[(a, b)], index[(a2, b2)]))
         obj = Graph(len(pairs), edges)
-        left = GraphMorphism(obj, f.dom, tuple(p[0] for p in pairs))
-        right = GraphMorphism(obj, g.dom, tuple(p[1] for p in pairs))
     else:
         obj = FinSet(len(pairs))
-        left = SetFunction(obj, f.dom, tuple(p[0] for p in pairs))
-        right = SetFunction(obj, g.dom, tuple(p[1] for p in pairs))
-    return obj, Span(left, right)
+    leg = type(f)
+    return obj, Span(
+        leg(obj, f.dom, tuple(a for a, _ in pairs)), leg(obj, g.dom, tuple(b for _, b in pairs))
+    )
 
 
 def complete_graph(n_or_set) -> Graph:

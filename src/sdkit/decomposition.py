@@ -172,6 +172,15 @@ def map_decomposition(phi: ValueFunctor, d: StructuredDecomposition) -> Structur
     return StructuredDecomposition(d.shape, phi.target_kind, bags, adhesions)
 
 
+def _set_adhesion(edge, pairs, bag_u: FinSet, bag_v: FinSet) -> Adhesion:
+    """The finite-set adhesion at edge with one apex element per (left,
+    right) pair of leg images, numbered in sorted pair order."""
+    pairs = sorted(pairs)
+    apex = FinSet(len(pairs))
+    left = SetFunction(apex, bag_u, tuple(x for x, _ in pairs))
+    return Adhesion(edge, Span(left, SetFunction(apex, bag_v, tuple(y for _, y in pairs))))
+
+
 def canonical_form(d: StructuredDecomposition) -> StructuredDecomposition:
     """Renumber each adhesion apex so its leg-image pairs come out sorted.
 
@@ -180,15 +189,8 @@ def canonical_form(d: StructuredDecomposition) -> StructuredDecomposition:
     """
     if d.value_kind != FINSET:
         raise NonFinSetValued("canonical form is defined for finite-set-valued input")
-    adhesions = []
-    for a in d.adhesions:
-        pairs = sorted(
-            (a.span.left(g), a.span.right(g)) for g in range(a.span.apex.size)
-        )
-        apex = FinSet(len(pairs))
-        left = SetFunction(apex, a.span.left.cod, tuple(p[0] for p in pairs))
-        right = SetFunction(apex, a.span.right.cod, tuple(p[1] for p in pairs))
-        adhesions.append(Adhesion(a.edge, Span(left, right)))
+    legs = [(a.edge, a.span.left, a.span.right) for a in d.adhesions]
+    adhesions = [_set_adhesion(e, zip(f.mapping, g.mapping), f.cod, g.cod) for e, f, g in legs]
     return StructuredDecomposition(d.shape, d.value_kind, d.bags, adhesions)
 
 
@@ -242,7 +244,6 @@ def from_arrow(a: ArrowPresentation) -> StructuredDecomposition:
         for i, p in enumerate(sorted(fiber)):
             rank[p] = i
     bags = tuple(FinSet(len(fiber)) for fiber in fibers)
-    adhesions = []
     edge_pairs = {e: [] for e in a.base.edges}
     for p, q in a.total.edges:
         pu, qv = proj(p), proj(q)
@@ -252,12 +253,9 @@ def from_arrow(a: ArrowPresentation) -> StructuredDecomposition:
             p, q = q, p
             pu, qv = qv, pu
         edge_pairs[(pu, qv)].append((rank[p], rank[q]))
-    for (u, v), pairs in edge_pairs.items():
-        pairs.sort()
-        apex = FinSet(len(pairs))
-        left = SetFunction(apex, bags[u], tuple(x for x, _ in pairs))
-        right = SetFunction(apex, bags[v], tuple(y for _, y in pairs))
-        adhesions.append(Adhesion((u, v), Span(left, right)))
+    adhesions = [
+        _set_adhesion((u, v), pairs, bags[u], bags[v]) for (u, v), pairs in edge_pairs.items()
+    ]
     return StructuredDecomposition(a.base, FINSET, bags, adhesions)
 
 

@@ -756,22 +756,30 @@ def _is_single_path(sub: Subobject) -> bool:
 
 
 def _longest_single_path(result: SolveResult):
-    """The best single path of the full table by MAX_EDGES: one with edges
-    is its edge set on the ends, the others are single vertices."""
-    paths = [Subobject(ends, edges) for edges, ends in result.family if _is_single_path(Subobject(ends, edges))]
+    """The best single path of the full PATHS table by MAX_EDGES. Every
+    accepted edge set is a linear forest, so it is one path exactly when it
+    has one edge fewer than its ends; the others are single vertices."""
+    paths = [
+        Subobject(ends, edges) for edges, ends in result.family if len(edges) == len(ends) - 1
+    ]
     if result.family:
         paths += [Subobject(frozenset({v}), frozenset()) for v in range(result.ambient.vertices)]
     return _best(paths, MAX_EDGES)
 
 
-def _solve_named(g, d, predicate, labeling, pick=lambda result: result.witness):
+def solve_on_graph(g: Graph, d: StructuredDecomposition, predicate, objective, labeling=None):
+    """(result, colim_to_g): d solved as a tree decomposition of g, and the
+    bijection from its colimit's vertices onto g's that translates a witness
+    (see tree_decomposition_reading). Raises NotATreeDecomposition when d
+    does not glue to g."""
     reading = tree_decomposition_reading(g, d, labeling)
     if reading is None:
-        raise NotATreeDecomposition(
-            "the decomposition is not a tree decomposition of the graph"
-        )
-    _, colim_to_g = reading
-    result = solve_on_decomposition(d, predicate, MAX_EDGES)
+        raise NotATreeDecomposition("the decomposition is not a tree decomposition of the graph")
+    return solve_on_decomposition(d, predicate, objective), reading[1]
+
+
+def _solve_named(g, d, predicate, labeling, pick=lambda result: result.witness):
+    result, colim_to_g = solve_on_graph(g, d, predicate, MAX_EDGES, labeling)
     best = pick(result)
     if best is None:
         return 0, EMPTY_SUBOBJECT, result.stats

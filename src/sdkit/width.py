@@ -25,8 +25,6 @@ from .core import (
     FinSet,
     Graph,
     GraphMorphism,
-    SetFunction,
-    Span,
     _UnionFind,
     is_json_int,
     find_isomorphism,
@@ -35,11 +33,11 @@ from .core import (
     ISO_VERTEX_CAP,
 )
 from .decomposition import (
-    Adhesion,
     COMPLETE,
     FINSET,
     GRAPH,
     StructuredDecomposition,
+    _set_adhesion,
     evaluate_colimit,
     is_tame,
     map_decomposition,
@@ -166,11 +164,8 @@ def decomposition_from_chordal(h: Graph) -> StructuredDecomposition:
     index = [{v: i for i, v in enumerate(c)} for c in cliques]
     adhesions = []
     for u, v in sorted(shape.edges):
-        shared = sorted(set(cliques[u]) & set(cliques[v]))
-        apex = FinSet(len(shared))
-        left = SetFunction(apex, bags[u], tuple(index[u][w] for w in shared))
-        right = SetFunction(apex, bags[v], tuple(index[v][w] for w in shared))
-        adhesions.append(Adhesion((u, v), Span(left, right)))
+        pairs = [(index[u][w], index[v][w]) for w in set(cliques[u]) & set(cliques[v])]
+        adhesions.append(_set_adhesion((u, v), pairs, bags[u], bags[v]))
     return StructuredDecomposition(shape, FINSET, bags, adhesions)
 
 

@@ -248,6 +248,15 @@ class TestErrorHandling:
         assert code == 3
         assert "supply a labeling" in json.loads(out)["error"]
 
+    def test_solve_against_a_graph_the_decomposition_does_not_glue_to(self, capsys, fixtures_dir):
+        code, out = invoke(
+            capsys, "solve", "-g", fx(fixtures_dir, "k5.json"), "-d", fx(fixtures_dir, "bowtie.dec.json")
+        )
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "the decomposition is not a tree decomposition of the graph"
+        }
+
     def test_unknown_flag_rejected(self, fixtures_dir):
         with pytest.raises(SystemExit) as excinfo:
             run(["treewidth", "-g", fx(fixtures_dir, "k5.json"), "--bogus"])

@@ -116,6 +116,17 @@ class TestGraphBasics:
                 bad()
 
 
+class TestComposition:
+    def test_then_raises_on_a_codomain_that_is_not_the_next_domain(self):
+        cases = (
+            (SetFunction(FinSet(1), FinSet(2), (1,)), SetFunction.identity(FinSet(3))),
+            (GraphMorphism(K1, K2, (0,)), GraphMorphism.identity(K3)),
+        )
+        for first, second in cases:
+            with pytest.raises(CodomainMismatch, match="codomain differs from domain"):
+                first.then(second)
+
+
 class TestPushout:
     def test_two_triangles_over_a_vertex(self):
         span = Span(GraphMorphism(K1, K3, (1,)), GraphMorphism(K1, K3, (0,)))
@@ -238,6 +249,16 @@ class TestPullback:
     def test_codomain_mismatch(self):
         with pytest.raises(CodomainMismatch):
             Cospan(GraphMorphism(K1, K2, (0,)), GraphMorphism(K1, K3, (0,)))
+
+    def test_set_functions_pair_the_elements_that_agree_in_the_apex(self):
+        f = SetFunction(FinSet(4), FinSet(3), (0, 2, 2, 1))
+        g = SetFunction(FinSet(3), FinSet(3), (2, 0, 2))
+        p, span = pullback(Cospan(f, g))
+        pairs = [(a, b) for a in range(4) for b in range(3) if f(a) == g(b)]
+        assert p == FinSet(len(pairs))
+        assert isinstance(span.left, SetFunction) and isinstance(span.right, SetFunction)
+        assert list(zip(span.left.mapping, span.right.mapping)) == pairs
+        assert span.left.then(f) == span.right.then(g)
 
     def test_pullback_of_mono_is_mono(self):
         rng = random.Random(3)

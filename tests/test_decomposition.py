@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from sdkit import (
     Adhesion,
+    ArrowPresentation,
     COMPLETE,
     CodomainMismatch,
     DISCRETE,
@@ -205,6 +207,17 @@ class TestArrowPresentation:
         with pytest.raises(NonFinSetValued):
             to_arrow(d)
 
+    def test_edge_against_base_order_is_read_forwards_and_fiber_edges_ignored(self):
+        # total edge (0, 2) runs from fiber 1 to fiber 0; (1, 2) lies in fiber 0
+        base = Graph(2, [(0, 1)])
+        total = Graph(4, [(0, 2), (1, 3), (1, 2)])
+        arrow = ArrowPresentation(total, base, GraphMorphism(total, base, (1, 0, 0, 1)))
+        bags = (FinSet(2), FinSet(2))
+        expected = StructuredDecomposition(
+            base, FINSET, bags, (fs_adhesion((0, 1), [(0, 1), (1, 0)], bags[0], bags[1]),)
+        )
+        assert from_arrow(arrow) == expected
+
 
 class TestMorphisms:
     def test_identity_morphism_checks(self, five_bag_tree, completion_dh):
@@ -247,6 +260,81 @@ class TestMorphisms:
             (SetFunction.identity(FinSet(1)), SetFunction.identity(FinSet(1))),
             (SetFunction.identity(FinSet(1)),),
         )
+        assert not check_morphism(m)
+
+
+def unchecked_shape_map(dom, cod, mapping):
+    """A vertex map between shapes built without GraphMorphism's checks, so
+    it can send a shape edge onto a non-edge."""
+    f = object.__new__(GraphMorphism)
+    for name, value in (("dom", dom), ("cod", cod), ("mapping", tuple(mapping))):
+        object.__setattr__(f, name, value)
+    return f
+
+
+class TestCheckMorphismRejects:
+    """Each way check_morphism can answer False, one at a time, starting
+    from a morphism it accepts."""
+
+    @pytest.fixture
+    def path3(self):
+        bags = (FinSet(1), FinSet(1), FinSet(1))
+        adhesions = (
+            fs_adhesion((0, 1), [(0, 0)], bags[0], bags[1]),
+            fs_adhesion((1, 2), [(0, 0)], bags[1], bags[2]),
+        )
+        return StructuredDecomposition(Graph(3, [(0, 1), (1, 2)]), FINSET, bags, adhesions)
+
+    def test_the_starting_morphism_is_accepted(self, path3):
+        assert check_morphism(identity_morphism(path3))
+
+    def test_invalid_domain_or_codomain(self, path3):
+        m = identity_morphism(path3)
+        invalid = StructuredDecomposition(path3.shape, FINSET, path3.bags, path3.adhesions[:1])
+        assert validate(invalid)
+        assert not check_morphism(replace(m, dom=invalid))
+        assert not check_morphism(replace(m, cod=invalid))
+
+    def test_shape_map_between_other_shapes(self, path3):
+        m = identity_morphism(path3)
+        other = GraphMorphism.identity(Graph(3))
+        assert not check_morphism(replace(m, shape_map=other))
+
+    def test_missing_vertex_component(self, path3):
+        m = identity_morphism(path3)
+        assert not check_morphism(replace(m, vertex_components=m.vertex_components[:2]))
+
+    def test_missing_edge_component(self, path3):
+        m = identity_morphism(path3)
+        assert not check_morphism(replace(m, edge_components=m.edge_components[:1]))
+
+    def test_vertex_component_between_other_bags(self, path3):
+        m = identity_morphism(path3)
+        wrong = SetFunction(FinSet(1), FinSet(2), (0,))
+        components = (wrong,) + m.vertex_components[1:]
+        assert not check_morphism(replace(m, vertex_components=components))
+
+    def test_shape_edge_sent_to_a_non_edge(self, path3):
+        # (0, 1) goes to (0, 2), which has no adhesion in the codomain
+        m = identity_morphism(path3)
+        f = unchecked_shape_map(path3.shape, path3.shape, (0, 2, 1))
+        assert not check_morphism(replace(m, shape_map=f))
+
+    def test_edge_component_between_other_apexes(self, path3):
+        m = identity_morphism(path3)
+        wrong = SetFunction(FinSet(1), FinSet(2), (1,))
+        components = (wrong,) + m.edge_components[1:]
+        assert not check_morphism(replace(m, edge_components=components))
+
+    def test_target_side_square_fails(self):
+        # the source-side square commutes; swapping bag 1 breaks the other
+        bags = (FinSet(2), FinSet(2))
+        d = StructuredDecomposition(
+            Graph(2, [(0, 1)]), FINSET, bags, (fs_adhesion((0, 1), [(0, 0)], bags[0], bags[1]),)
+        )
+        m = identity_morphism(d)
+        swap = SetFunction(bags[1], bags[1], (1, 0))
+        m = replace(m, vertex_components=(m.vertex_components[0], swap))
         assert not check_morphism(m)
 
 
