@@ -14,10 +14,13 @@ on its image in the colimit of a tame tree-shaped decomposition, where
 every partial colimit embeds, and glues them there in post-order with
 `_compose_entries`. `compose` takes the Sub_P tables of the feet of a monic
 span, as `enumerate_subp_bruteforce` builds them, and runs that fold on the
-span's one-edge decomposition, whose colimit is the pushout. An Objective
-weighs a subobject by its vertex or edge count, so the best entry, ties
-broken by the smallest encoding, is read off the edge sets; the full table
-of a solve is built only when SolveResult.table is read.
+span's one-edge decomposition, whose colimit is the pushout. The glue asks
+paths and bipartite once per key of the shared-edge trace and the two
+sides' boundary summaries on the shared vertices (decided_at_boundary), and
+planar once per pair. An Objective weighs a subobject by its vertex or edge
+count, so the best entry, ties broken by the smallest encoding, is read off
+the edge sets; the full table of a solve is built only when SolveResult.table
+is read.
 
 Three caps raise TooLarge, each on what it protects: BRUTE_CAP on the
 vertices of a bag, MAX_EDGE_SETS on the accepted edge sets any table of the
@@ -66,7 +69,8 @@ BRUTE_CAP = 10
 # Most accepted edge sets one table of the fold may hold, leaf or glued: the
 # largest power of two at which every known worst input (README "Size caps")
 # is refused or answered within 5 s wall and 512 MiB peak RSS. A held set
-# costs about 17-18 us and 1.2 KB.
+# costs about 1.2 KB, and 17-18 us in a leaf (about 9 us in a paths or
+# bipartite glue).
 MAX_EDGE_SETS = 1 << 18
 # Most entries (vertex set, edge set) a built table may have: compose,
 # enumerate_subp_bruteforce and SolveResult.table build every entry.
@@ -308,17 +312,26 @@ class PropertyPredicate:
     property is subgraph-closed (a subobject of an accepted one is accepted)
     and ignores isolated vertices (the verdict on (V, E) is the verdict on
     (ends of E, E)). paths, bipartite and planar meet it.
+
+    decided_at_boundary claims more. Let A and B be accepted edge sets of
+    two parts of one graph whose vertex sets meet in I, and T their common
+    edges. Then the verdict on A | B is fixed by T and by the summaries
+    (_boundary_summary) of A - T and of B - T on I, so the glue asks the
+    predicate once per such key (_compose_entries). It holds for paths, whose
+    degrees and closed cycles through I are read off the summaries, and for
+    bipartite, whose odd cycles through I are too; not for planar.
     """
 
     name: str
     evaluator: Callable
+    decided_at_boundary: bool = False
 
     def __call__(self, sub: Subobject) -> bool:
         return self.evaluator(sub)
 
 
-PATHS = PropertyPredicate("paths", predicate_paths)
-BIPARTITE = PropertyPredicate("bipartite", predicate_bipartite)
+PATHS = PropertyPredicate("paths", predicate_paths, decided_at_boundary=True)
+BIPARTITE = PropertyPredicate("bipartite", predicate_bipartite, decided_at_boundary=True)
 PLANAR = PropertyPredicate("planar", predicate_planar)
 PREDICATES = {p.name: p for p in (PATHS, BIPARTITE, PLANAR)}
 
@@ -489,6 +502,33 @@ class _Table(NamedTuple):
     family: list
 
 
+def _boundary_summary(edges, iface) -> tuple:
+    """What a glue along the vertices iface (sorted) sees of the edge set
+    edges: for each of them in order, its degree, the first vertex of iface
+    in its component and its colour parity against that vertex, flattened.
+    The parity is well defined on a bipartite edge set."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    reached = {}  # vertex -> (first vertex of iface in its component, parity)
+    out = []
+    for x in iface:
+        nbrs = adj.get(x, ())
+        if x not in reached:
+            reached[x] = (x, 0)
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                root, parity = reached[y]
+                for z in adj.get(y, ()):
+                    if z not in reached:
+                        reached[z] = (root, 1 - parity)
+                        stack.append(z)
+        out += (len(nbrs), *reached[x])
+    return tuple(out)
+
+
 def _compose_entries(left: _Table, right: _Table, predicate: PropertyPredicate) -> tuple:
     """(table, calls): the table over the union of two parts, glued from
     theirs, and the number of predicate calls the glue made.
@@ -496,31 +536,44 @@ def _compose_entries(left: _Table, right: _Table, predicate: PropertyPredicate) 
     An edge set U of the union is accepted exactly when the predicate
     accepts it and U & left.edges and U & right.edges are accepted, which
     are edge sets of the two families with one trace on the shared edges.
-    So only pairs with the same trace are glued, with one predicate call on
-    the ends of the union. A pair with one side inside the shared edges
-    gives back the other side and is skipped; every other matched pair gives
-    a new edge set, and no two give the same one.
+    So only pairs with the same trace are glued. A pair with one side inside
+    the shared edges gives back the other side and is skipped; every other
+    matched pair gives a new edge set, and no two give the same one. The
+    predicate is called once per matched pair, or, when it is
+    decided_at_boundary, once per key (trace, boundary summary of each side
+    less the trace on the shared vertices iface).
     """
     shared = left.edges & right.edges
+    keyed = predicate.decided_at_boundary
+    iface = sorted(left.vertices & right.vertices)
     family = list(left.family)
     by_trace = {}
-    for entry in right.family:
-        trace = entry[0] & shared
-        if trace != entry[0]:
-            by_trace.setdefault(trace, []).append(entry)
-            family.append(entry)
+    for edges, ends in right.family:
+        trace = edges & shared
+        if trace != edges:
+            key = _boundary_summary(edges - trace, iface) if keyed else None
+            by_trace.setdefault(trace, []).append((edges, ends, key))
+            family.append((edges, ends))
     if len(family) > MAX_EDGE_SETS:
         raise _too_many_edge_sets()
     calls = 0
+    verdicts = {}  # (trace, left key) -> right key -> verdict on the union
     for edges, ends in left.family:
         trace = edges & shared
-        if trace == edges:
+        if trace == edges or trace not in by_trace:
             continue
-        matched = by_trace.get(trace, ())
-        calls += len(matched)
-        for other, other_ends in matched:
+        if keyed:
+            known = verdicts.setdefault((trace, _boundary_summary(edges - trace, iface)), {})
+        for other, other_ends, key in by_trace[trace]:
             union, union_ends = edges | other, ends | other_ends
-            if predicate(Subobject(union_ends, union)):
+            if keyed and key in known:
+                accepted = known[key]
+            else:
+                calls += 1
+                accepted = predicate(Subobject(union_ends, union))
+                if keyed:
+                    known[key] = accepted
+            if accepted:
                 family.append((union, union_ends))
                 if len(family) > MAX_EDGE_SETS:
                     raise _too_many_edge_sets()
@@ -588,17 +641,24 @@ def _best_in_family(family, n: int, objective: Objective):
     0..max ends(E) (the smallest sorted tuple that holds ends(E); empty for
     E empty) when the objective counts edges, every vertex when it
     maximizes vertices, and ends(E) when it minimizes them. One candidate
-    per edge set is therefore enough.
+    per edge set is therefore enough, and its weight is known from (E,
+    ends(E)), so only the candidates of the best weight are built.
     """
+    if not family:
+        return None
     if objective.counts == "edges":
-        prefixes = [frozenset(range(k)) for k in range(n + 1)]
-        lowest = lambda ends: prefixes[max(ends) + 1] if ends else prefixes[0]
+        weights = [len(edges) for edges, _ in family]
+        lowest = lambda ends: frozenset(range(max(ends, default=-1) + 1))
     elif objective.direction == "max":
+        weights = [n] * len(family)
         everything = frozenset(range(n))
         lowest = lambda ends: everything
     else:
+        weights = [len(ends) for _, ends in family]
         lowest = lambda ends: ends
-    return _best([Subobject(lowest(ends), edges) for edges, ends in family], objective)
+    top = objective.best_value(weights)
+    tied = (Subobject(lowest(ends), edges) for (edges, ends), w in zip(family, weights) if w == top)
+    return min(tied, key=Subobject.encoding)
 
 
 @dataclass(frozen=True)
@@ -610,7 +670,9 @@ class SolveStats:
     holds (|L|, |R|) per glue; pair_compositions is the sum of |L| * |R|
     over them, the size of the full pair space. Only the edge sets whose
     traces match on the overlap are actually glued. predicate_calls is
-    (leaf, glue).
+    (leaf, glue); glue counts the calls the glues made, one per key for a
+    predicate decided_at_boundary (see _compose_entries), so it is at most
+    the number of matched pairs.
     """
 
     table_sizes: tuple

@@ -18,6 +18,7 @@ the clique number and odd cycles. Its cap is LAYERED_CAP vertices.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -64,23 +65,26 @@ def peo(g: Graph):
 
     Runs maximum-cardinality search (ties broken by smallest label) and
     verifies the resulting ordering; MCS yields a valid ordering exactly on
-    chordal graphs.
+    chordal graphs. The next vertex comes off a heap of (-weight, label),
+    where a raised weight pushes a new item and the stale one is skipped
+    when it surfaces: O((n + m) log n).
     """
     n = g.vertices
     nbrs = g.neighbor_sets()
     weight = [0] * n
     numbered = [False] * n
+    heap = [(0, u) for u in range(n)]
     visit = []
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if not numbered[u]),
-            key=lambda u: (weight[u], -u),
-        )
+    while heap:
+        w, v = heapq.heappop(heap)
+        if numbered[v] or -w != weight[v]:
+            continue
         visit.append(v)
         numbered[v] = True
         for u in nbrs[v]:
             if not numbered[u]:
                 weight[u] += 1
+                heapq.heappush(heap, (-weight[u], u))
     order = tuple(reversed(visit))
     pos = {v: i for i, v in enumerate(order)}
     for v in order:

@@ -24,6 +24,7 @@ from sdkit import (
     Objective,
     PATHS,
     PLANAR,
+    PropertyPredicate,
     Span,
     StructuredDecomposition,
     SubPTable,
@@ -46,7 +47,14 @@ from sdkit import (
     solve_on_decomposition,
 )
 from sdkit.decomposition import Adhesion
-from sdkit.solver import EMPTY_SUBOBJECT, best_entry, translate_subobject, _is_single_path
+from sdkit.solver import (
+    EMPTY_SUBOBJECT,
+    _accepted_edge_sets,
+    _boundary_summary,
+    _is_single_path,
+    best_entry,
+    translate_subobject,
+)
 from util import (
     all_subobjects,
     graphs_up_to_iso,
@@ -397,7 +405,10 @@ class TestCapsInAChildProcess:
             pytest.param(one_bag(complete_graph(7)), "planar", None, id="K7-planar"),
             pytest.param(one_bag(complete_graph(10)), "paths", None, id="K10-paths"),
             # MAX_EDGE_SETS at a glue: ladder-7 paths holds 154,594 edge
-            # sets at most and is solved; bipartite holds all 2^19
+            # sets at most and is solved in about 1.5 s; bipartite would hold
+            # all 2^19 and is refused in about 2.4 s. Asking the predicate
+            # once per boundary-summary key roughly halved both (about 3.3 s
+            # and 4.5 s when it was asked once per pair)
             pytest.param(ladder(7)[1], "paths", 13, id="ladder-7-paths"),
             pytest.param(ladder(7)[1], "bipartite", None, id="ladder-7-bipartite"),
             # BRUTE_CAP: a bag one vertex past it is refused before any work
@@ -738,10 +749,12 @@ class TestSolveCounters:
 
     def test_bowtie_paths(self):
         # two K3 leaves of 8 calls each; no edge is shared, so each of the
-        # 6 x 6 pairs of non-empty edge sets is glued once, and 9 of them
-        # give the shared vertex degree 3 or 4
+        # 6 x 6 pairs of non-empty edge sets is glued, and 9 of them give the
+        # shared vertex degree 3 or 4. A side shows the glue only the degree
+        # of the shared vertex (0, 1 or 2), so the predicate is asked once
+        # per pair of degrees: 3 x 3 calls
         result, made = self.counted_solve(two_bag_bowtie_decomposition(), PATHS)
-        assert result.stats.predicate_calls == (16, 36) and made == 52
+        assert result.stats.predicate_calls == (16, 9) and made == 25
         assert result.stats.edge_sets == (7, 7, 7 + 6 + 36 - 9)
 
     @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE, PLANAR], ids=lambda p: p.name)
@@ -839,3 +852,93 @@ class TestRandomOracle:
             kept = SubPTable(glued, predicate.name, frozenset(filter(keep, table.entries)))
             best = best_entry(kept, MAX_EDGES) or EMPTY_SUBOBJECT
             assert solve(glued, d)[:2] == (len(best.edges), best)
+
+
+def forest_instances(count=40):
+    """Seeded tame decompositions over forest shapes: random trees with some
+    shape edges, and their adhesions, dropped."""
+    rng = random.Random(211)
+    out = [forest_decomposition()]
+    while len(out) < count:
+        d = random_graph_decomposition(rng, 5, 4, edge_p=rng.choice((0.5, 0.8)))
+        kept = tuple(adh for adh in d.adhesions if rng.random() < 0.5)
+        if len(kept) < len(d.adhesions):
+            shape = Graph(d.shape.vertices, [adh.edge for adh in kept])
+            out.append(StructuredDecomposition(shape, GRAPH, d.bags, kept))
+    return out
+
+
+def glues_of(monkeypatch, d, predicate):
+    """The (left, right) tables of every glue of the fold over d."""
+    from sdkit import solver
+
+    glues = []
+    compose_entries = solver._compose_entries
+
+    def recording(left, right, glue_predicate):
+        glues.append((left, right))
+        return compose_entries(left, right, glue_predicate)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_compose_entries", recording)
+        solve_on_decomposition(d, predicate, MAX_EDGES)
+    return glues
+
+
+def verdicts_by_key(left, right, predicate):
+    """(trace, left summary, right summary) -> the predicate's verdicts on
+    the unions of every trace-matched pair with that key that the glue
+    decides (neither side inside the shared edges)."""
+    shared = left.edges & right.edges
+    iface = sorted(left.vertices & right.vertices)
+    by_trace = {}
+    for other, other_ends in right.family:
+        by_trace.setdefault(other & shared, []).append((other, other_ends))
+    out = {}
+    for edges, ends in left.family:
+        trace = edges & shared
+        for other, other_ends in by_trace.get(trace, ()):
+            if trace in (edges, other):
+                continue
+            key = (trace, _boundary_summary(edges - trace, iface), _boundary_summary(other - trace, iface))
+            union = Subobject(ends | other_ends, edges | other)
+            out.setdefault(key, []).append(predicate.evaluator(union))
+    return out
+
+
+class TestBoundaryKeyedGlue:
+    """PATHS and BIPARTITE are decided_at_boundary: the glue asks them once
+    per (trace, boundary summaries) key and reuses the verdict for every
+    pair with that key."""
+
+    @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE], ids=lambda p: p.name)
+    def test_every_pair_with_one_key_gets_one_verdict(self, monkeypatch, td_example, predicate):
+        instances = ORACLE_INSTANCES + forest_instances()
+        instances += [ladder(k)[1] for k in (3, 4, 5)] + [two_bag_bowtie_decomposition(), td_example]
+        pairs = keys = 0
+        for d in instances:
+            for left, right in glues_of(monkeypatch, d, predicate):
+                for key, verdicts in verdicts_by_key(left, right, predicate).items():
+                    assert len(set(verdicts)) == 1, key
+                    pairs += len(verdicts)
+                    keys += 1
+        assert pairs > 10 * keys
+
+    @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE], ids=lambda p: p.name)
+    def test_ladder_5_family_is_the_sub_p_family_of_the_colimit(self, predicate):
+        d = ladder(5)[1]
+        glued, _ = evaluate_colimit(d)
+        family, _ = _accepted_edge_sets(glued.edge_list(), predicate)
+        result = solve_on_decomposition(d, predicate, MAX_EDGES)
+        assert len(result.family) == len(family) and set(result.family) == set(family)
+        # the same fold with one predicate call per matched pair
+        per_pair = solve_on_decomposition(d, dataclasses.replace(predicate, decided_at_boundary=False), MAX_EDGES)
+        assert per_pair.family == result.family and per_pair.witness == result.witness
+        (leaf, glue), (per_pair_leaf, per_pair_glue) = result.stats.predicate_calls, per_pair.stats.predicate_calls
+        assert leaf == per_pair_leaf and glue < per_pair_glue
+
+    def test_the_claim_belongs_to_the_predicate(self):
+        assert PATHS.decided_at_boundary and BIPARTITE.decided_at_boundary
+        assert not PLANAR.decided_at_boundary
+        assert not PropertyPredicate("user", predicate_paths).decided_at_boundary
+        assert dataclasses.replace(BIPARTITE, evaluator=predicate_bipartite).decided_at_boundary

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -74,6 +76,7 @@ from util import (
     layered_treewidth_by_all_orders,
     layered_treewidth_by_partitions,
     ordered_set_partitions,
+    peo_by_max_scan,
     random_chordal_graph,
     random_finset_decomposition,
     random_graph,
@@ -144,6 +147,29 @@ class TestChordality:
             for v in order:
                 later = [u for u in nbrs[v] if pos[u] > pos[v]]
                 assert all(g.has_edge(a, b) for a, b in itertools.combinations(later, 2))
+
+    def test_heap_search_gives_the_order_of_the_scan(self):
+        rng = random.Random(29)
+        graphs = [random_chordal_graph(rng, 12) for _ in range(80)]
+        graphs += [random_graph(rng, 12, p) for p in (0.1, 0.3, 0.6, 0.9) for _ in range(40)]
+        graphs += [Graph(n) for n in range(4)] + [cycle(5), path(6), complete_graph(6)]
+        assert sum(peo(g) is not None for g in graphs) > 100
+        for g in graphs:
+            assert peo(g) == peo_by_max_scan(g), g
+
+    def test_chordal_on_8000_isolated_vertices_in_a_child_process(self, tmp_path):
+        # the O(n^2) scan (peo_by_max_scan) took about 8.4 s on this input
+        # in a child process on 2 cores; the heap is O((n + m) log n)
+        graph_file = tmp_path / "g.json"
+        graph_file.write_text(json.dumps({"vertices": 8000, "edges": []}))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdkit", "chordal", "-g", str(graph_file)], capture_output=True, text=True
+        )
+        wall = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"chordal": True, "peo": list(range(7999, -1, -1))}
+        assert wall < 1.0, wall
 
 
 class TestCliqueNumber:

@@ -447,6 +447,31 @@ def subp_by_all_pairs(g: Graph, predicate) -> SubPTable:
     return SubPTable(g, predicate.name, entries)
 
 
+def peo_by_max_scan(g: Graph):
+    """sdkit.peo as a scan: maximum-cardinality search that takes the next
+    vertex as the max of (weight, -label) over every unnumbered vertex,
+    O(n^2), then the same check of the ordering."""
+    n = g.vertices
+    nbrs = g.neighbor_sets()
+    weight = [0] * n
+    numbered = [False] * n
+    visit = []
+    for _ in range(n):
+        v = max((u for u in range(n) if not numbered[u]), key=lambda u: (weight[u], -u))
+        visit.append(v)
+        numbered[v] = True
+        for u in nbrs[v]:
+            if not numbered[u]:
+                weight[u] += 1
+    order = tuple(reversed(visit))
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [u for u in nbrs[v] if pos[u] > pos[v]]
+        if any(b not in nbrs[a] for a, b in itertools.combinations(later, 2)):
+            return None
+    return order
+
+
 def is_chordal_dirac(g: Graph, _memo={}) -> bool:
     """Literal clique-gluing recursion: complete, or split by a clique separator
     into two smaller chordal pieces."""
