@@ -36,7 +36,7 @@ from .solver import (
     translate_subobject,
     objective_by_name,
     predicate_by_name,
-    solve_on_decomposition,
+    solve,
     solve_on_graph,
 )
 from .width import (
@@ -224,7 +224,7 @@ def _cmd_solve(args) -> int:
     if args.graph:
         result, translate = solve_on_graph(_load_graph(args.graph), d, predicate, objective)
     else:
-        result, translate = solve_on_decomposition(d, predicate, objective), None
+        result, translate = solve(d, predicate, objective), None
     witness = result.witness
     if witness is not None and translate is not None:
         witness = translate_subobject(witness, translate)
@@ -318,7 +318,7 @@ def _cmd_bench(args) -> int:
         for pred_name in predicates:
             predicate = predicate_by_name(pred_name)
             started = time.perf_counter()
-            result = solve_on_decomposition(d, predicate, MAX_EDGES)
+            result = solve(d, predicate, MAX_EDGES)
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             writer.writerow(
                 [

@@ -22,10 +22,19 @@ count, so the best entry, ties broken by the smallest encoding, is read off
 the edge sets; the full table of a solve is built only when SolveResult.table
 is read.
 
+For a predicate decided_at_boundary, `solve_at_boundary` runs the same fold
+(_fold) without keeping edge sets: a table is one class per signature, what
+the rest of the decomposition can see of an edge set (its trace on the
+part's edges that lie in other bags, and the summary of the rest on the
+part's vertices that do), with exact counts and the best witnesses. A leaf
+asks the predicate once per (edge, summary of the set it extends on the
+edge's ends). `solve`, the route of `sdkit solve`, takes it for paths and
+bipartite; the edge-set fold stays the oracle and the planar route.
+
 Three caps raise TooLarge, each on what it protects: BRUTE_CAP on the
 vertices of a bag, MAX_EDGE_SETS on the accepted edge sets any table of the
-fold holds, and MAX_TABLE_ENTRIES on the entries of a table about to be
-built (_expand).
+fold holds (counted by either route), and MAX_TABLE_ENTRIES on the entries
+of a table about to be built (_expand).
 
 The planar predicate is the path-addition test of Demoucron, Malgrange &
 Pertuiset (1964), polynomial in the subobject and without state between
@@ -97,55 +106,42 @@ class Subobject(NamedTuple):
 EMPTY_SUBOBJECT = Subobject(frozenset(), frozenset())
 
 
-def _degrees(sub: Subobject) -> dict:
-    deg = {}
-    for u, v in sub.edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return deg
-
-
 def predicate_paths(sub: Subobject) -> bool:
-    """Disjoint union of paths: acyclic with every degree at most 2."""
-    deg = _degrees(sub)
-    if any(x > 2 for x in deg.values()):
-        return False
-    parent = {v: v for v in sub.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """Disjoint union of paths: acyclic with every degree at most 2. One
+    pass over the edges, by degree counts and union-find."""
+    degree, root = {}, {}
     for u, v in sub.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        du, dv = degree.get(u, 0), degree.get(v, 0)
+        if du == 2 or dv == 2:
             return False
-        parent[ru] = rv
+        degree[u], degree[v] = du + 1, dv + 1
+        while u in root:
+            u = root[u]
+        while v in root:
+            v = root[v]
+        if u == v:
+            return False
+        root[u] = v
     return True
 
 
 def predicate_bipartite(sub: Subobject) -> bool:
-    """2-colorable over the included edges."""
-    nbrs = {v: [] for v in sub.vertices}
+    """2-colorable over the included edges: union-find that keeps each
+    vertex's colour parity against its parent, and fails on an edge whose
+    ends already have one colour."""
+    root = {}
     for u, v in sub.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    color = {}
-    for start in sub.vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in nbrs[x]:
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    return False
+        parity = 1
+        while u in root:
+            u, step = root[u]
+            parity ^= step
+        while v in root:
+            v, step = root[v]
+            parity ^= step
+        if u != v:
+            root[u] = (v, parity)
+        elif parity:
+            return False
     return True
 
 
@@ -317,9 +313,12 @@ class PropertyPredicate:
     two parts of one graph whose vertex sets meet in I, and T their common
     edges. Then the verdict on A | B is fixed by T and by the summaries
     (_boundary_summary) of A - T and of B - T on I, so the glue asks the
-    predicate once per such key (_compose_entries). It holds for paths, whose
-    degrees and closed cycles through I are read off the summaries, and for
-    bipartite, whose odd cycles through I are too; not for planar.
+    predicate once per such key (_compose_entries), and a leaf once per
+    edge e and summary of A on the ends of e (B = {e}, _leaf_summaries).
+    It also lets solve_at_boundary keep one class per summary instead of
+    the edge sets. It holds for paths, whose degrees and closed cycles
+    through I are read off the summaries, and for bipartite, whose odd
+    cycles through I are too; not for planar.
     """
 
     name: str
@@ -502,31 +501,55 @@ class _Table(NamedTuple):
     family: list
 
 
-def _boundary_summary(edges, iface) -> tuple:
-    """What a glue along the vertices iface (sorted) sees of the edge set
-    edges: for each of them in order, its degree, the first vertex of iface
-    in its component and its colour parity against that vertex, flattened.
-    The parity is well defined on a bipartite edge set."""
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    reached = {}  # vertex -> (first vertex of iface in its component, parity)
-    out = []
-    for x in iface:
-        nbrs = adj.get(x, ())
-        if x not in reached:
-            reached[x] = (x, 0)
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                root, parity = reached[y]
-                for z in adj.get(y, ()):
-                    if z not in reached:
-                        reached[z] = (root, 1 - parity)
-                        stack.append(z)
-        out += (len(nbrs), *reached[x])
+def _components(labels) -> tuple:
+    """For labels 2 * (a name of the component) + parity against it: 2 *
+    (index of the first label of the same component) + parity against it."""
+    firsts, out = {}, []
+    for i, label in enumerate(labels):
+        first, parity = firsts.setdefault(label >> 1, (i, label & 1))
+        out.append(2 * first + (label & 1 ^ parity))
     return tuple(out)
+
+
+def _boundary_summary(edges, boundary, pieces=()) -> tuple:
+    """What a glue along the vertices boundary (sorted) sees of the union of
+    the edge set edges and the edge sets summarized in pieces, each given as
+    (its own boundary, degrees, components): (degrees, components), with
+    each boundary vertex's degree, and 2 * (index of the first boundary
+    vertex of its component) + its colour parity against that vertex. The
+    parity is well defined on a bipartite union."""
+    if not boundary:
+        return (), ()
+    if len(pieces) == 1 and not edges and pieces[0][0] == boundary:
+        return pieces[0][1:]
+    deg, links = {}, []
+    for vertices, degrees, components in pieces:
+        for i, (x, k, c) in enumerate(zip(vertices, degrees, components)):
+            deg[x] = deg.get(x, 0) + k
+            if c >> 1 != i:
+                links.append((x, vertices[c >> 1], c & 1))
+    for u, v in edges:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+        links.append((u, v, 1))
+    up = {}  # union-find: vertex -> (parent, parity against it)
+    for x, y, parity in links:
+        while x in up:
+            x, step = up[x]
+            parity ^= step
+        while y in up:
+            y, step = up[y]
+            parity ^= step
+        if x != y:
+            up[x] = (y, parity)
+    labels = []
+    for x in boundary:
+        parity = 0
+        while x in up:
+            x, step = up[x]
+            parity ^= step
+        labels.append(2 * x + parity)
+    return tuple(deg.get(x, 0) for x in boundary), _components(labels)
 
 
 def _compose_entries(left: _Table, right: _Table, predicate: PropertyPredicate) -> tuple:
@@ -704,25 +727,9 @@ class SolveResult:
         return SubPTable(self.ambient, self.predicate_name, entries, self.stats.pair_compositions)
 
 
-def solve_on_decomposition(
-    d: StructuredDecomposition,
-    predicate: PropertyPredicate,
-    objective: Objective,
-    root=None,
-) -> SolveResult:
-    """Fold table composition over a tree-shaped tame decomposition.
-
-    Every bag's accepted edge sets are enumerated on its image under its
-    leg of the cocone of evaluate_colimit(d), which is injective for a tame
-    tree, so every partial colimit is a subgraph of the colimit and the fold
-    works in its canonical vertex numbering throughout. In post-order, every
-    shape edge glues the child subtree's table onto the parent's accumulated
-    table; forest shapes are folded per component and then glued in
-    component order. No table is expanded into its entries: the stats count
-    them, and the witness is read off the edge sets. A table holding more
-    than MAX_EDGE_SETS accepted edge sets raises TooLarge. The result does
-    not depend on the chosen root.
-    """
+def _solvable_colimit(d: StructuredDecomposition):
+    """evaluate_colimit(d) of a valid, graph-valued, tame, forest-shaped
+    decomposition whose bags are within BRUTE_CAP; each check raises."""
     require_valid(d)
     if d.value_kind != GRAPH:
         raise ValidationError("solving needs a graph-valued decomposition")
@@ -737,39 +744,30 @@ def solve_on_decomposition(
             )
     glued, cocone = evaluate_colimit(d)
     assert all(leg.is_mono() for leg in cocone), "a tame tree embeds every bag in its colimit"
+    return glued, cocone
 
-    if not d.bags:
-        family, made = _accepted_edge_sets([], predicate)
-        stats = SolveStats((), (), (), (made, 0))
-        witness = _best_in_family(family, 0, objective)
-        value = objective.weight(witness) if witness is not None else None
-        return SolveResult(value, witness, stats, glued, predicate.name, tuple(family))
 
-    table_sizes = []
-    edge_sets = []
-    compositions = []
-    calls = [0, 0]  # leaf, glue
+def _fold(d: StructuredDecomposition, root, leaf, glue, measure) -> tuple:
+    """(table, stats) of the fold over a decomposition with bags.
 
-    def counted(table):
-        """(table, the entries it stands for), recorded in the stats."""
-        size = _entry_count(table.family, len(table.vertices))
-        table_sizes.append(size)
-        edge_sets.append(len(table.family))
-        return table, size
+    leaf(t) and glue(child, parent) return (table, predicate calls), and
+    measure(table) gives (entries, accepted edge sets). In post-order, every
+    shape edge glues the child subtree's table onto the parent's accumulated
+    table; forest shapes are folded per component and then glued in
+    component order, the component of root (if given) first and from it.
+    """
+    table_sizes, edge_sets, compositions, calls = [], [], [], [0, 0]
 
-    def leaf(t):
-        mapping = cocone[t].mapping
-        edge_list = [_normalize_edge(mapping[u], mapping[v]) for u, v in d.bags[t].edge_list()]
-        family, made = _accepted_edge_sets(edge_list, predicate)
-        calls[0] += made
-        return counted(_Table(cocone[t].image_vertices(), frozenset(edge_list), family))
+    def counted(table, made, kind):
+        calls[kind] += made
+        entries, held = measure(table)
+        table_sizes.append(entries)
+        edge_sets.append(held)
+        return table, entries
 
-    def glue(left, right):
-        (left, left_size), (right, right_size) = left, right
-        compositions.append((left_size, right_size))
-        part, made = _compose_entries(left, right, predicate)
-        calls[1] += made
-        return counted(part)
+    def glued(left, right):
+        compositions.append((left[1], right[1]))
+        return counted(*glue(left[0], right[0]), 1)
 
     shape_nbrs = d.shape.neighbor_sets()
     components = connected_components(d.shape)
@@ -793,22 +791,65 @@ def solve_on_decomposition(
                     stack.append(u)
         state = {}  # shape vertex -> (table, entries) of its folded subtree
         for v in reversed(order):
-            acc = leaf(v)
+            acc = counted(*leaf(v), 0)
             for child in sorted(shape_nbrs[v]):
                 if parent.get(child) == v:
-                    acc = glue(state.pop(child), acc)
+                    acc = glued(state.pop(child), acc)
             state[v] = acc
         return state[start]
 
     acc = fold_component(components[0])
     for component in components[1:]:
-        acc = glue(acc, fold_component(component))
-    family = acc[0].family
-
+        acc = glued(acc, fold_component(component))
     stats = SolveStats(tuple(table_sizes), tuple(compositions), tuple(edge_sets), tuple(calls))
+    return acc[0], stats
+
+
+def solve_on_decomposition(
+    d: StructuredDecomposition,
+    predicate: PropertyPredicate,
+    objective: Objective,
+    root=None,
+) -> SolveResult:
+    """Fold table composition over a tree-shaped tame decomposition.
+
+    Every bag's accepted edge sets are enumerated on its image under its
+    leg of the cocone of evaluate_colimit(d), which is injective for a tame
+    tree, so every partial colimit is a subgraph of the colimit and the fold
+    (_fold) works in its canonical vertex numbering throughout, gluing with
+    _compose_entries. No table is expanded into its entries: the stats count
+    them, and the witness is read off the edge sets. A table holding more
+    than MAX_EDGE_SETS accepted edge sets raises TooLarge. The result does
+    not depend on the chosen root.
+    """
+    glued, cocone = _solvable_colimit(d)
+    if not d.bags:
+        family, made = _accepted_edge_sets([], predicate)
+        stats = SolveStats((), (), (), (made, 0))
+    else:
+
+        def leaf(t):
+            mapping = cocone[t].mapping
+            edge_list = [_normalize_edge(mapping[u], mapping[v]) for u, v in d.bags[t].edge_list()]
+            family, made = _accepted_edge_sets(edge_list, predicate)
+            return _Table(cocone[t].image_vertices(), frozenset(edge_list), family), made
+
+        def measure(table):
+            return _entry_count(table.family, len(table.vertices)), len(table.family)
+
+        glue = lambda left, right: _compose_entries(left, right, predicate)
+        table, stats = _fold(d, root, leaf, glue, measure)
+        family = table.family
     witness = _best_in_family(family, glued.vertices, objective)
     value = objective.weight(witness) if witness is not None else None
     return SolveResult(value, witness, stats, glued, predicate.name, tuple(family))
+
+
+def solve(d: StructuredDecomposition, predicate: PropertyPredicate, objective: Objective):
+    """The route sdkit solve takes: solve_at_boundary for a predicate
+    decided_at_boundary, solve_on_decomposition for any other."""
+    route = solve_at_boundary if predicate.decided_at_boundary else solve_on_decomposition
+    return route(d, predicate, objective)
 
 
 def _is_single_path(sub: Subobject) -> bool:
@@ -829,20 +870,23 @@ def _longest_single_path(result: SolveResult):
     return _best(paths, MAX_EDGES)
 
 
-def solve_on_graph(g: Graph, d: StructuredDecomposition, predicate, objective, labeling=None):
-    """(result, colim_to_g): d solved as a tree decomposition of g, and the
-    bijection from its colimit's vertices onto g's that translates a witness
-    (see tree_decomposition_reading). Raises NotATreeDecomposition when d
-    does not glue to g."""
+def solve_on_graph(g: Graph, d: StructuredDecomposition, predicate, objective, labeling=None, route=None):
+    """(result, colim_to_g): d solved as a tree decomposition of g by route
+    (solve when None), and the bijection from its colimit's vertices onto
+    g's that translates a witness (see tree_decomposition_reading). Raises
+    NotATreeDecomposition when d does not glue to g."""
     reading = tree_decomposition_reading(g, d, labeling)
     if reading is None:
         raise NotATreeDecomposition("the decomposition is not a tree decomposition of the graph")
-    return solve_on_decomposition(d, predicate, objective), reading[1]
+    return (route or solve)(d, predicate, objective), reading[1]
 
 
-def _solve_named(g, d, predicate, labeling, pick=lambda result: result.witness):
-    result, colim_to_g = solve_on_graph(g, d, predicate, MAX_EDGES, labeling)
-    best = pick(result)
+def _solve_named(g, d, predicate, labeling, pick=None):
+    """(value, witness in g's numbering, stats) of MAX_EDGES; pick reads the
+    best entry off a SolveResult of the edge-set fold instead."""
+    route = None if pick is None else solve_on_decomposition
+    result, colim_to_g = solve_on_graph(g, d, predicate, MAX_EDGES, labeling, route)
+    best = result.witness if pick is None else pick(result)
     if best is None:
         return 0, EMPTY_SUBOBJECT, result.stats
     return len(best.edges), translate_subobject(best, colim_to_g), result.stats
@@ -860,3 +904,7 @@ def max_bipartite_subgraph(g: Graph, d: StructuredDecomposition, labeling=None):
 
 def max_planar_subgraph(g: Graph, d: StructuredDecomposition, labeling=None):
     return _solve_named(g, d, PLANAR, labeling)
+
+
+# the summary route needs the names above, so it is bound last
+from .summaries import solve_at_boundary  # noqa: E402

@@ -128,17 +128,26 @@ def chordal_from_decomposition(d: StructuredDecomposition) -> Graph:
 
 
 def maximal_cliques_chordal(g: Graph) -> list:
-    """Maximal cliques of a chordal graph, as sorted tuples in sorted order."""
+    """Maximal cliques of a chordal graph, as sorted tuples in sorted order.
+
+    Along a perfect elimination order, C(v) = {v} + v's later neighbours is
+    a clique, and every maximal clique is one of them. C(v) lies inside
+    another exactly when some u has v as its first later neighbour and one
+    more later neighbour than v: then C(u) holds C(v).
+    """
     order = peo(g)
     if order is None:
         raise NotChordal("maximal-clique extraction needs a chordal graph")
     nbrs = g.neighbor_sets()
     pos = {v: i for i, v in enumerate(order)}
-    cands = {
-        frozenset({v} | {u for u in nbrs[v] if pos[u] > pos[v]}) for v in order
-    }
-    maximal = [c for c in cands if not any(c < other for other in cands)]
-    return sorted(tuple(sorted(c)) for c in maximal)
+    later = {v: [u for u in nbrs[v] if pos[u] > pos[v]] for v in order}
+    inside = set()
+    for u in order:
+        if later[u]:
+            v = min(later[u], key=pos.__getitem__)
+            if len(later[u]) == len(later[v]) + 1:
+                inside.add(v)
+    return sorted(tuple(sorted([v, *later[v]])) for v in order if v not in inside)
 
 
 def decomposition_from_chordal(h: Graph) -> StructuredDecomposition:
@@ -147,19 +156,23 @@ def decomposition_from_chordal(h: Graph) -> StructuredDecomposition:
     Bags are the maximal cliques; the shape is a maximum-weight spanning
     forest of the clique intersection graph (Kruskal, ties broken by smallest
     clique index pair), which is exactly the classical clique-tree
-    construction. Completing and gluing the result reproduces h up to
-    isomorphism.
+    construction. Only the pairs of cliques that share a vertex are weighed,
+    found through each vertex's cliques. Completing and gluing the result
+    reproduces h up to isomorphism.
     """
     cliques = maximal_cliques_chordal(h)
     k = len(cliques)
-    weighted = []
-    for i, j in itertools.combinations(range(k), 2):
-        shared = len(set(cliques[i]) & set(cliques[j]))
-        if shared:
-            weighted.append((-shared, i, j))
+    holding = {}  # vertex -> indices of the cliques that hold it
+    for i, clique in enumerate(cliques):
+        for v in clique:
+            holding.setdefault(v, []).append(i)
+    shared = {}
+    for held in holding.values():
+        for pair in itertools.combinations(held, 2):
+            shared[pair] = shared.get(pair, 0) + 1
     components = _UnionFind(range(k))
     tree_edges = []
-    for _, i, j in sorted(weighted):
+    for _, i, j in sorted((-count, i, j) for (i, j), count in shared.items()):
         if components.find(i) != components.find(j):
             components.union(i, j)
             tree_edges.append((i, j))
@@ -281,6 +294,26 @@ def _degeneracy(nbrs: list) -> int:
     return best
 
 
+def _minor_min_width(nbrs: list) -> int:
+    """Max over the minimum-degree vertices met while each is contracted
+    into its neighbour of least degree (Gogate & Dechter 2004), on neighbour
+    masks: every graph met is a minor, so this is a lower bound."""
+    adj = list(nbrs)
+    remaining = (1 << len(nbrs)) - 1
+    best = 0
+    while remaining:
+        v = min(_bits(remaining), key=lambda u: adj[u].bit_count())
+        nb = adj[v]
+        best = max(best, nb.bit_count())
+        remaining &= ~(1 << v)
+        if nb:
+            u = min(_bits(nb), key=lambda w: adj[w].bit_count())
+            for w in _bits(nb):
+                adj[w] = (adj[w] | 1 << u) & ~(1 << v | 1 << w)
+            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
+    return best
+
+
 def _min_elimination_cost(nbrs: list, cost, lower: int, upper: int) -> int:
     """Minimum over elimination orders of the largest bag cost, searched
     downward from upper and clipped to [lower, upper].
@@ -349,13 +382,16 @@ def treewidth_exact(g: Graph) -> int:
     """Exact tree-width by elimination-ordering search, capped at TREEWIDTH_CAP
     vertices.
 
-    The degeneracy lower bound and the min-fill upper bound bound the shared
-    elimination-order search, which costs a bag by its size minus one and
-    eliminates simplicial vertices outright.
+    The larger of the degeneracy and minor-min-width lower bounds and the
+    min-fill upper bound bound the shared elimination-order search, which
+    costs a bag by its size minus one and eliminates simplicial vertices
+    outright; when the bounds meet there is no search.
     """
     _require_treewidth_cap(g)
     nbrs = [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
-    lower, upper = _degeneracy(nbrs), _min_fill_width(nbrs)
+    lower, upper = max(_degeneracy(nbrs), _minor_min_width(nbrs)), _min_fill_width(nbrs)
+    if lower >= upper:
+        return upper
     return _min_elimination_cost(nbrs, lambda bag: bag.bit_count() - 1, lower, upper)
 
 

@@ -53,6 +53,7 @@ from sdkit.solver import (
     _boundary_summary,
     _is_single_path,
     best_entry,
+    solve_at_boundary,
     translate_subobject,
 )
 from util import (
@@ -399,16 +400,19 @@ class TestCapsInAChildProcess:
     @pytest.mark.parametrize(
         "d, prop, value",
         [
-            # MAX_EDGE_SETS at a one-bag leaf: K8 under bipartite is the
-            # slowest, about 4.5 s for its first 2^18 accepted edge sets
+            # MAX_EDGE_SETS at a one-bag leaf: K7 under planar (edge-set
+            # fold) is the slowest, about 3.0 s for its first 2^18 accepted
+            # edge sets. The summary leaf counts the first 2^18 of K8 under
+            # bipartite and of K10 under paths in about 1-1.5 s each (about
+            # 4.5 s each when the edge-set leaf held them)
             pytest.param(one_bag(complete_graph(8)), "bipartite", None, id="K8-bipartite"),
             pytest.param(one_bag(complete_graph(7)), "planar", None, id="K7-planar"),
             pytest.param(one_bag(complete_graph(10)), "paths", None, id="K10-paths"),
-            # MAX_EDGE_SETS at a glue: ladder-7 paths holds 154,594 edge
-            # sets at most and is solved in about 1.5 s; bipartite would hold
-            # all 2^19 and is refused in about 2.4 s. Asking the predicate
-            # once per boundary-summary key roughly halved both (about 3.3 s
-            # and 4.5 s when it was asked once per pair)
+            # MAX_EDGE_SETS at a glue: ladder-7 paths counts 154,594 edge
+            # sets at most and is solved in about 0.1 s; bipartite would
+            # count all 2^19 and is refused in about 0.1 s. The edge-set
+            # fold held them and took about 1.5 s and 2.3 s (about 3.3 s
+            # and 4.5 s when the glue asked the predicate once per pair)
             pytest.param(ladder(7)[1], "paths", 13, id="ladder-7-paths"),
             pytest.param(ladder(7)[1], "bipartite", None, id="ladder-7-bipartite"),
             # BRUTE_CAP: a bag one vertex past it is refused before any work
@@ -942,3 +946,134 @@ class TestBoundaryKeyedGlue:
         assert not PLANAR.decided_at_boundary
         assert not PropertyPredicate("user", predicate_paths).decided_at_boundary
         assert dataclasses.replace(BIPARTITE, evaluator=predicate_bipartite).decided_at_boundary
+
+
+def summary_route_instances():
+    """The decompositions the summary route is checked on against the
+    edge-set fold, besides ORACLE_INSTANCES (which are also rerooted)."""
+    from sdkit import decomposition_from_json
+
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    pool = json.loads((fixtures.parent / "perfbench" / "data" / "pool.json").read_text())
+    out = forest_instances() + [ladder(k)[1] for k in range(2, 7)] + [two_bag_bowtie_decomposition()]
+    out += [decomposition_from_json(dec) for _, dec in sorted(pool["decompositions"].items())]
+    out += [decomposition_from_json(json.loads(path.read_text())) for path in sorted(fixtures.glob("*.dec.json"))]
+    rng = random.Random(307)
+    out += [random_graph_decomposition(rng, 5, 5) for _ in range(300)]
+    return [d for d in out if d.value_kind == GRAPH]
+
+
+OBJECTIVES = (MAX_EDGES, MAX_VERTICES, MIN_EDGES, MIN_VERTICES)
+
+
+class TestSummaryRoute:
+    """solve_at_boundary gives what solve_on_decomposition gives: value,
+    witness and every counter but the leaf predicate calls."""
+
+    @staticmethod
+    def assert_alike(d, predicate, root=None):
+        from sdkit.solver import _best_in_family
+
+        full = solve_on_decomposition(d, predicate, MAX_EDGES, root=root)
+        for objective in OBJECTIVES:
+            witness = _best_in_family(full.family, full.ambient.vertices, objective)
+            result = solve_at_boundary(d, predicate, objective, root=root)
+            assert (result.witness, result.value) == (witness, witness and objective.weight(witness))
+            assert result.ambient == full.ambient
+            new, old = result.stats, full.stats
+            counters = lambda stats: (stats.table_sizes, stats.edge_sets, stats.compositions)
+            assert counters(new) == counters(old)
+            assert new.predicate_calls[1] == old.predicate_calls[1]
+
+    @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE], ids=lambda p: p.name)
+    def test_equals_the_edge_set_fold(self, predicate):
+        for d in ORACLE_INSTANCES:
+            for root in [None, *range(d.shape.vertices)]:
+                self.assert_alike(d, predicate, root)
+        for d in summary_route_instances():
+            self.assert_alike(d, predicate)
+
+    def test_a_predicate_rejecting_everything_gives_the_same_empty_result(self, td_example):
+        never = dataclasses.replace(PATHS, evaluator=lambda sub: False)
+        assert never.decided_at_boundary
+        for d in (ORACLE_INSTANCES[0], two_bag_bowtie_decomposition(), ladder(4)[1], td_example):
+            result = solve_at_boundary(d, never, MAX_EDGES)
+            full = solve_on_decomposition(d, never, MAX_EDGES)
+            assert result.witness is result.value is None is full.witness
+            assert result.stats == full.stats
+
+    @pytest.mark.parametrize("cap", [6, 7, 39, 40, 603, 604, 3834, 3835])
+    def test_both_routes_meet_the_edge_set_cap_alike(self, monkeypatch, capsys, tmp_path, cap):
+        from sdkit import solver
+        from sdkit.cli import run
+
+        monkeypatch.setattr(solver, "MAX_EDGE_SETS", cap)
+        for d in (two_bag_bowtie_decomposition(), ladder(5)[1]):
+            outcomes = []
+            for route in (solve_on_decomposition, solve_at_boundary):
+                try:
+                    outcomes.append(route(d, PATHS, MAX_EDGES).witness)
+                except TooLarge as error:
+                    outcomes.append(str(error))
+            assert outcomes[0] == outcomes[1]
+            path = tmp_path / "d.json"
+            path.write_text(json.dumps(decomposition_to_json(d)))
+            code = run(["solve", "-d", str(path)])
+            out = json.loads(capsys.readouterr().out)
+            if isinstance(outcomes[0], str):
+                assert code == 3 and out["error"] == outcomes[0] and str(cap) in out["error"]
+            else:
+                assert code == 0 and out["value"] == len(outcomes[0].edges)
+
+    def test_k4_leaf_asks_once_per_edge_and_summary(self):
+        k4 = complete_graph(4)
+        edge_list = k4.edge_list()
+        subsets = [frozenset(c) for r in range(7) for c in itertools.combinations(edge_list, r)]
+        accepted = [edges for edges in subsets if predicate_paths(Subobject(ends(edges), edges))]
+        keys = {
+            (j, _boundary_summary(edges, list(edge_list[j])))
+            for edges in accepted
+            for j in range(1 + max((edge_list.index(e) for e in edges), default=-1), len(edge_list))
+        }
+        made = []
+        counted = dataclasses.replace(PATHS, evaluator=lambda sub: made.append(sub) or predicate_paths(sub))
+        result = solve_at_boundary(one_bag(k4), counted, MAX_EDGES)
+        # 34 accepted edge sets: 1 + 33 in TestLeafPredicateCalls.test_k4_paths
+        assert len(accepted) == result.stats.edge_sets[0] == 34
+        assert result.stats.predicate_calls == (len(made), 0) == (1 + len(keys), 0) == (29, 0)
+
+    def test_solve_and_bench_take_the_summary_route(self, capsys, tmp_path):
+        from sdkit.cli import run
+
+        d = ladder(4)[1]
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(decomposition_to_json(d)))
+        for predicate in (PATHS, BIPARTITE, PLANAR):
+            assert run(["solve", "-d", str(path), "--property", predicate.name]) == 0
+            calls = json.loads(capsys.readouterr().out)["stats"]["predicateCalls"]
+            route = solve_at_boundary if predicate.decided_at_boundary else solve_on_decomposition
+            assert tuple(calls.values()) == route(d, predicate, MAX_EDGES).stats.predicate_calls[::-1]
+        assert run(["bench", "--config", str(self.bench_config(tmp_path, path)), "--property", "paths"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].split(",")[:7] == ["ladder-4", "8", "10", "3", "paths", "7", "22080"]
+
+    @staticmethod
+    def bench_config(tmp_path, path):
+        config = tmp_path / "bench.json"
+        instances = [{"id": "ladder-4", "decomposition": str(path)}]
+        config.write_text(json.dumps({"predicates": ["paths"], "instances": instances}))
+        return config
+
+    def test_named_problems_take_their_routes(self, monkeypatch):
+        from sdkit import solver
+
+        g, d, labeling = ladder(4)
+        routes = []
+        for name in ("solve_on_decomposition", "solve_at_boundary"):
+            original = getattr(solver, name)
+            recording = lambda *args, _f=original, _n=name: routes.append(_n) or _f(*args)
+            monkeypatch.setattr(solver, name, recording)
+        assert max_bipartite_subgraph(g, d, labeling)[0] == 10
+        assert longest_path(g, d, labeling)[0] == 7
+        assert max_planar_subgraph(g, d, labeling)[0] == 10
+        assert routes == ["solve_at_boundary", "solve_on_decomposition", "solve_on_decomposition"]

@@ -34,6 +34,7 @@ from sdkit import (
     connected_components,
     decomposition_from_chordal,
     decomposition_from_vertex_bags,
+    decomposition_to_json,
     discrete_graph,
     evaluate_colimit,
     h_width,
@@ -63,10 +64,12 @@ from sdkit.width import (
     _level_functions,
     _min_elimination_cost,
     _min_fill_width,
+    _minor_min_width,
     tree_decomposition_reading,
 )
 from util import (
     all_graphs_labeled,
+    clique_tree_by_pairs,
     fs_adhesion,
     graphs_up_to_iso,
     grid,
@@ -75,6 +78,7 @@ from util import (
     ladder,
     layered_treewidth_by_all_orders,
     layered_treewidth_by_partitions,
+    maximal_cliques_by_pairs,
     ordered_set_partitions,
     peo_by_max_scan,
     random_chordal_graph,
@@ -275,6 +279,34 @@ class TestDecompositionFromChordal:
             (4, 5, 7),
             (5, 6, 7),
         ]
+
+    def test_cliques_and_tree_equal_the_pairwise_oracle(self, completion_h):
+        rng = random.Random(53)
+        graphs = [random_chordal_graph(rng, 12) for _ in range(120)]
+        graphs += [g for g in (random_graph(rng, 9, p) for p in (0.1, 0.2, 0.8) for _ in range(60)) if is_chordal(g)]
+        graphs += [Graph(n) for n in range(4)] + [path(7), complete_graph(6), completion_h]
+        graphs += [Graph(7, [(0, v) for v in range(1, 7)]), disjoint_union(complete_graph(4), path(3))]
+        assert sum(len(maximal_cliques_chordal(g)) > 2 for g in graphs) > 100
+        for g in graphs:
+            assert maximal_cliques_chordal(g) == maximal_cliques_by_pairs(g), g
+            got, expected = decomposition_from_chordal(g), clique_tree_by_pairs(g)
+            assert decomposition_to_json(got) == decomposition_to_json(expected), g
+
+    def test_clique_tree_on_8000_isolated_vertices_in_a_child_process(self, tmp_path):
+        # comparing every pair of the 8000 one-vertex cliques
+        # (clique_tree_by_pairs) took about 15 s on this input in a child
+        # process on 2 cores
+        graph_file = tmp_path / "g.json"
+        graph_file.write_text(json.dumps({"vertices": 8000, "edges": []}))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdkit", "clique-tree", "-g", str(graph_file)], capture_output=True, text=True
+        )
+        wall = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["bags"] == [{"size": 1}] * 8000 and out["adhesions"] == []
+        assert wall < 1.0, wall
 
 
 class TestTreeDecompositionCheck:
@@ -541,6 +573,29 @@ class TestTreewidth:
             assert treewidth_exact(g) == tw
             # from the trivial bounds the search steps down n - 1 - tw times
             assert _min_elimination_cost(nbrs, lambda bag: bag.bit_count() - 1, 0, g.vertices) == tw
+
+    def test_minor_min_width_is_a_lower_bound(self):
+        graphs = [h for n in range(7) for g in graphs_up_to_iso(n) for h in (g, complement(g))]
+        rng = random.Random(59)
+        graphs += [random_graph(rng, 11, density, min_n=6) for density in (0.2, 0.4, 0.6, 0.8) for _ in range(15)]
+        raised = 0
+        for g in graphs:
+            nbrs = [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
+            assert _minor_min_width(nbrs) <= treewidth_by_subsets(g), g
+            raised += _minor_min_width(nbrs) > _degeneracy(nbrs)
+        assert raised > 10
+
+    def test_grids_meet_the_min_fill_bound_without_a_search(self, monkeypatch):
+        for (rows, cols), tw in {(3, 3): 3, (3, 4): 3, (4, 4): 4, (4, 5): 4}.items():
+            nbrs = [sum(1 << u for u in nb) for nb in grid(rows, cols).neighbor_sets()]
+            assert _degeneracy(nbrs) == 2
+            assert _minor_min_width(nbrs) == _min_fill_width(nbrs) == tw
+        def refuse(*args):
+            raise AssertionError("searched elimination orders")
+
+        # sdkit.width, the module (the package exports a width() function)
+        monkeypatch.setattr(sys.modules["sdkit.width"], "_min_elimination_cost", refuse)
+        assert treewidth_exact(grid(3, 4)) == 3 and treewidth_exact(grid(3, 3)) == 3
 
     def test_cap(self):
         with pytest.raises(TooLarge):

@@ -28,8 +28,10 @@ from sdkit import (
     is_tame,
     validate,
 )
-from sdkit.core import ISO_VERTEX_CAP, is_json_int, object_size
-from sdkit.width import _min_elimination_cost
+from sdkit.core import ISO_VERTEX_CAP, _UnionFind, is_json_int, object_size
+from sdkit.decomposition import _set_adhesion
+from sdkit.errors import NotChordal
+from sdkit.width import _min_elimination_cost, peo
 
 
 def fs_adhesion(edge, pairs, bag_u, bag_v) -> Adhesion:
@@ -470,6 +472,45 @@ def peo_by_max_scan(g: Graph):
         if any(b not in nbrs[a] for a, b in itertools.combinations(later, 2)):
             return None
     return order
+
+
+def maximal_cliques_by_pairs(g: Graph) -> list:
+    """sdkit.maximal_cliques_chordal by comparing every pair of candidate
+    cliques C(v) = {v} + v's later neighbours along sdkit's PEO, O(n^2)."""
+    order = peo(g)
+    if order is None:
+        raise NotChordal("maximal-clique extraction needs a chordal graph")
+    nbrs = g.neighbor_sets()
+    pos = {v: i for i, v in enumerate(order)}
+    cands = {frozenset({v} | {u for u in nbrs[v] if pos[u] > pos[v]}) for v in order}
+    maximal = [c for c in cands if not any(c < other for other in cands)]
+    return sorted(tuple(sorted(c)) for c in maximal)
+
+
+def clique_tree_by_pairs(h: Graph) -> StructuredDecomposition:
+    """sdkit.decomposition_from_chordal weighing every pair of maximal
+    cliques, O(k^2): Kruskal over (-shared, i, j)."""
+    cliques = maximal_cliques_by_pairs(h)
+    k = len(cliques)
+    weighted = []
+    for i, j in itertools.combinations(range(k), 2):
+        shared = len(set(cliques[i]) & set(cliques[j]))
+        if shared:
+            weighted.append((-shared, i, j))
+    components = _UnionFind(range(k))
+    tree_edges = []
+    for _, i, j in sorted(weighted):
+        if components.find(i) != components.find(j):
+            components.union(i, j)
+            tree_edges.append((i, j))
+    shape = Graph(k, tree_edges)
+    bags = tuple(FinSet(len(c)) for c in cliques)
+    index = [{v: i for i, v in enumerate(c)} for c in cliques]
+    adhesions = []
+    for u, v in sorted(shape.edges):
+        pairs = [(index[u][w], index[v][w]) for w in set(cliques[u]) & set(cliques[v])]
+        adhesions.append(_set_adhesion((u, v), pairs, bags[u], bags[v]))
+    return StructuredDecomposition(shape, FINSET, bags, tuple(adhesions))
 
 
 def is_chordal_dirac(g: Graph, _memo={}) -> bool:
