@@ -15,21 +15,21 @@ every partial colimit embeds, and glues them there in post-order with
 `_compose_entries`. `compose` takes the Sub_P tables of the feet of a monic
 span, as `enumerate_subp_bruteforce` builds them, and runs that fold on the
 span's one-edge decomposition, whose colimit is the pushout. The glue asks
-paths and bipartite once per key of the shared-edge trace and the two
-sides' boundary summaries on the shared vertices (decided_at_boundary), and
-planar once per pair. An Objective weighs a subobject by its vertex or edge
-count, so the best entry, ties broken by the smallest encoding, is read off
-the edge sets; the full table of a solve is built only when SolveResult.table
-is read.
+the predicate once per matched pair. An Objective weighs a subobject by its
+vertex or edge count, so the best entry, ties broken by the smallest
+encoding, is read off the edge sets; the full table of a solve is built
+only when SolveResult.table is read.
 
 For a predicate decided_at_boundary, `solve_at_boundary` runs the same fold
 (_fold) without keeping edge sets: a table is one class per signature, what
 the rest of the decomposition can see of an edge set (its trace on the
 part's edges that lie in other bags, and the summary of the rest on the
-part's vertices that do), with exact counts and the best witnesses. A leaf
-asks the predicate once per (edge, summary of the set it extends on the
-edge's ends). `solve`, the route of `sdkit solve`, takes it for paths and
-bipartite; the edge-set fold stays the oracle and the planar route.
+part's vertices that do), with exact counts and the best witnesses. Its
+glue asks the predicate once per key of the shared-edge trace and the two
+sides' boundary summaries, and its leaf once per (edge, summary of the set
+it extends on the edge's ends). `solve`, the route of `sdkit solve`, takes
+it for paths and bipartite, and longest_path takes it with its own weight;
+the edge-set fold stays the oracle and the route for planar and compose.
 
 Three caps raise TooLarge, each on what it protects: BRUTE_CAP on the
 vertices of a bag, MAX_EDGE_SETS on the accepted edge sets any table of the
@@ -78,8 +78,7 @@ BRUTE_CAP = 10
 # Most accepted edge sets one table of the fold may hold, leaf or glued: the
 # largest power of two at which every known worst input (README "Size caps")
 # is refused or answered within 5 s wall and 512 MiB peak RSS. A held set
-# costs about 1.2 KB, and 17-18 us in a leaf (about 9 us in a paths or
-# bipartite glue).
+# costs about 1.2 KB, and 17-18 us in a leaf.
 MAX_EDGE_SETS = 1 << 18
 # Most entries (vertex set, edge set) a built table may have: compose,
 # enumerate_subp_bruteforce and SolveResult.table build every entry.
@@ -312,11 +311,10 @@ class PropertyPredicate:
     decided_at_boundary claims more. Let A and B be accepted edge sets of
     two parts of one graph whose vertex sets meet in I, and T their common
     edges. Then the verdict on A | B is fixed by T and by the summaries
-    (_boundary_summary) of A - T and of B - T on I, so the glue asks the
-    predicate once per such key (_compose_entries), and a leaf once per
-    edge e and summary of A on the ends of e (B = {e}, _leaf_summaries).
-    It also lets solve_at_boundary keep one class per summary instead of
-    the edge sets. It holds for paths, whose degrees and closed cycles
+    (_boundary_summary) of A - T and of B - T on I. So solve_at_boundary
+    keeps one class per summary instead of the edge sets, its glue asks the
+    predicate once per such key, and its leaf once per edge e and summary
+    of A on the ends of e (B = {e}, _leaf_summaries). It holds for paths, whose degrees and closed cycles
     through I are read off the summaries, and for bipartite, whose odd
     cycles through I are too; not for planar.
     """
@@ -372,6 +370,9 @@ MAX_EDGES = Objective("max-edges", "edges", "max")
 MAX_VERTICES = Objective("max-vertices", "vertices", "max")
 MIN_EDGES = Objective("min-edges", "edges", "min")
 OBJECTIVES = {o.name: o for o in (MAX_EDGES, MAX_VERTICES, MIN_EDGES)}
+# longest_path's objective, which only solve_at_boundary weighs: the most
+# edges over the accepted edge sets that form one path
+_LONGEST_PATH = Objective("longest-path", "edges", "max")
 
 
 def objective_by_name(name: str) -> Objective:
@@ -501,57 +502,6 @@ class _Table(NamedTuple):
     family: list
 
 
-def _components(labels) -> tuple:
-    """For labels 2 * (a name of the component) + parity against it: 2 *
-    (index of the first label of the same component) + parity against it."""
-    firsts, out = {}, []
-    for i, label in enumerate(labels):
-        first, parity = firsts.setdefault(label >> 1, (i, label & 1))
-        out.append(2 * first + (label & 1 ^ parity))
-    return tuple(out)
-
-
-def _boundary_summary(edges, boundary, pieces=()) -> tuple:
-    """What a glue along the vertices boundary (sorted) sees of the union of
-    the edge set edges and the edge sets summarized in pieces, each given as
-    (its own boundary, degrees, components): (degrees, components), with
-    each boundary vertex's degree, and 2 * (index of the first boundary
-    vertex of its component) + its colour parity against that vertex. The
-    parity is well defined on a bipartite union."""
-    if not boundary:
-        return (), ()
-    if len(pieces) == 1 and not edges and pieces[0][0] == boundary:
-        return pieces[0][1:]
-    deg, links = {}, []
-    for vertices, degrees, components in pieces:
-        for i, (x, k, c) in enumerate(zip(vertices, degrees, components)):
-            deg[x] = deg.get(x, 0) + k
-            if c >> 1 != i:
-                links.append((x, vertices[c >> 1], c & 1))
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-        links.append((u, v, 1))
-    up = {}  # union-find: vertex -> (parent, parity against it)
-    for x, y, parity in links:
-        while x in up:
-            x, step = up[x]
-            parity ^= step
-        while y in up:
-            y, step = up[y]
-            parity ^= step
-        if x != y:
-            up[x] = (y, parity)
-    labels = []
-    for x in boundary:
-        parity = 0
-        while x in up:
-            x, step = up[x]
-            parity ^= step
-        labels.append(2 * x + parity)
-    return tuple(deg.get(x, 0) for x in boundary), _components(labels)
-
-
 def _compose_entries(left: _Table, right: _Table, predicate: PropertyPredicate) -> tuple:
     """(table, calls): the table over the union of two parts, glued from
     theirs, and the number of predicate calls the glue made.
@@ -562,41 +512,27 @@ def _compose_entries(left: _Table, right: _Table, predicate: PropertyPredicate) 
     So only pairs with the same trace are glued. A pair with one side inside
     the shared edges gives back the other side and is skipped; every other
     matched pair gives a new edge set, and no two give the same one. The
-    predicate is called once per matched pair, or, when it is
-    decided_at_boundary, once per key (trace, boundary summary of each side
-    less the trace on the shared vertices iface).
+    predicate is called once per matched pair.
     """
     shared = left.edges & right.edges
-    keyed = predicate.decided_at_boundary
-    iface = sorted(left.vertices & right.vertices)
     family = list(left.family)
     by_trace = {}
     for edges, ends in right.family:
         trace = edges & shared
         if trace != edges:
-            key = _boundary_summary(edges - trace, iface) if keyed else None
-            by_trace.setdefault(trace, []).append((edges, ends, key))
+            by_trace.setdefault(trace, []).append((edges, ends))
             family.append((edges, ends))
     if len(family) > MAX_EDGE_SETS:
         raise _too_many_edge_sets()
     calls = 0
-    verdicts = {}  # (trace, left key) -> right key -> verdict on the union
     for edges, ends in left.family:
         trace = edges & shared
         if trace == edges or trace not in by_trace:
             continue
-        if keyed:
-            known = verdicts.setdefault((trace, _boundary_summary(edges - trace, iface)), {})
-        for other, other_ends, key in by_trace[trace]:
+        calls += len(by_trace[trace])
+        for other, other_ends in by_trace[trace]:
             union, union_ends = edges | other, ends | other_ends
-            if keyed and key in known:
-                accepted = known[key]
-            else:
-                calls += 1
-                accepted = predicate(Subobject(union_ends, union))
-                if keyed:
-                    known[key] = accepted
-            if accepted:
+            if predicate(Subobject(union_ends, union)):
                 family.append((union, union_ends))
                 if len(family) > MAX_EDGE_SETS:
                     raise _too_many_edge_sets()
@@ -639,20 +575,16 @@ def compose_optimize(
     return best_entry(compose(span, sub_l, sub_r, predicate), objective)
 
 
-def _best(entries, objective: Objective):
+def best_entry(table: SubPTable, objective: Objective):
     """The entry of best weight with the smallest encoding; None if empty.
 
     One pass finds the best weight; only the tied entries are encoded.
     """
-    if not entries:
+    if not table.entries:
         return None
     weight = objective.weight
-    top = objective.best_value(map(weight, entries))
-    return min((sub for sub in entries if weight(sub) == top), key=Subobject.encoding)
-
-
-def best_entry(table: SubPTable, objective: Objective):
-    return _best(table.entries, objective)
+    top = objective.best_value(map(weight, table.entries))
+    return min((sub for sub in table.entries if weight(sub) == top), key=Subobject.encoding)
 
 
 def _best_in_family(family, n: int, objective: Objective):
@@ -693,9 +625,10 @@ class SolveStats:
     holds (|L|, |R|) per glue; pair_compositions is the sum of |L| * |R|
     over them, the size of the full pair space. Only the edge sets whose
     traces match on the overlap are actually glued. predicate_calls is
-    (leaf, glue); glue counts the calls the glues made, one per key for a
-    predicate decided_at_boundary (see _compose_entries), so it is at most
-    the number of matched pairs.
+    (leaf, glue): the calls the leaves and the glues made. The edge-set
+    fold's glue makes one per matched pair (_compose_entries);
+    solve_at_boundary's makes one per boundary-summary key, so at most as
+    many.
     """
 
     table_sizes: tuple
@@ -852,50 +785,31 @@ def solve(d: StructuredDecomposition, predicate: PropertyPredicate, objective: O
     return route(d, predicate, objective)
 
 
-def _is_single_path(sub: Subobject) -> bool:
-    """A connected path (possibly a single vertex, not empty): a disjoint
-    union of paths with one edge fewer than vertices."""
-    return len(sub.edges) == len(sub.vertices) - 1 and predicate_paths(sub)
-
-
-def _longest_single_path(result: SolveResult):
-    """The best single path of the full PATHS table by MAX_EDGES. Every
-    accepted edge set is a linear forest, so it is one path exactly when it
-    has one edge fewer than its ends; the others are single vertices."""
-    paths = [
-        Subobject(ends, edges) for edges, ends in result.family if len(edges) == len(ends) - 1
-    ]
-    if result.family:
-        paths += [Subobject(frozenset({v}), frozenset()) for v in range(result.ambient.vertices)]
-    return _best(paths, MAX_EDGES)
-
-
-def solve_on_graph(g: Graph, d: StructuredDecomposition, predicate, objective, labeling=None, route=None):
-    """(result, colim_to_g): d solved as a tree decomposition of g by route
-    (solve when None), and the bijection from its colimit's vertices onto
-    g's that translates a witness (see tree_decomposition_reading). Raises
+def solve_on_graph(g: Graph, d: StructuredDecomposition, predicate, objective, labeling=None):
+    """(result, colim_to_g): solve(d, ...) with d read as a tree decomposition
+    of g, and the bijection from its colimit's vertices onto g's that
+    translates a witness (see tree_decomposition_reading). Raises
     NotATreeDecomposition when d does not glue to g."""
     reading = tree_decomposition_reading(g, d, labeling)
     if reading is None:
         raise NotATreeDecomposition("the decomposition is not a tree decomposition of the graph")
-    return (route or solve)(d, predicate, objective), reading[1]
+    return solve(d, predicate, objective), reading[1]
 
 
-def _solve_named(g, d, predicate, labeling, pick=None):
-    """(value, witness in g's numbering, stats) of MAX_EDGES; pick reads the
-    best entry off a SolveResult of the edge-set fold instead."""
-    route = None if pick is None else solve_on_decomposition
-    result, colim_to_g = solve_on_graph(g, d, predicate, MAX_EDGES, labeling, route)
-    best = result.witness if pick is None else pick(result)
-    if best is None:
+def _solve_named(g, d, predicate, labeling, objective=MAX_EDGES):
+    """(value, witness in g's numbering, stats) of an objective that counts
+    edges; (0, the empty subobject, stats) when there is no witness."""
+    result, colim_to_g = solve_on_graph(g, d, predicate, objective, labeling)
+    if result.witness is None:
         return 0, EMPTY_SUBOBJECT, result.stats
-    return len(best.edges), translate_subobject(best, colim_to_g), result.stats
+    return result.value, translate_subobject(result.witness, colim_to_g), result.stats
 
 
 def longest_path(g: Graph, d: StructuredDecomposition, labeling=None):
     """Maximum edge count over single connected paths, with a witness in g's
-    own numbering."""
-    return _solve_named(g, d, PATHS, labeling, _longest_single_path)
+    own numbering: the smallest encoding among them, or vertex 0 alone when
+    g has vertices but no edges."""
+    return _solve_named(g, d, PATHS, labeling, _LONGEST_PATH)
 
 
 def max_bipartite_subgraph(g: Graph, d: StructuredDecomposition, labeling=None):

@@ -12,6 +12,7 @@ colour parity against the first boundary vertex of that component. That is
 what the glue's boundary-summary key reads, and by decided_at_boundary it
 fixes every later verdict, so a table is one class per signature with the
 number of its edge sets, the entries they stand for and its best witnesses.
+longest_path takes the same route with a weight that counts paths.
 This is the path and connectivity state of Cygan et al., Parameterized
 Algorithms (2015), ch. 7.
 """
@@ -29,8 +30,7 @@ from .solver import (
     PropertyPredicate,
     SolveStats,
     Subobject,
-    _boundary_summary,
-    _components,
+    _LONGEST_PATH,
     _fold,
     _solvable_colimit,
     _too_many_edge_sets,
@@ -48,6 +48,57 @@ class Solved(NamedTuple):
     ambient: Graph
 
 
+def _components(labels) -> tuple:
+    """For labels 2 * (a name of the component) + parity against it: 2 *
+    (index of the first label of the same component) + parity against it."""
+    firsts, out = {}, []
+    for i, label in enumerate(labels):
+        first, parity = firsts.setdefault(label >> 1, (i, label & 1))
+        out.append(2 * first + (label & 1 ^ parity))
+    return tuple(out)
+
+
+def _boundary_summary(edges, boundary, pieces=()) -> tuple:
+    """What a glue along the vertices boundary (sorted) sees of the union of
+    the edge set edges and the edge sets summarized in pieces, each given as
+    (its own boundary, degrees, components): (degrees, components), with
+    each boundary vertex's degree, and 2 * (index of the first boundary
+    vertex of its component) + its colour parity against that vertex. The
+    parity is well defined on a bipartite union."""
+    if not boundary:
+        return (), ()
+    if len(pieces) == 1 and not edges and pieces[0][0] == boundary:
+        return pieces[0][1:]
+    deg, links = {}, []
+    for vertices, degrees, components in pieces:
+        for i, (x, k, c) in enumerate(zip(vertices, degrees, components)):
+            deg[x] = deg.get(x, 0) + k
+            if c >> 1 != i:
+                links.append((x, vertices[c >> 1], c & 1))
+    for u, v in edges:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+        links.append((u, v, 1))
+    up = {}  # union-find: vertex -> (parent, parity against it)
+    for x, y, parity in links:
+        while x in up:
+            x, step = up[x]
+            parity ^= step
+        while y in up:
+            y, step = up[y]
+            parity ^= step
+        if x != y:
+            up[x] = (y, parity)
+    labels = []
+    for x in boundary:
+        parity = 0
+        while x in up:
+            x, step = up[x]
+            parity ^= step
+        labels.append(2 * x + parity)
+    return tuple(deg.get(x, 0) for x in boundary), _components(labels)
+
+
 class _Summaries(NamedTuple):
     """The Sub_P table of the part of a decomposition made of the bags in
     bags, kept as one class per signature.
@@ -57,9 +108,12 @@ class _Summaries(NamedTuple):
     masks. An accepted edge set E has the signature (E & seam, whether E -
     seam is non-empty, degrees, components), the last two the summary of
     E - seam on boundary (_boundary_summary). classes maps a signature to
-    [count of edge sets, entries they stand for, their largest size, front],
-    where front lists the (max end, mask) of the sets of that size that no
-    other beats on both (_front).
+    [count of edge sets, entries they stand for, their best weight, front],
+    where front lists the (max end, mask) of the sets of that weight that no
+    other beats on both (_front). The weight is the size |E|, or, for
+    longest_path, the key (|E| - |ends E|, |E|, vertex mask of ends E): a
+    linear forest has |ends E| - |E| paths, and the sets of one key share
+    their ends, so their front is the one with the largest mask.
     """
 
     bags: frozenset
@@ -82,18 +136,18 @@ def _front(reps) -> list:
     return out
 
 
-def _place(classes, signature, count, entries, size, front) -> None:
+def _place(classes, signature, count, entries, weight, front) -> None:
     """Add a class's contents to classes under signature; the fronts of one
-    size are concatenated, and _front prunes them once the table is built."""
+    weight are concatenated, and _front prunes them once the table is built."""
     cls = classes.get(signature)
     if cls is None:
-        classes[signature] = [count, entries, size, front]
+        classes[signature] = [count, entries, weight, front]
         return
     cls[0] += count
     cls[1] += entries
-    if size > cls[2]:
-        cls[2:] = size, front
-    elif size == cls[2]:
+    if weight > cls[2]:
+        cls[2:] = weight, front
+    elif weight == cls[2]:
         cls[3] = cls[3] + front
 
 
@@ -107,26 +161,31 @@ def _join(lab, a, b) -> tuple:
     return lab
 
 
-def _leaf_summaries(pairs, vertices, boundary, seam, bits, predicate) -> tuple:
-    """(classes, calls) of the Sub_P table of one bag with the colimit edges
-    pairs (with their bits), in _accepted_edge_sets' order.
+def _leaf_summaries(frame, pairs, bits, predicate, vertex_bit, longest) -> tuple:
+    """(classes, calls) of the Sub_P table of the one bag of frame with the
+    colimit edges pairs (with their bits), in _accepted_edge_sets' order;
+    vertex_bit gives a colimit vertex's bit in a vertex mask, and longest
+    picks longest_path's weight (_Summaries).
 
-    Each accepted edge set S is kept as its mask, its degrees (four bits a
-    vertex) and component labels (_join), and the same for S - seam, whose
-    summary on boundary gives S's signature. S | {e} is decided by the
-    verdict on the first candidate with the same edge e and the same summary
-    of S on the ends of e: their degrees, and whether they are joined and
-    with which parity. That is the decided_at_boundary contract with A = S,
+    Each accepted edge set S is kept as its mask, the vertex mask of its
+    ends, its degrees (four bits a vertex) and component labels (_join), and
+    the same for S - seam, whose summary on boundary gives S's signature.
+    S | {e} is decided by the verdict on the first candidate with the same
+    edge e and the same summary of S on the ends of e: their degrees, and
+    whether they are joined and with which parity. That is the decided_at_boundary contract with A = S,
     B = {e} and no common edges, so the predicate is called once per such
     key, and once on the empty subobject.
     """
     if not predicate(EMPTY_SUBOBJECT):
         return {}, 1
-    cap = solver.MAX_EDGE_SETS
-    order = sorted(vertices)
+    cap, boundary, seam = solver.MAX_EDGE_SETS, frame.boundary, frame.seam
+    order = sorted(frame.vertices)
     local = {v: i for i, v in enumerate(order)}
     n = len(order)
-    edges = [(local[u], local[v], 4 * local[u], 4 * local[v], b, v) for (u, v), b in zip(pairs, bits)]
+    edges = [
+        (local[u], local[v], 4 * local[u], 4 * local[v], b, v, vertex_bit(u) | vertex_bit(v))
+        for (u, v), b in zip(pairs, bits)
+    ]
     # pick reads the labels of the boundary vertices and of a sentinel vertex
     # n, which keeps its result a tuple; fours masks the boundary's degrees
     pick = itemgetter(*[local[v] for v in boundary], n) if boundary else None
@@ -134,16 +193,17 @@ def _leaf_summaries(pairs, vertices, boundary, seam, bits, predicate) -> tuple:
     shifts = [4 * local[v] for v in boundary]
     start = tuple(range(0, 2 * n + 2, 2))
     canon = {}  # labels read by pick -> the boundary's components
-    raw = {(0, False, 0, tuple(range(0, 2 * len(boundary), 2))) if pick else False: [1, 1 << n, 0, {-1: 0}]}
+    empty = (0, False, 0, tuple(range(0, 2 * len(boundary), 2))) if pick else False
+    raw = {empty: [1, 1 << n, (0, 0, 0) if longest else 0, {-1: 0}]}
     verdicts = {}
     calls, count, size = 1, 1, 0
     level = [(0, 0, start, 0, start, 0, -1, 0)]
     while level:
         size += 1
         grown = []
-        for first, deg, lab, rdeg, rlab, mask, top, used in level:
+        for first, deg, lab, rdeg, rlab, mask, top, ends in level:
             for j in range(first, len(edges)):
-                a, b, sa, sb, bit, v = edges[j]
+                a, b, sa, sb, bit, v, ab = edges[j]
                 la, lb, da, db = lab[a], lab[b], deg >> sa & 15, deg >> sb & 15
                 key = (j, da, db, (la ^ lb) & 1 if la >> 1 == lb >> 1 else 2)
                 accepted = verdicts.get(key)
@@ -165,9 +225,9 @@ def _leaf_summaries(pairs, vertices, boundary, seam, bits, predicate) -> tuple:
                     rest = rdeg + step, _join(rlab, a, b)
                 else:
                     rest = grown_deg, grown_lab
-                grown_mask, grown_top = mask | bit, max(top, v)
-                grown_used = used + (not da) + (not db)
-                grown.append((j + 1, grown_deg, grown_lab, *rest, grown_mask, grown_top, grown_used))
+                grown_mask, grown_top, grown_ends = mask | bit, max(top, v), ends | ab
+                grown_used = grown_ends.bit_count()
+                grown.append((j + 1, grown_deg, grown_lab, *rest, grown_mask, grown_top, grown_ends))
                 if pick:
                     labels = pick(rest[1])
                     components = canon.get(labels)
@@ -177,25 +237,26 @@ def _leaf_summaries(pairs, vertices, boundary, seam, bits, predicate) -> tuple:
                     signature = (tau, grown_mask != tau, rest[0] & fours, components)
                 else:
                     signature = True
+                weight = (size - grown_used, size, grown_ends) if longest else size
                 cls = raw.get(signature)
                 if cls is None:
-                    raw[signature] = [1, 1 << (n - grown_used), size, {grown_top: grown_mask}]
-                elif cls[2] < size:
-                    cls[:] = cls[0] + 1, cls[1] + (1 << (n - grown_used)), size, {grown_top: grown_mask}
+                    raw[signature] = [1, 1 << (n - grown_used), weight, {grown_top: grown_mask}]
+                elif cls[2] < weight:
+                    cls[:] = cls[0] + 1, cls[1] + (1 << (n - grown_used)), weight, {grown_top: grown_mask}
                 else:
                     cls[0] += 1
                     cls[1] += 1 << (n - grown_used)
-                    if cls[3].get(grown_top, -1) < grown_mask:
+                    if cls[2] == weight and cls[3].get(grown_top, -1) < grown_mask:
                         cls[3][grown_top] = grown_mask
         level = grown
     classes = {}
-    for signature, (count, entries, size, best) in raw.items():
+    for signature, (count, entries, weight, best) in raw.items():
         if pick:
             tau, flag, degrees, components = signature
             signature = (tau, flag, tuple([degrees >> shift & 15 for shift in shifts]), components)
         else:
             signature = (0, signature, (), ())
-        classes[signature] = [count, entries, size, _front(best.items())]
+        classes[signature] = [count, entries, weight, _front(best.items())]
     return classes, calls
 
 
@@ -217,8 +278,19 @@ def solve_at_boundary(
     for the largest E with the smallest max end and then the largest mask,
     read off the fronts; every other objective's witness follows from
     whether the table is empty, as in _best_in_family.
+
+    longest_path's objective weighs a class by the key of its best set
+    (_Summaries), with colimit vertex v at bit N - 1 - v, so that of two
+    vertex sets of one size the smaller sorted tuple has the larger mask.
+    A glue adds the two keys less (|T| - |ends L & ends R|, |T|) for the
+    trace T, and ORs the masks; the class fixes both sides' boundary bits
+    and their interiors are disjoint, so the best set of a class pair is
+    the union of their best sets. The witness is then the best set whose
+    key starts with -1 (one path) as (ends E, E), else vertex 0 alone.
     """
     glued, cocone = _solvable_colimit(d)
+    longest = objective is _LONGEST_PATH
+    vertex_bit = lambda v: 1 << glued.vertices - 1 - v
     edge_at = glued.edge_list()[::-1]
     bit = {edge: 1 << i for i, edge in enumerate(edge_at)}
     edges_of = lambda mask: [edge_at[i] for i in _bits(mask)] if mask else ()
@@ -240,9 +312,7 @@ def solve_at_boundary(
     def leaf(t):
         frame = part(frozenset((t,)), *frames[t], None)
         pairs = bag_edges[t]
-        classes, made = _leaf_summaries(
-            pairs, frame.vertices, frame.boundary, frame.seam, [bit[e] for e in pairs], predicate
-        )
+        classes, made = _leaf_summaries(frame, pairs, [bit[e] for e in pairs], predicate, vertex_bit, longest)
         return frame._replace(classes=classes), made
 
     def glue(left, right):
@@ -277,8 +347,8 @@ def solve_at_boundary(
                 piece = (side.boundary, degrees, components)
                 inside = not flag and tau == trace
                 if side is left or not inside:
-                    count, entries, size, front = cls
-                    place(tau, flag, [piece], count, entries << grow, size, front)
+                    count, entries, weight, front = cls
+                    place(tau, flag, [piece], count, entries << grow, weight, front)
                 if not inside:
                     summary = _boundary_summary(edges_of(tau ^ trace), iface, [piece])
                     key = keys.get((trace, summary))
@@ -294,7 +364,8 @@ def solve_at_boundary(
             by_trace.setdefault(trace, []).append(item)
         made = 0
         verdicts = {}  # (left key, right key) -> verdict on the union
-        for trace, key, ends, tau, flag, piece, (count, entries, size, front) in lefts:
+        for trace, key, ends, tau, flag, piece, (count, entries, weight, front) in lefts:
+            lost = trace.bit_count()
             for other_key, other_ends, other_tau, other_flag, other_piece, other in by_trace.get(trace, ()):
                 accepted = verdicts.get((key, other_key))
                 if accepted is None:
@@ -303,13 +374,16 @@ def solve_at_boundary(
                     union = Subobject(vertices | other_vertices, edges | other_edges)
                     accepted = verdicts[key, other_key] = predicate(union)
                 if accepted:
+                    met, w = (ends & other_ends).bit_count(), other[2]
                     place(
                         tau | other_tau,
                         flag or other_flag,
                         [piece, other_piece],
                         count * other[0],
-                        entries * other[1] >> len(iface) - (ends & other_ends).bit_count(),
-                        size + other[2] - trace.bit_count(),
+                        entries * other[1] >> len(iface) - met,
+                        (weight[0] + w[0] - lost + met, weight[1] + w[1] - lost, weight[2] | w[2])
+                        if longest
+                        else weight + w - lost,
                         [(max(a, b), m | o) for a, m in front for b, o in other[3]],
                     )
         if sum(cls[0] for cls in classes.values()) > solver.MAX_EDGE_SETS:
@@ -325,10 +399,17 @@ def solve_at_boundary(
         table, stats = _fold(d, root, leaf, glue, measure)
         classes = list(table.classes.values())
     else:
-        classes = [[1, 1, 0, [(-1, 0)]]] if predicate(EMPTY_SUBOBJECT) else []
+        classes = [[1, 1, (0, 0, 0) if longest else 0, [(-1, 0)]]] if predicate(EMPTY_SUBOBJECT) else []
         stats = SolveStats((), (), (), (1, 0))
     if not classes:
         witness = None
+    elif longest:
+        best = max(((cls[2], cls[3][0][1]) for cls in classes if cls[2][0] == -1), default=None)
+        if best is not None:
+            edges = edges_of(best[1])
+            witness = Subobject(frozenset().union(*edges), frozenset(edges))
+        else:
+            witness = Subobject(frozenset({0}), frozenset()) if glued.vertices else None
     elif objective.direction != "max":
         witness = EMPTY_SUBOBJECT
     elif objective.counts == "vertices":

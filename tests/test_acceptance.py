@@ -49,8 +49,9 @@ from sdkit import (
     width,
 )
 from sdkit.decomposition import Adhesion
-from sdkit.solver import best_entry, _is_single_path
+from sdkit.solver import best_entry
 from util import (
+    _is_single_path,
     fs_adhesion,
     graphs_up_to_iso,
     random_chordal_graph,

@@ -51,3 +51,18 @@ def test_what_the_tracer_reads_outside_spanned_exists():
     result = solver.solve_on_decomposition(d, solver.PATHS, solver.MAX_EDGES)
     assert len(result.table.entries) == result.stats.table_sizes[-1]
     assert result.stats.pair_compositions == sum(l * r for l, r in result.stats.compositions)
+
+
+def test_longest_path_reads_paths_at_call_time(monkeypatch):
+    """Tracer.install swaps sdkit.solver.PATHS for a copy with a counting
+    evaluator; longest_path must look the name up when it is called for the
+    traced predicate counts to reach it."""
+    solver = importlib.import_module("sdkit.solver")
+    made = []
+    counting = dataclasses.replace(
+        solver.PATHS, evaluator=lambda sub, evaluate=solver.PATHS.evaluator: made.append(sub) or evaluate(sub)
+    )
+    monkeypatch.setattr(solver, "PATHS", counting)
+    g, d, labeling = ladder(3)
+    assert solver.longest_path(g, d, labeling)[0] == 5
+    assert made

@@ -50,17 +50,18 @@ from sdkit.decomposition import Adhesion
 from sdkit.solver import (
     EMPTY_SUBOBJECT,
     _accepted_edge_sets,
-    _boundary_summary,
-    _is_single_path,
     best_entry,
     solve_at_boundary,
     translate_subobject,
 )
+from sdkit.summaries import _boundary_summary
 from util import (
+    _is_single_path,
     all_subobjects,
     graphs_up_to_iso,
     grid,
     ladder,
+    longest_single_path,
     random_graph,
     random_graph_decomposition,
     random_monic_graph_span,
@@ -753,12 +754,10 @@ class TestSolveCounters:
 
     def test_bowtie_paths(self):
         # two K3 leaves of 8 calls each; no edge is shared, so each of the
-        # 6 x 6 pairs of non-empty edge sets is glued, and 9 of them give the
-        # shared vertex degree 3 or 4. A side shows the glue only the degree
-        # of the shared vertex (0, 1 or 2), so the predicate is asked once
-        # per pair of degrees: 3 x 3 calls
+        # 6 x 6 pairs of non-empty edge sets is glued, one call each, and 9
+        # of them give the shared vertex degree 3 or 4
         result, made = self.counted_solve(two_bag_bowtie_decomposition(), PATHS)
-        assert result.stats.predicate_calls == (16, 9) and made == 25
+        assert result.stats.predicate_calls == (16, 36) and made == 52
         assert result.stats.edge_sets == (7, 7, 7 + 6 + 36 - 9)
 
     @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE, PLANAR], ids=lambda p: p.name)
@@ -803,6 +802,18 @@ class TestNoFullTableIsBuilt:
         glued, _ = evaluate_colimit(d)
         assert result.table.entries == enumerate_subp_bruteforce(glued, PATHS).entries
         assert result.table.op_counter == result.stats.pair_compositions == 22080
+
+    def test_longest_path_never_holds_an_edge_set(self, monkeypatch):
+        from sdkit import solver
+
+        def refuse(*args):
+            raise AssertionError("the edge-set fold was run")
+
+        g, d, labeling = ladder(4)
+        monkeypatch.setattr(solver, "_compose_entries", refuse)
+        monkeypatch.setattr(solver, "_accepted_edge_sets", refuse)
+        value, witness, _ = longest_path(g, d, labeling)
+        assert value == 7 and _is_single_path(witness) and witness.edges <= g.edges
 
 
 def oracle_instances(count=200):
@@ -872,7 +883,7 @@ def forest_instances(count=40):
     return out
 
 
-def glues_of(monkeypatch, d, predicate):
+def glues_of(monkeypatch, d, predicate, root=None):
     """The (left, right) tables of every glue of the fold over d."""
     from sdkit import solver
 
@@ -885,7 +896,7 @@ def glues_of(monkeypatch, d, predicate):
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_compose_entries", recording)
-        solve_on_decomposition(d, predicate, MAX_EDGES)
+        solve_on_decomposition(d, predicate, MAX_EDGES, root=root)
     return glues
 
 
@@ -935,11 +946,6 @@ class TestBoundaryKeyedGlue:
         family, _ = _accepted_edge_sets(glued.edge_list(), predicate)
         result = solve_on_decomposition(d, predicate, MAX_EDGES)
         assert len(result.family) == len(family) and set(result.family) == set(family)
-        # the same fold with one predicate call per matched pair
-        per_pair = solve_on_decomposition(d, dataclasses.replace(predicate, decided_at_boundary=False), MAX_EDGES)
-        assert per_pair.family == result.family and per_pair.witness == result.witness
-        (leaf, glue), (per_pair_leaf, per_pair_glue) = result.stats.predicate_calls, per_pair.stats.predicate_calls
-        assert leaf == per_pair_leaf and glue < per_pair_glue
 
     def test_the_claim_belongs_to_the_predicate(self):
         assert PATHS.decided_at_boundary and BIPARTITE.decided_at_boundary
@@ -968,13 +974,16 @@ OBJECTIVES = (MAX_EDGES, MAX_VERTICES, MIN_EDGES, MIN_VERTICES)
 
 class TestSummaryRoute:
     """solve_at_boundary gives what solve_on_decomposition gives: value,
-    witness and every counter but the leaf predicate calls."""
+    witness and every counter but the predicate calls. Its glue asks once
+    per (trace, left summary, right summary) key."""
 
     @staticmethod
-    def assert_alike(d, predicate, root=None):
+    def assert_alike(monkeypatch, d, predicate, root=None):
         from sdkit.solver import _best_in_family
 
         full = solve_on_decomposition(d, predicate, MAX_EDGES, root=root)
+        glues = glues_of(monkeypatch, d, predicate, root)
+        keys = sum(len(verdicts_by_key(left, right, predicate)) for left, right in glues)
         for objective in OBJECTIVES:
             witness = _best_in_family(full.family, full.ambient.vertices, objective)
             result = solve_at_boundary(d, predicate, objective, root=root)
@@ -983,15 +992,15 @@ class TestSummaryRoute:
             new, old = result.stats, full.stats
             counters = lambda stats: (stats.table_sizes, stats.edge_sets, stats.compositions)
             assert counters(new) == counters(old)
-            assert new.predicate_calls[1] == old.predicate_calls[1]
+            assert new.predicate_calls[1] == keys
 
     @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE], ids=lambda p: p.name)
-    def test_equals_the_edge_set_fold(self, predicate):
+    def test_equals_the_edge_set_fold(self, monkeypatch, predicate):
         for d in ORACLE_INSTANCES:
             for root in [None, *range(d.shape.vertices)]:
-                self.assert_alike(d, predicate, root)
+                self.assert_alike(monkeypatch, d, predicate, root)
         for d in summary_route_instances():
-            self.assert_alike(d, predicate)
+            self.assert_alike(monkeypatch, d, predicate)
 
     def test_a_predicate_rejecting_everything_gives_the_same_empty_result(self, td_example):
         never = dataclasses.replace(PATHS, evaluator=lambda sub: False)
@@ -1076,4 +1085,46 @@ class TestSummaryRoute:
         assert max_bipartite_subgraph(g, d, labeling)[0] == 10
         assert longest_path(g, d, labeling)[0] == 7
         assert max_planar_subgraph(g, d, labeling)[0] == 10
-        assert routes == ["solve_at_boundary", "solve_on_decomposition", "solve_on_decomposition"]
+        assert routes == ["solve_at_boundary", "solve_at_boundary", "solve_on_decomposition"]
+
+
+class TestLongestPath:
+    """longest_path on the summary route equals the pick of the longest
+    single path out of the edge-set fold's family (longest_single_path)."""
+
+    @staticmethod
+    def answer(best):
+        return (len(best.edges), best) if best is not None else (0, EMPTY_SUBOBJECT)
+
+    def test_equals_the_family_pick(self):
+        from sdkit.solver import _LONGEST_PATH
+
+        for d in ORACLE_INSTANCES + summary_route_instances():
+            glued, _ = evaluate_colimit(d)
+            best = longest_single_path(solve_on_decomposition(d, PATHS, MAX_EDGES))
+            assert longest_path(glued, d)[:2] == self.answer(best)
+        for d in ORACLE_INSTANCES:
+            for root in range(d.shape.vertices):
+                best = longest_single_path(solve_on_decomposition(d, PATHS, MAX_EDGES, root=root))
+                assert solve_at_boundary(d, PATHS, _LONGEST_PATH, root=root).witness == best
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_ladder_k_has_a_path_through_every_vertex(self, k):
+        g, d, labeling = ladder(k)
+        glued, _ = evaluate_colimit(d)
+        best = longest_single_path(solve_on_decomposition(d, PATHS, MAX_EDGES))
+        assert longest_path(glued, d)[:2] == self.answer(best)
+        value, witness, _ = longest_path(g, d, labeling)
+        assert value == 2 * k - 1 and _is_single_path(witness) and witness.edges <= g.edges
+
+    def test_ladder_8_is_refused_as_solve_refuses_it(self, capsys, tmp_path):
+        from sdkit.cli import run
+
+        g, d, labeling = ladder(8)
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(decomposition_to_json(d)))
+        assert run(["solve", "-d", str(path), "--property", "paths"]) == 3
+        message = json.loads(capsys.readouterr().out)["error"]
+        with pytest.raises(TooLarge) as refused:
+            longest_path(g, d, labeling)
+        assert str(refused.value) == message

@@ -26,6 +26,7 @@ from sdkit import (
     is_forest,
     is_layering,
     is_tame,
+    predicate_paths,
     validate,
 )
 from sdkit.core import ISO_VERTEX_CAP, _UnionFind, is_json_int, object_size
@@ -447,6 +448,24 @@ def subp_by_all_pairs(g: Graph, predicate) -> SubPTable:
     """Sub_P table by testing every (vertex subset, edge subset) pair."""
     entries = frozenset(sub for sub in all_subobjects(g) if predicate(sub))
     return SubPTable(g, predicate.name, entries)
+
+
+def _is_single_path(sub: Subobject) -> bool:
+    """A connected path (possibly a single vertex, not empty): a disjoint
+    union of paths with one edge fewer than vertices."""
+    return len(sub.edges) == len(sub.vertices) - 1 and predicate_paths(sub)
+
+
+def longest_single_path(result):
+    """longest_path picked from the family of a solve_on_decomposition
+    result under PATHS, in its colimit's numbering: the single path with the
+    most edges and then the smallest encoding, or None. Every accepted edge
+    set is a linear forest, so it is one path exactly when it has one edge
+    fewer than its ends; single vertices stand in when no edge set is."""
+    paths = [Subobject(ends, edges) for edges, ends in result.family if len(edges) == len(ends) - 1]
+    if result.family:
+        paths += [Subobject(frozenset({v}), frozenset()) for v in range(result.ambient.vertices)]
+    return min(paths, key=lambda sub: (-len(sub.edges), sub.encoding()), default=None)
 
 
 def peo_by_max_scan(g: Graph):
