@@ -24,6 +24,14 @@ from .errors import (
 )
 
 ISO_VERTEX_CAP = 8
+# Most vertices or elements of a graph or finite set read from JSON, and of
+# a decomposition's bags together: a few bytes name any count (README "Size caps").
+JSON_SIZE_CAP = 1 << 19
+
+
+def _require_json_size(n: int, what: str) -> None:
+    if n > JSON_SIZE_CAP:
+        raise TooLarge(f"{what} {n} read from JSON is past the cap of {JSON_SIZE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,7 @@ class FinSet:
     def from_json(cls, data) -> "FinSet":
         if not isinstance(data, dict) or not is_json_int(data.get("size")):
             raise ValidationError(f"finite set JSON must be {{'size': n}}, got {data!r}")
+        _require_json_size(data["size"], "finite set size")
         return cls(data["size"])
 
 
@@ -185,6 +194,7 @@ class Graph:
             raise ValidationError(
                 f"graph JSON must be {{'vertices': n, 'edges': [[u,v], ..]}}, got {data!r}"
             )
+        _require_json_size(n, "vertex count")
         pairs = []
         for e in edges:
             if not (isinstance(e, list) and len(e) == 2 and all(is_json_int(x) for x in e)):

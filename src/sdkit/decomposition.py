@@ -9,6 +9,7 @@ targets bag(v).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .core import (
@@ -18,12 +19,14 @@ from .core import (
     GraphMorphism,
     SetFunction,
     Span,
+    _require_json_size,
     is_json_int,
     colimit,
     complete_graph,
     complete_on_function,
     discrete_graph,
     discrete_on_function,
+    object_size,
 )
 from .errors import (
     CodomainMismatch,
@@ -51,18 +54,20 @@ class Adhesion:
 
 @dataclass(frozen=True)
 class StructuredDecomposition:
+    """Well-formed by construction: the constructor raises require_valid's
+    ValidationError otherwise, so no later operation checks again."""
+
     shape: Graph
     value_kind: str
     bags: tuple
     adhesions: tuple
 
-    def __init__(self, shape, value_kind, bags, adhesions):
-        if value_kind not in (FINSET, GRAPH):
-            raise ValidationError(f"unknown value kind {value_kind!r}")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "value_kind", value_kind)
-        object.__setattr__(self, "bags", tuple(bags))
-        object.__setattr__(self, "adhesions", tuple(sorted(adhesions, key=lambda a: a.edge)))
+    def __post_init__(self):
+        if self.value_kind not in (FINSET, GRAPH):
+            raise ValidationError(f"unknown value kind {self.value_kind!r}")
+        object.__setattr__(self, "bags", tuple(self.bags))
+        object.__setattr__(self, "adhesions", tuple(sorted(self.adhesions, key=lambda a: a.edge)))
+        require_valid(self)
 
     def adhesion_at(self, u: int, v: int) -> Adhesion:
         key = (u, v) if u < v else (v, u)
@@ -71,9 +76,17 @@ class StructuredDecomposition:
                 return a
         raise KeyError(key)
 
+    @cached_property
+    def _colimit(self):
+        if not self.bags:
+            return (FinSet(0) if self.value_kind == FINSET else Graph(0)), ()
+        obj, cocone = colimit(underlying_diagram(self))
+        return obj, cocone[: len(self.bags)]
+
 
 def validate(d: StructuredDecomposition) -> list:
-    """Return a list of violation messages; empty iff d is well-formed."""
+    """Return a list of violation messages; empty iff d is well-formed, as
+    every constructed decomposition is (the constructor checks)."""
     violations = []
     expected = FinSet if d.value_kind == FINSET else Graph
     if len(d.bags) != d.shape.vertices:
@@ -130,13 +143,9 @@ def underlying_diagram(d: StructuredDecomposition) -> Diagram:
 
 
 def evaluate_colimit(d: StructuredDecomposition):
-    """Glue all bags along all adhesions; returns (object, per-bag cocone)."""
-    require_valid(d)
-    if not d.bags:
-        empty = FinSet(0) if d.value_kind == FINSET else Graph(0)
-        return empty, ()
-    obj, cocone = colimit(underlying_diagram(d))
-    return obj, cocone[: len(d.bags)]
+    """Glue all bags along all adhesions; returns (object, per-bag cocone).
+    It is glued on the first call, and every later call shares that pair."""
+    return d._colimit
 
 
 @dataclass(frozen=True)
@@ -216,7 +225,6 @@ def to_arrow(d: StructuredDecomposition) -> ArrowPresentation:
     """
     if d.value_kind != FINSET:
         raise NonFinSetValued("to_arrow is defined for finite-set-valued input")
-    require_valid(d)
     verts = [(v, x) for v in range(d.shape.vertices) for x in range(d.bags[v].size)]
     index = {p: i for i, p in enumerate(verts)}
     edges = set()
@@ -269,12 +277,9 @@ class DecompositionMorphism:
     vertex_components: tuple
     edge_components: tuple
 
-    def __init__(self, dom, cod, shape_map, vertex_components, edge_components):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "shape_map", shape_map)
-        object.__setattr__(self, "vertex_components", tuple(vertex_components))
-        object.__setattr__(self, "edge_components", tuple(edge_components))
+    def __post_init__(self):
+        object.__setattr__(self, "vertex_components", tuple(self.vertex_components))
+        object.__setattr__(self, "edge_components", tuple(self.edge_components))
 
 
 def identity_morphism(d: StructuredDecomposition) -> DecompositionMorphism:
@@ -295,8 +300,6 @@ def check_morphism(m: DecompositionMorphism) -> bool:
     vertex has no adhesion to land in and is rejected).
     """
     d1, d2 = m.dom, m.cod
-    if validate(d1) or validate(d2):
-        return False
     f = m.shape_map
     if f.dom != d1.shape or f.cod != d2.shape:
         return False
@@ -413,10 +416,6 @@ def decomposition_from_vertex_bags(g: Graph, shape: Graph, bag_sets):
     return StructuredDecomposition(shape, GRAPH, bags, adhesions), tuple(labeling)
 
 
-def _object_to_json(obj) -> dict:
-    return obj.to_json()
-
-
 def _object_from_json(kind: str, data):
     return FinSet.from_json(data) if kind == FINSET else Graph.from_json(data)
 
@@ -433,11 +432,11 @@ def decomposition_to_json(d: StructuredDecomposition) -> dict:
     return {
         "valueKind": d.value_kind,
         "shape": d.shape.to_json(),
-        "bags": [_object_to_json(b) for b in d.bags],
+        "bags": [b.to_json() for b in d.bags],
         "adhesions": [
             {
                 "edge": list(a.edge),
-                "apex": _object_to_json(a.span.apex),
+                "apex": a.span.apex.to_json(),
                 "legSource": list(a.span.left.mapping),
                 "legTarget": list(a.span.right.mapping),
             }
@@ -458,6 +457,7 @@ def decomposition_from_json(data) -> StructuredDecomposition:
     if not isinstance(raw_bags, list) or not isinstance(raw_adhesions, list):
         raise ValidationError("decomposition JSON needs 'bags' and 'adhesions' arrays")
     bags = tuple(_object_from_json(kind, b) for b in raw_bags)
+    _require_json_size(sum(map(object_size, bags)), "total bag size")
     if len(bags) != shape.vertices:
         raise ValidationError(
             f"{len(bags)} bags for a shape with {shape.vertices} vertices"
@@ -480,9 +480,7 @@ def decomposition_from_json(data) -> StructuredDecomposition:
         left = _leg_from_json(kind, apex, bags[u], entry.get("legSource"), "legSource")
         right = _leg_from_json(kind, apex, bags[v], entry.get("legTarget"), "legTarget")
         adhesions.append(Adhesion((u, v), Span(left, right)))
-    d = StructuredDecomposition(shape, kind, bags, adhesions)
-    require_valid(d)
-    return d
+    return StructuredDecomposition(shape, kind, bags, adhesions)
 
 
 def arrow_to_json(a: ArrowPresentation) -> dict:

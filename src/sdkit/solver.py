@@ -59,7 +59,6 @@ from .decomposition import (
     StructuredDecomposition,
     evaluate_colimit,
     is_tame,
-    require_valid,
 )
 from .errors import (
     NonMonicSpan,
@@ -661,9 +660,9 @@ class SolveResult:
 
 
 def _solvable_colimit(d: StructuredDecomposition):
-    """evaluate_colimit(d) of a valid, graph-valued, tame, forest-shaped
-    decomposition whose bags are within BRUTE_CAP; each check raises."""
-    require_valid(d)
+    """evaluate_colimit(d), shared with tree_decomposition_reading, of a
+    graph-valued, tame, forest-shaped decomposition whose bags are within
+    BRUTE_CAP; each check raises."""
     if d.value_kind != GRAPH:
         raise ValidationError("solving needs a graph-valued decomposition")
     if not is_forest(d.shape):

@@ -6,8 +6,8 @@ k? It starts one below a known upper bound and lowers k until the answer is
 no or k falls below a lower bound. States are surviving-vertex masks, and
 the states that fail go into a dead set that every k shares, because a state
 that fails at k fails at any smaller k. Tree-width costs a bag by its size
-minus one; a degeneracy lower bound and a min-fill upper bound, both taken
-on the same neighbour masks, bound its search, which is capped at
+minus one; a minor-min-width lower bound and a min-fill upper bound, both
+taken on the same neighbour masks, bound its search, which is capped at
 TREEWIDTH_CAP vertices. Layered tree-width costs a bag by the most of its
 vertices in one layer. It works one block (2-connected piece) at a time and
 runs the search once per layering of the block, generated directly as a
@@ -42,7 +42,6 @@ from .decomposition import (
     evaluate_colimit,
     is_tame,
     map_decomposition,
-    validate,
 )
 from .errors import (
     EmptyDecomposition,
@@ -188,7 +187,8 @@ def decomposition_from_chordal(h: Graph) -> StructuredDecomposition:
 
 def tree_decomposition_reading(g: Graph, d: StructuredDecomposition, labeling=None):
     """Read d's bags as subgraphs of g, if d is a tree decomposition of g:
-    a tame, forest-shaped, graph-valued decomposition whose colimit is g.
+    a tame, forest-shaped, graph-valued decomposition whose colimit is g,
+    glued once by evaluate_colimit(d) and shared with a later solve of d.
 
     Returns (labeling, colim_to_g) or None. colim_to_g is a bijection from
     the vertices of evaluate_colimit(d) onto g's that sends edges onto edges,
@@ -200,7 +200,7 @@ def tree_decomposition_reading(g: Graph, d: StructuredDecomposition, labeling=No
     identity when the colimit equals g, and otherwise comes from an
     isomorphism search, which needs g to have at most ISO_VERTEX_CAP vertices.
     """
-    if d.value_kind != GRAPH or validate(d) or not is_forest(d.shape) or not is_tame(d):
+    if d.value_kind != GRAPH or not is_forest(d.shape) or not is_tame(d):
         return None
     glued, cocone = evaluate_colimit(d)
     if glued.vertices != g.vertices or len(glued.edges) != len(g.edges):
@@ -282,22 +282,12 @@ def _min_fill_width(nbrs: list) -> int:
     return best
 
 
-def _degeneracy(nbrs: list) -> int:
-    """Max over the min-degree elimination of the degree seen (a lower bound)
-    on neighbour masks."""
-    remaining = (1 << len(nbrs)) - 1
-    best = 0
-    while remaining:
-        v = min(_bits(remaining), key=lambda u: (nbrs[u] & remaining).bit_count())
-        best = max(best, (nbrs[v] & remaining).bit_count())
-        remaining &= ~(1 << v)
-    return best
-
-
 def _minor_min_width(nbrs: list) -> int:
     """Max over the minimum-degree vertices met while each is contracted
     into its neighbour of least degree (Gogate & Dechter 2004), on neighbour
-    masks: every graph met is a minor, so this is a lower bound."""
+    masks: every graph met is a minor, so this is a lower bound. It is never
+    below the degeneracy: a subgraph H of minimum degree k survives until
+    its first vertex is picked, and that vertex has degree at least k."""
     adj = list(nbrs)
     remaining = (1 << len(nbrs)) - 1
     best = 0
@@ -382,14 +372,14 @@ def treewidth_exact(g: Graph) -> int:
     """Exact tree-width by elimination-ordering search, capped at TREEWIDTH_CAP
     vertices.
 
-    The larger of the degeneracy and minor-min-width lower bounds and the
-    min-fill upper bound bound the shared elimination-order search, which
-    costs a bag by its size minus one and eliminates simplicial vertices
-    outright; when the bounds meet there is no search.
+    The minor-min-width lower bound and the min-fill upper bound bound the
+    shared elimination-order search, which costs a bag by its size minus one
+    and eliminates simplicial vertices outright; when they meet there is no
+    search.
     """
     _require_treewidth_cap(g)
     nbrs = [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
-    lower, upper = max(_degeneracy(nbrs), _minor_min_width(nbrs)), _min_fill_width(nbrs)
+    lower, upper = _minor_min_width(nbrs), _min_fill_width(nbrs)
     if lower >= upper:
         return upper
     return _min_elimination_cost(nbrs, lambda bag: bag.bit_count() - 1, lower, upper)

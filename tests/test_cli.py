@@ -5,14 +5,16 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from sdkit import FinSet, Graph, decomposition_from_json, decomposition_to_json
+from sdkit import FinSet, Graph, TooLarge, decomposition_from_json, decomposition_to_json
 from sdkit import cli
+from sdkit.core import JSON_SIZE_CAP
 from sdkit.cli import FLAGS, VERBS, build_parser, run
 from sdkit.width import LAYERED_CAP
-from util import grid, grid_path_decomposition
+from util import BUDGET_MIB, BUDGET_S, CHILD, grid, grid_path_decomposition
 
 
 def invoke(capsys, *argv):
@@ -267,6 +269,76 @@ class TestErrorHandling:
         assert code == 2
 
 
+def same_bags_json(kind, bag, count=1):
+    """Decomposition JSON of count copies of one bag on an edgeless shape."""
+    return {"valueKind": kind, "shape": {"vertices": count, "edges": []}, "bags": [bag] * count, "adhesions": []}
+
+
+def run_in_child(tmp_path, verb, **files):
+    """(finished process, wall seconds) of one CLI verb in a child process
+    limited to twice the budget's memory; files maps a one-letter flag to
+    its file's JSON."""
+    argv = [str(2 * BUDGET_MIB << 20), verb]
+    for flag, data in files.items():
+        path = tmp_path / f"{flag}.json"
+        path.write_text(json.dumps(data))
+        argv += [f"-{flag}", str(path)]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True)
+    return proc, time.perf_counter() - start
+
+
+class TestJsonSizeCap:
+    """A count read from JSON (vertices, a finite set's size, the bag
+    elements of a decomposition in all) past JSON_SIZE_CAP is TooLarge
+    before any work: a 34-byte file could otherwise name ten million
+    vertices and gigabytes of work."""
+
+    def test_the_cap_is_inclusive(self):
+        assert Graph.from_json({"vertices": JSON_SIZE_CAP, "edges": []}) == Graph(JSON_SIZE_CAP)
+        assert FinSet.from_json({"size": JSON_SIZE_CAP}) == FinSet(JSON_SIZE_CAP)
+        with pytest.raises(TooLarge, match="vertex count"):
+            Graph.from_json({"vertices": JSON_SIZE_CAP + 1, "edges": []})
+        with pytest.raises(TooLarge, match="finite set size"):
+            FinSet.from_json({"size": JSON_SIZE_CAP + 1})
+        half = {"size": JSON_SIZE_CAP // 2}
+        decomposition_from_json(same_bags_json("finset", half, count=2))
+        with pytest.raises(TooLarge, match="total bag size"):
+            decomposition_from_json(same_bags_json("finset", half, count=3))
+
+    # ten million: about 4.5 GiB of work without the cap, so these end in a
+    # MemoryError under the child's address-space limit instead of exit 3
+    @pytest.mark.parametrize(
+        "verb, files",
+        [
+            pytest.param("chordal", {"g": {"vertices": 10**7, "edges": []}}, id="chordal"),
+            pytest.param("clique-tree", {"g": {"vertices": 10**7, "edges": []}}, id="clique-tree"),
+            pytest.param("colim", {"d": same_bags_json("finset", {"size": 10**7})}, id="colim"),
+            pytest.param("to-arrow", {"d": same_bags_json("finset", {"size": 10**7})}, id="to-arrow"),
+            pytest.param(
+                "restrict",
+                {"d": same_bags_json("graph", {"vertices": 10**7, "edges": []}), "g": {"vertices": 1, "edges": []}},
+                id="restrict",
+            ),
+            # each bag is within the cap, twenty of them are not
+            pytest.param("colim", {"d": same_bags_json("finset", {"size": JSON_SIZE_CAP}, count=20)}, id="colim-20-bags"),
+        ],
+    )
+    def test_past_the_cap_exits_three_at_once(self, tmp_path, verb, files):
+        proc, wall = run_in_child(tmp_path, verb, **files)
+        assert proc.returncode == 3, proc.stderr
+        assert f"past the cap of {JSON_SIZE_CAP}" in json.loads(proc.stdout)["error"]
+        assert wall < 2 * BUDGET_S, wall
+
+    def test_clique_tree_at_the_cap_ends_within_the_budget(self, tmp_path):
+        # the slowest of colim, to-arrow, chordal, clique-tree and restrict at
+        # the cap: about 3.7 s and 364 MiB
+        proc, wall = run_in_child(tmp_path, "clique-tree", g={"vertices": JSON_SIZE_CAP, "edges": []})
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["bags"]) == JSON_SIZE_CAP
+        assert wall < 2 * BUDGET_S, wall
+
+
 class TestDeterminismAndRoundTrip:
     def test_identical_bytes_across_runs(self, capsys, fixtures_dir):
         outputs = []
@@ -313,6 +385,54 @@ class TestDeterminismAndRoundTrip:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text()) == {"treewidth": 4}
+
+
+class TestCheckedAndGluedOnce:
+    """A decomposition is validated once, when it is built, and its colimit
+    glued once, on first use: solve -g reads it as a tree decomposition and
+    then solves it on that one colimit."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of sdkit.decomposition.validate and sdkit.core.colimit
+        calls, wrapped under every sdkit module name that binds them."""
+        from sdkit import core, decomposition
+
+        made = {"validate": 0, "colimit": 0}
+        for name, original in (("validate", decomposition.validate), ("colimit", core.colimit)):
+
+            def wrapper(*args, name=name, original=original):
+                made[name] += 1
+                return original(*args)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "sdkit":
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, wrapper)
+        return made
+
+    @pytest.mark.parametrize("prop", ["paths", "bipartite", "planar"])
+    @pytest.mark.parametrize(
+        "graph, dec", [("bowtie.json", "bowtie.dec.json"), ("td_example_g.json", "td_example.dec.json")]
+    )
+    def test_solve_on_a_graph(self, capsys, fixtures_dir, calls, prop, graph, dec):
+        argv = ["solve", "--property", prop, "-g", fx(fixtures_dir, graph), "-d", fx(fixtures_dir, dec)]
+        assert invoke(capsys, *argv)[0] == 0
+        assert calls == {"validate": 1, "colimit": 1}
+
+    @pytest.mark.parametrize("prop", ["paths", "bipartite", "planar"])
+    def test_solve_on_a_decomposition(self, capsys, fixtures_dir, calls, prop):
+        argv = ["solve", "--property", prop, "-d", fx(fixtures_dir, "bowtie.dec.json")]
+        assert invoke(capsys, *argv)[0] == 0
+        assert calls == {"validate": 1, "colimit": 1}
+
+    def test_evaluate_colimit_returns_one_object(self, fixtures_dir, calls):
+        from sdkit import evaluate_colimit
+
+        d = decomposition_from_json(json.loads((fixtures_dir / "five_bag_tree.dec.json").read_text()))
+        assert evaluate_colimit(d) is evaluate_colimit(d)
+        assert calls == {"validate": 1, "colimit": 1}
 
 
 class TestBench:

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,7 @@ from sdkit import (
     SetFunction,
     Span,
     StructuredDecomposition,
+    ValidationError,
     ValueFunctor,
     canonical_form,
     check_morphism,
@@ -66,20 +68,22 @@ class TestValidate:
             (0, 1),
             Span(SetFunction(apex, oversized, (4,)), SetFunction(apex, bags[1], (0,))),
         )
-        d = StructuredDecomposition(shape, FINSET, bags, (adh,))
-        assert len(validate(d)) == 1
+        # require_valid's message, one violation (no "; ")
+        message = "adhesion (0, 1): source leg does not land in bag 0"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            StructuredDecomposition(shape, FINSET, bags, (adh,))
 
     def test_empty_shape(self):
         d = StructuredDecomposition(Graph(0), FINSET, (), ())
         assert validate(d) == []
 
     def test_adhesion_edge_set_must_match_shape(self):
-        d = StructuredDecomposition(Graph(2, [(0, 1)]), FINSET, (FinSet(1), FinSet(1)), ())
-        assert validate(d)
+        with pytest.raises(ValidationError, match="^adhesion index set differs from the shape edge set$"):
+            StructuredDecomposition(Graph(2, [(0, 1)]), FINSET, (FinSet(1), FinSet(1)), ())
 
     def test_bag_count_must_match_shape(self):
-        d = StructuredDecomposition(Graph(2), FINSET, (FinSet(1),), ())
-        assert validate(d)
+        with pytest.raises(ValidationError, match="^1 bags for a shape with 2 vertices$"):
+            StructuredDecomposition(Graph(2), FINSET, (FinSet(1),), ())
 
 
 class TestTameness:
@@ -289,11 +293,10 @@ class TestCheckMorphismRejects:
         assert check_morphism(identity_morphism(path3))
 
     def test_invalid_domain_or_codomain(self, path3):
-        m = identity_morphism(path3)
-        invalid = StructuredDecomposition(path3.shape, FINSET, path3.bags, path3.adhesions[:1])
-        assert validate(invalid)
-        assert not check_morphism(replace(m, dom=invalid))
-        assert not check_morphism(replace(m, cod=invalid))
+        # an invalid decomposition cannot be built, so no morphism has one
+        # as its domain or codomain
+        with pytest.raises(ValidationError, match="^adhesion index set differs from the shape edge set$"):
+            StructuredDecomposition(path3.shape, FINSET, path3.bags, path3.adhesions[:1])
 
     def test_shape_map_between_other_shapes(self, path3):
         m = identity_morphism(path3)

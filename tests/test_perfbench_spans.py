@@ -66,3 +66,25 @@ def test_longest_path_reads_paths_at_call_time(monkeypatch):
     g, d, labeling = ladder(3)
     assert solver.longest_path(g, d, labeling)[0] == 5
     assert made
+
+
+def test_solver_and_width_read_evaluate_colimit_at_call_time(monkeypatch):
+    """Tracer.install wraps sdkit.decomposition.evaluate_colimit under every
+    sdkit module name that binds it. The solve routes and the tree
+    decomposition reading must look the name up in their own modules when
+    they are called, for the decomposition.colimit span to see them."""
+    solver = importlib.import_module("sdkit.solver")
+    width = importlib.import_module("sdkit.width")
+    made = []
+    for module in (solver, width):
+        original = module.evaluate_colimit
+        monkeypatch.setattr(
+            module, "evaluate_colimit", lambda d, module=module, original=original: made.append(module) or original(d)
+        )
+    g, d, labeling = ladder(3)
+    assert width.tree_decomposition_reading(g, d, labeling) is not None
+    assert made == [width]
+    for predicate in (solver.PATHS, solver.PLANAR):
+        made.clear()
+        assert solver.solve(d, predicate, solver.MAX_EDGES).value is not None
+        assert made == [solver]

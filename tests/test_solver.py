@@ -56,6 +56,9 @@ from sdkit.solver import (
 )
 from sdkit.summaries import _boundary_summary
 from util import (
+    BUDGET_MIB,
+    BUDGET_S,
+    CHILD,
     _is_single_path,
     all_subobjects,
     graphs_up_to_iso,
@@ -374,20 +377,6 @@ class TestEdgeSetCap:
         monkeypatch.setattr(solver, "MAX_EDGE_SETS", 40)
         result = solve_on_decomposition(two_bag_bowtie_decomposition(), PATHS, MAX_EDGES)
         assert result.value == 4 and result.stats.edge_sets == (7, 7, 40)
-
-
-# The budget the caps are chosen for (README "Size caps"): a solve is
-# refused, or answered, within 5 s wall and 512 MiB peak RSS. The child runs
-# the CLI under an address-space limit on itself, and both bounds are twice
-# the budget, so that a slower machine passes and a missing cap does not.
-BUDGET_S, BUDGET_MIB = 5, 512
-CHILD = """
-import resource, sys
-from sdkit.cli import main
-limit = int(sys.argv.pop(1))
-resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-main()
-"""
 
 
 def one_bag(g):

@@ -60,7 +60,6 @@ from sdkit.width import (
     LAYERED_CAP,
     TREEWIDTH_CAP,
     _clique_number,
-    _degeneracy,
     _level_functions,
     _min_elimination_cost,
     _min_fill_width,
@@ -70,6 +69,7 @@ from sdkit.width import (
 from util import (
     all_graphs_labeled,
     clique_tree_by_pairs,
+    degeneracy,
     fs_adhesion,
     graphs_up_to_iso,
     grid,
@@ -569,7 +569,7 @@ class TestTreewidth:
             )
             tw = treewidth_by_subsets(g)
             nbrs = [sum(1 << u for u in adj[v]) for v in range(g.vertices)]
-            assert _degeneracy(nbrs) < tw < _min_fill_width(nbrs)
+            assert degeneracy(nbrs) < tw < _min_fill_width(nbrs)
             assert treewidth_exact(g) == tw
             # from the trivial bounds the search steps down n - 1 - tw times
             assert _min_elimination_cost(nbrs, lambda bag: bag.bit_count() - 1, 0, g.vertices) == tw
@@ -582,13 +582,22 @@ class TestTreewidth:
         for g in graphs:
             nbrs = [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
             assert _minor_min_width(nbrs) <= treewidth_by_subsets(g), g
-            raised += _minor_min_width(nbrs) > _degeneracy(nbrs)
+            raised += _minor_min_width(nbrs) > degeneracy(nbrs)
         assert raised > 10
+
+    def test_minor_min_width_is_never_below_the_degeneracy(self):
+        # why treewidth_exact needs no degeneracy bound of its own
+        graphs = [h for n in range(8) for g in graphs_up_to_iso(n) for h in (g, complement(g))]
+        rng = random.Random(61)
+        graphs += [random_graph(rng, 16, rng.random(), min_n=2) for _ in range(3000)]
+        for g in graphs:
+            nbrs = [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
+            assert _minor_min_width(nbrs) >= degeneracy(nbrs), g
 
     def test_grids_meet_the_min_fill_bound_without_a_search(self, monkeypatch):
         for (rows, cols), tw in {(3, 3): 3, (3, 4): 3, (4, 4): 4, (4, 5): 4}.items():
             nbrs = [sum(1 << u for u in nb) for nb in grid(rows, cols).neighbor_sets()]
-            assert _degeneracy(nbrs) == 2
+            assert degeneracy(nbrs) == 2
             assert _minor_min_width(nbrs) == _min_fill_width(nbrs) == tw
         def refuse(*args):
             raise AssertionError("searched elimination orders")

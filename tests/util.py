@@ -34,6 +34,20 @@ from sdkit.decomposition import _set_adhesion
 from sdkit.errors import NotChordal
 from sdkit.width import _min_elimination_cost, peo
 
+# The budget the caps are chosen for (README "Size caps"): an input is
+# refused, or answered, within 5 s wall and 512 MiB peak RSS. CHILD runs the
+# CLI under an address-space limit on itself (its first argument, in bytes),
+# and the tests bound both at twice the budget, so that a slower machine
+# passes and a missing cap does not.
+BUDGET_S, BUDGET_MIB = 5, 512
+CHILD = """
+import resource, sys
+from sdkit.cli import main
+limit = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+main()
+"""
+
 
 def fs_adhesion(edge, pairs, bag_u, bag_v) -> Adhesion:
     """Adhesion whose apex elements map to the given (source, target) pairs."""
@@ -344,6 +358,20 @@ def treewidth_by_subsets(g: Graph) -> int:
     """Tree-width as the subset search with the bag cost len(later)."""
     adj = dict(enumerate(g.neighbor_sets()))
     return min_elimination_cost_by_subsets(adj, lambda v, later: len(later))
+
+
+def degeneracy(nbrs: list) -> int:
+    """The largest degree met while a vertex of least remaining degree is
+    removed, one at a time, on neighbour masks: the largest minimum degree of
+    a subgraph, a lower bound on tree-width."""
+    remaining = (1 << len(nbrs)) - 1
+    best = 0
+    while remaining:
+        left = [u for u in range(len(nbrs)) if remaining >> u & 1]
+        v = min(left, key=lambda u: (nbrs[u] & remaining).bit_count())
+        best = max(best, (nbrs[v] & remaining).bit_count())
+        remaining &= ~(1 << v)
+    return best
 
 
 def treewidth_by_all_orders(g: Graph) -> int:
