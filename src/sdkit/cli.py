@@ -14,6 +14,7 @@ import json
 import random
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .core import Graph, GraphMorphism, Span, is_json_int
 from .decomposition import (
@@ -99,8 +100,39 @@ def _emit(payload: str, out_path) -> None:
         sys.stdout.write(payload)
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte; newline is
+    the line break and indent that start value's inner lines. With indent
+    set, the stdlib runs its pure-Python encoder. Here str, int, list, tuple,
+    and dict with str keys, of exactly those types, and bool and None are
+    written directly; any other value (a float, a subclass, a non-string
+    key, or one json refuses) goes to json.dumps, indented to fit."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
+
+
 def _emit_json(data, out_path) -> None:
-    _emit(json.dumps(data, sort_keys=True, indent=2) + "\n", out_path)
+    _emit(_json_text(data) + "\n", out_path)
 
 
 def _cmd_colim(args) -> int:

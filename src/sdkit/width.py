@@ -8,7 +8,8 @@ the states that fail go into a dead set that every k shares, because a state
 that fails at k fails at any smaller k. Tree-width costs a bag by its size
 minus one; a minor-min-width lower bound and a min-fill upper bound, both
 taken on the same neighbour masks, bound its search, which is capped at
-TREEWIDTH_CAP vertices. Layered tree-width costs a bag by the most of its
+TREEWIDTH_CAP vertices; co-tree-width runs the same on the complemented
+masks. Layered tree-width costs a bag by the most of its
 vertices in one layer. It works one block (2-connected piece) at a time and
 runs the search once per layering of the block, generated directly as a
 level function in which every edge spans at most one step (one of each
@@ -263,45 +264,85 @@ def _bits(mask: int):
 
 def _min_fill_width(nbrs: list) -> int:
     """Width attained by the min-fill elimination heuristic (an upper bound)
-    on neighbour masks; a simplicial vertex adds no fill, so it goes first."""
+    on neighbour masks: each step eliminates the vertex of least fill, then
+    least degree, then lowest index, so a simplicial vertex goes first.
+    missing counts each fill pair twice, once from each end, and a vertex's
+    count stops once it passes the least so far, which it cannot then beat."""
     fill = list(nbrs)
     remaining = (1 << len(nbrs)) - 1
+    unreached = len(nbrs) ** 2  # above any doubled fill count
     best = 0
-
-    def fill_count(v):
-        nb = fill[v]
-        return sum((nb & ~fill[u] & ~(1 << u)).bit_count() for u in _bits(nb)) // 2
-
     while remaining:
-        v = min(_bits(remaining), key=lambda u: (fill_count(u), fill[u].bit_count()))
-        nb = fill[v]
-        best = max(best, nb.bit_count())
-        for u in _bits(nb):
-            fill[u] = (fill[u] | nb) & ~(1 << u | 1 << v)
-        remaining &= ~(1 << v)
+        pick_missing, pick_degree = unreached, 0
+        rest = remaining
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            nb = fill[u]
+            missing = 0
+            m = nb
+            while m:
+                w = m & -m
+                m ^= w
+                missing += (nb & ~(fill[w.bit_length() - 1] | w)).bit_count()
+                if missing > pick_missing:
+                    break
+            else:
+                degree = nb.bit_count()
+                if missing < pick_missing or degree < pick_degree:
+                    pick, pick_missing, pick_degree = low, missing, degree
+        best = max(best, pick_degree)
+        nb = m = fill[pick.bit_length() - 1]
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            fill[u] = (fill[u] | nb) & ~(low | pick)
+        remaining ^= pick
     return best
 
 
 def _minor_min_width(nbrs: list) -> int:
     """Max over the minimum-degree vertices met while each is contracted
     into its neighbour of least degree (Gogate & Dechter 2004), on neighbour
-    masks: every graph met is a minor, so this is a lower bound. It is never
-    below the degeneracy: a subgraph H of minimum degree k survives until
-    its first vertex is picked, and that vertex has degree at least k."""
+    masks: every graph met is a minor, so this is a lower bound. Ties go to
+    the lowest index. It is never below the degeneracy: a subgraph H of
+    minimum degree k survives until its first vertex is picked, and that
+    vertex has degree at least k."""
     adj = list(nbrs)
     remaining = (1 << len(nbrs)) - 1
     best = 0
     while remaining:
-        v = min(_bits(remaining), key=lambda u: adj[u].bit_count())
-        nb = adj[v]
+        v = _least_degree(adj, remaining)
+        nb = adj[v.bit_length() - 1]
         best = max(best, nb.bit_count())
-        remaining &= ~(1 << v)
+        remaining ^= v
         if nb:
-            u = min(_bits(nb), key=lambda w: adj[w].bit_count())
-            for w in _bits(nb):
-                adj[w] = (adj[w] | 1 << u) & ~(1 << v | 1 << w)
-            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
+            u = _least_degree(adj, nb)
+            m = nb
+            while m:
+                low = m & -m
+                m ^= low
+                w = low.bit_length() - 1
+                adj[w] = (adj[w] | u) & ~(v | low)
+            w = u.bit_length() - 1
+            adj[w] = (adj[w] | nb) & ~(u | v)
     return best
+
+
+def _least_degree(adj: list, among: int) -> int:
+    """The bit of the vertex of least degree in among, lowest index first."""
+    pick, least = 0, len(adj)
+    while among:
+        low = among & -among
+        among ^= low
+        degree = adj[low.bit_length() - 1].bit_count()
+        if degree < least:
+            if not degree:
+                return low
+            pick, least = low, degree
+    return pick
 
 
 def _min_elimination_cost(nbrs: list, cost, lower: int, upper: int) -> int:
@@ -335,21 +376,33 @@ def _min_elimination_cost(nbrs: list, cost, lower: int, upper: int) -> int:
         if remaining in dead:
             return False
         candidates = []
-        for v in _bits(remaining):
-            nb = fill[v]
-            bag_cost = cost(nb | 1 << v)
-            if all(not (nb & ~fill[u] & ~(1 << u)) for u in _bits(nb)):
-                candidates = [v] if bag_cost <= k else []
+        rest = remaining
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            nb = fill[v.bit_length() - 1]
+            fits = cost(nb | v) <= k
+            m = nb
+            while m:
+                low = m & -m
+                if nb & ~(fill[low.bit_length() - 1] | low):
+                    break
+                m ^= low
+            else:  # simplicial
+                candidates = [v] if fits else []
                 break
-            if bag_cost <= k:
+            if fits:
                 candidates.append(v)
         for v in candidates:
-            nb = fill[v]
-            gone = 1 << v
+            nb = fill[v.bit_length() - 1]
             after = fill[:]
-            for u in _bits(nb):
-                after[u] = (after[u] | nb) & ~(gone | 1 << u)
-            if feasible(after, remaining & ~gone, k):
+            m = nb
+            while m:
+                low = m & -m
+                m ^= low
+                u = low.bit_length() - 1
+                after[u] = (after[u] | nb) & ~(v | low)
+            if feasible(after, remaining ^ v, k):
                 return True
         dead.add(remaining)
         return False
@@ -368,6 +421,21 @@ def _require_treewidth_cap(g: Graph) -> None:
         raise TooLarge(f"exact tree-width is limited to {TREEWIDTH_CAP} vertices")
 
 
+def _neighbour_masks(g: Graph) -> list:
+    nbrs = [0] * g.vertices
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    return nbrs
+
+
+def _treewidth_of_masks(nbrs: list) -> int:
+    lower, upper = _minor_min_width(nbrs), _min_fill_width(nbrs)
+    if lower >= upper:
+        return upper
+    return _min_elimination_cost(nbrs, lambda bag: bag.bit_count() - 1, lower, upper)
+
+
 def treewidth_exact(g: Graph) -> int:
     """Exact tree-width by elimination-ordering search, capped at TREEWIDTH_CAP
     vertices.
@@ -378,20 +446,16 @@ def treewidth_exact(g: Graph) -> int:
     search.
     """
     _require_treewidth_cap(g)
-    nbrs = [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
-    lower, upper = _minor_min_width(nbrs), _min_fill_width(nbrs)
-    if lower >= upper:
-        return upper
-    return _min_elimination_cost(nbrs, lambda bag: bag.bit_count() - 1, lower, upper)
+    return _treewidth_of_masks(_neighbour_masks(g))
 
 
 def complemented_treewidth(g: Graph) -> int:
-    """Tree-width of the complement graph. The cap is checked first: the
-    complement of a large graph costs quadratic time and memory to build."""
-    from .core import complement
-
+    """Tree-width of the complement graph, by the same bounds and search as
+    treewidth_exact on the complemented neighbour masks; no complement
+    Graph is built. The cap is checked first."""
     _require_treewidth_cap(g)
-    return treewidth_exact(complement(g))
+    full = (1 << g.vertices) - 1
+    return _treewidth_of_masks([full & ~(nb | 1 << v) for v, nb in enumerate(_neighbour_masks(g))])
 
 
 @dataclass(frozen=True)
@@ -623,9 +687,7 @@ def layered_treewidth_exact(g: Graph) -> int:
     best = 1
     for block in _blocks(g):
         if len(block) > 2:
-            piece = g.induced_subgraph(block)
-            nbrs = [sum(1 << u for u in nb) for nb in piece.neighbor_sets()]
-            best = _block_layered_treewidth(nbrs, best)
+            best = _block_layered_treewidth(_neighbour_masks(g.induced_subgraph(block)), best)
     return best
 
 

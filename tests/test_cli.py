@@ -1,4 +1,6 @@
+import collections
 import contextlib
+import enum
 import io
 import json
 import pathlib
@@ -385,6 +387,65 @@ class TestDeterminismAndRoundTrip:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text()) == {"treewidth": 4}
+
+
+class TestJsonWriter:
+    """_emit_json writes json.dumps(data, sort_keys=True, indent=2) plus a
+    newline, byte for byte, and refuses what json.dumps refuses."""
+
+    SHAPES = [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [[], {}, ()], "d": {"e": {"f": []}}},
+        [(0, 1), (2, -3), (), [(4,)]],
+        {"big": 10**30, "negative": -(10**30), "zero": 0, "minus": -7},
+        {"t": True, "f": False, "n": None, "list": [True, False, None]},
+        "caf\u00e9 \U0001d11e \u2028",
+        ['say "hi"', "back\\slash", "\x00\x01\x1f\x7f", "\n\r\t\b\f", "/"],
+        {"\u00e9": 1, 'a"b': 2, "": 3, "b\\": [4], "A": 5, "a": 6},
+        {"value": 4, "witness": None, "stats": {"edgeSets": [3, 5], "predicateCalls": {"glue": 0, "leaf": 12}}},
+        # not emitted by any verb, so written by json.dumps inside the writer
+        {"x": [1.5, float("inf"), -0.0], "keys": {1: "a", 2: [None], 3.5: {}}},
+        [collections.OrderedDict([("b", 1), ("a", [2])]), type("Text", (str,), {})("s"), enum.IntEnum("E", "A")(1)],
+    ]
+
+    @pytest.mark.parametrize("value", SHAPES)
+    def test_text_equals_json_dumps(self, capsys, value):
+        cli._emit_json(value, None)
+        assert capsys.readouterr().out == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_every_fixture_output_is_json_dumps_text(self, capsys, fixtures_dir):
+        for argv in (
+            ["colim", "-d", "five_bag_tree.dec.json"],
+            ["colim", "-d", "bowtie.dec.json"],
+            ["to-arrow", "-d", "five_bag_tree.dec.json"],
+            ["check", "-d", "completion_dh.dec.json"],
+            ["chordal", "-g", "bowtie.json"],
+            ["clique-tree", "-g", "completion_h.json"],
+            ["solve", "--property", "paths", "-g", "bowtie.json", "-d", "bowtie.dec.json"],
+        ):
+            code, out = invoke(capsys, *[fx(fixtures_dir, a) if a.endswith(".json") else a for a in argv])
+            assert code == 0, argv
+            assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", argv
+
+    @pytest.mark.parametrize(
+        "value", [{"a": object()}, [1, {2, 3}], {"k": [b"bytes"]}, {(1, 2): 3}, {1: "a", "b": 2}]
+    )
+    def test_refused_values_raise_type_error(self, value):
+        with pytest.raises(TypeError) as refused:
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as raised:
+            cli._emit_json(value, None)
+        assert str(raised.value) == str(refused.value)
+
+    def test_missing_file_error_escapes_non_ascii(self, capsys, tmp_path):
+        path = str(tmp_path / "caf\u00e9.json")
+        code, out = invoke(capsys, "treewidth", "-g", path)
+        assert code == 2
+        message = f"cannot read {path}: [Errno 2] No such file or directory: {path!r}"
+        assert out == json.dumps({"error": message}, sort_keys=True, indent=2) + "\n"
+        assert "caf\\u00e9.json" in out and out.isascii()
 
 
 class TestCheckedAndGluedOnce:

@@ -79,6 +79,8 @@ from util import (
     layered_treewidth_by_all_orders,
     layered_treewidth_by_partitions,
     maximal_cliques_by_pairs,
+    min_fill_width_by_keys,
+    minor_min_width_by_keys,
     ordered_set_partitions,
     peo_by_max_scan,
     random_chordal_graph,
@@ -93,6 +95,15 @@ from util import (
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def bound_graphs():
+    """Every graph up to isomorphism with at most 7 vertices (n = 0 and 1
+    included), their complements, and 3,000 seeded random graphs with 2-12
+    vertices."""
+    graphs = [h for n in range(8) for g in graphs_up_to_iso(n) for h in (g, complement(g))]
+    rng = random.Random(67)
+    return graphs + [random_graph(rng, 12, rng.random(), min_n=2) for _ in range(3000)]
 
 
 def path(n):
@@ -585,6 +596,12 @@ class TestTreewidth:
             raised += _minor_min_width(nbrs) > degeneracy(nbrs)
         assert raised > 10
 
+    def test_bounds_equal_their_references(self):
+        for g in bound_graphs():
+            nbrs = [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
+            assert _min_fill_width(nbrs) == min_fill_width_by_keys(nbrs), g
+            assert _minor_min_width(nbrs) == minor_min_width_by_keys(nbrs), g
+
     def test_minor_min_width_is_never_below_the_degeneracy(self):
         # why treewidth_exact needs no degeneracy bound of its own
         graphs = [h for n in range(8) for g in graphs_up_to_iso(n) for h in (g, complement(g))]
@@ -636,6 +653,10 @@ class TestComplementedTreewidth:
 
     def test_five_cycle(self):
         assert complemented_treewidth(cycle(5)) == 2
+
+    def test_equals_the_tree_width_of_the_complement(self):
+        for g in bound_graphs():
+            assert complemented_treewidth(g) == treewidth_exact(complement(g)), g
 
     def test_cap_is_checked_before_the_complement_is_built(self, monkeypatch):
         def fail(g):

@@ -374,6 +374,56 @@ def degeneracy(nbrs: list) -> int:
     return best
 
 
+def _bits(mask: int):
+    """The set bits of mask, lowest first, as bit indices."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def min_fill_width_by_keys(nbrs: list) -> int:
+    """The min-fill elimination width, picking each vertex by min() over the
+    key (fill count, degree), lowest index first on ties: the reference for
+    sdkit.width._min_fill_width."""
+    fill = list(nbrs)
+    remaining = (1 << len(nbrs)) - 1
+    best = 0
+
+    def fill_count(v):
+        nb = fill[v]
+        return sum((nb & ~fill[u] & ~(1 << u)).bit_count() for u in _bits(nb)) // 2
+
+    while remaining:
+        v = min(_bits(remaining), key=lambda u: (fill_count(u), fill[u].bit_count()))
+        nb = fill[v]
+        best = max(best, nb.bit_count())
+        for u in _bits(nb):
+            fill[u] = (fill[u] | nb) & ~(1 << u | 1 << v)
+        remaining &= ~(1 << v)
+    return best
+
+
+def minor_min_width_by_keys(nbrs: list) -> int:
+    """Minor-min-width, picking each vertex and its contraction partner by
+    min() over degree, lowest index first on ties: the reference for
+    sdkit.width._minor_min_width."""
+    adj = list(nbrs)
+    remaining = (1 << len(nbrs)) - 1
+    best = 0
+    while remaining:
+        v = min(_bits(remaining), key=lambda u: adj[u].bit_count())
+        nb = adj[v]
+        best = max(best, nb.bit_count())
+        remaining &= ~(1 << v)
+        if nb:
+            u = min(_bits(nb), key=lambda w: adj[w].bit_count())
+            for w in _bits(nb):
+                adj[w] = (adj[w] | 1 << u) & ~(1 << v | 1 << w)
+            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
+    return best
+
+
 def treewidth_by_all_orders(g: Graph) -> int:
     """Exhaustive elimination-order enumeration with bitmask adjacency."""
     n = g.vertices
