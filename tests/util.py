@@ -32,7 +32,7 @@ from sdkit import (
 from sdkit.core import ISO_VERTEX_CAP, _UnionFind, is_json_int, object_size
 from sdkit.decomposition import _set_adhesion
 from sdkit.errors import NotChordal
-from sdkit.width import _min_elimination_cost, peo
+from sdkit.width import _bits, _min_elimination_cost, peo
 
 # The budget the caps are chosen for (README "Size caps"): an input is
 # refused, or answered, within 5 s wall and 512 MiB peak RSS. CHILD runs the
@@ -372,14 +372,6 @@ def degeneracy(nbrs: list) -> int:
         best = max(best, (nbrs[v] & remaining).bit_count())
         remaining &= ~(1 << v)
     return best
-
-
-def _bits(mask: int):
-    """The set bits of mask, lowest first, as bit indices."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def min_fill_width_by_keys(nbrs: list) -> int:
