@@ -26,11 +26,13 @@ from .core import (
     complete_on_function,
     discrete_graph,
     discrete_on_function,
+    is_forest,
     object_size,
 )
 from .errors import (
     CodomainMismatch,
     NonFinSetValued,
+    NonTreeShape,
     NotMono,
     NotTame,
     ValidationError,
@@ -129,6 +131,18 @@ def require_valid(d: StructuredDecomposition) -> None:
 def is_tame(d: StructuredDecomposition) -> bool:
     """True iff every adhesion leg is injective."""
     return all(a.span.is_monic() for a in d.adhesions)
+
+
+def _require_tame_forest(d: StructuredDecomposition, kind: str, task: str) -> None:
+    """Raise unless d is kind-valued, forest-shaped and tame, each failure
+    as "<task> needs ..."."""
+    if d.value_kind != kind:
+        wrong_kind = NonFinSetValued if kind == FINSET else ValidationError
+        raise wrong_kind(f"{task} needs a {kind}-valued decomposition")
+    if not is_forest(d.shape):
+        raise NonTreeShape(f"{task} needs a forest-shaped decomposition")
+    if not is_tame(d):
+        raise NotTame(f"{task} needs injective adhesion legs")
 
 
 def underlying_diagram(d: StructuredDecomposition) -> Diagram:

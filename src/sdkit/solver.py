@@ -51,20 +51,17 @@ from .core import (
     Span,
     _normalize_edge,
     connected_components,
-    is_forest,
 )
 from .decomposition import (
     Adhesion,
     GRAPH,
     StructuredDecomposition,
+    _require_tame_forest,
     evaluate_colimit,
-    is_tame,
 )
 from .errors import (
     NonMonicSpan,
-    NonTreeShape,
     NotATreeDecomposition,
-    NotTame,
     TooLarge,
     ValidationError,
 )
@@ -313,9 +310,9 @@ class PropertyPredicate:
     (_boundary_summary) of A - T and of B - T on I. So solve_at_boundary
     keeps one class per summary instead of the edge sets, its glue asks the
     predicate once per such key, and its leaf once per edge e and summary
-    of A on the ends of e (B = {e}, _leaf_summaries). It holds for paths, whose degrees and closed cycles
-    through I are read off the summaries, and for bipartite, whose odd
-    cycles through I are too; not for planar.
+    of A on the ends of e (B = {e}, _leaf_summaries). It holds for paths,
+    whose degrees and closed cycles through I are read off the summaries,
+    and for bipartite, whose odd cycles through I are too; not for planar.
     """
 
     name: str
@@ -369,8 +366,8 @@ MAX_EDGES = Objective("max-edges", "edges", "max")
 MAX_VERTICES = Objective("max-vertices", "vertices", "max")
 MIN_EDGES = Objective("min-edges", "edges", "min")
 OBJECTIVES = {o.name: o for o in (MAX_EDGES, MAX_VERTICES, MIN_EDGES)}
-# longest_path's objective, which only solve_at_boundary weighs: the most
-# edges over the accepted edge sets that form one path
+# longest_path's objective under PATHS: the most edges over the accepted edge
+# sets that form one path (_best_in_family)
 _LONGEST_PATH = Objective("longest-path", "edges", "max")
 
 
@@ -587,8 +584,10 @@ def best_entry(table: SubPTable, objective: Objective):
 
 
 def _best_in_family(family, n: int, objective: Objective):
-    """best_entry of the full table over the vertices 0..n-1 that family
-    stands for, without building it; None if empty.
+    """best_entry of the full table over the vertices 0..n-1 that family, a
+    list of (edge set, ends), stands for, without building it; None if
+    family is empty. Both routes read their witness here, solve_at_boundary
+    from the best sets of its root classes.
 
     The entries with edge set E have every vertex set between ends(E) and
     all vertices. The best of them with the smallest encoding is
@@ -597,10 +596,21 @@ def _best_in_family(family, n: int, objective: Objective):
     maximizes vertices, and ends(E) when it minimizes them. One candidate
     per edge set is therefore enough, and its weight is known from (E,
     ends(E)), so only the candidates of the best weight are built.
+
+    For _LONGEST_PATH the family is of linear forests (PATHS), and E forms
+    one path exactly when |ends(E)| = |E| + 1. The witness is (ends(E), E)
+    for such an E with the most edges and the smallest encoding, or vertex
+    0 alone when no E has an edge (None when n is 0).
     """
     if not family:
         return None
-    if objective.counts == "edges":
+    if objective is _LONGEST_PATH:
+        family = [(edges, ends) for edges, ends in family if len(ends) == len(edges) + 1]
+        if not family:
+            return Subobject(frozenset({0}), frozenset()) if n else None
+        weights = [len(edges) for edges, _ in family]
+        lowest = lambda ends: ends
+    elif objective.counts == "edges":
         weights = [len(edges) for edges, _ in family]
         lowest = lambda ends: frozenset(range(max(ends, default=-1) + 1))
     elif objective.direction == "max":
@@ -611,8 +621,10 @@ def _best_in_family(family, n: int, objective: Objective):
         weights = [len(ends) for _, ends in family]
         lowest = lambda ends: ends
     top = objective.best_value(weights)
-    tied = (Subobject(lowest(ends), edges) for (edges, ends), w in zip(family, weights) if w == top)
-    return min(tied, key=Subobject.encoding)
+    tied = [Subobject(lowest(ends), edges) for (edges, ends), w in zip(family, weights) if w == top]
+    # the encoding only breaks ties; skipping it for one saves a cold first
+    # call (about 10 us) in each CLI query
+    return tied[0] if len(tied) == 1 else min(tied, key=Subobject.encoding)
 
 
 @dataclass(frozen=True)
@@ -660,15 +672,11 @@ class SolveResult:
 
 
 def _solvable_colimit(d: StructuredDecomposition):
-    """evaluate_colimit(d), shared with tree_decomposition_reading, of a
-    graph-valued, tame, forest-shaped decomposition whose bags are within
-    BRUTE_CAP; each check raises."""
-    if d.value_kind != GRAPH:
-        raise ValidationError("solving needs a graph-valued decomposition")
-    if not is_forest(d.shape):
-        raise NonTreeShape("solving folds over a tree: the shape must be acyclic")
-    if not is_tame(d):
-        raise NotTame("solving requires injective adhesion legs")
+    """evaluate_colimit(d), shared with tree_decomposition_reading, and each
+    bag's edges in colimit coordinates, of a graph-valued, tame,
+    forest-shaped decomposition whose bags are within BRUTE_CAP; each check
+    raises."""
+    _require_tame_forest(d, GRAPH, "solving")
     for bag in d.bags:
         if bag.vertices > BRUTE_CAP:
             raise TooLarge(
@@ -676,7 +684,11 @@ def _solvable_colimit(d: StructuredDecomposition):
             )
     glued, cocone = evaluate_colimit(d)
     assert all(leg.is_mono() for leg in cocone), "a tame tree embeds every bag in its colimit"
-    return glued, cocone
+    bag_edges = [
+        [_normalize_edge(leg.mapping[u], leg.mapping[v]) for u, v in bag.edge_list()]
+        for bag, leg in zip(d.bags, cocone)
+    ]
+    return glued, cocone, bag_edges
 
 
 def _fold(d: StructuredDecomposition, root, leaf, glue, measure) -> tuple:
@@ -754,17 +766,15 @@ def solve_on_decomposition(
     than MAX_EDGE_SETS accepted edge sets raises TooLarge. The result does
     not depend on the chosen root.
     """
-    glued, cocone = _solvable_colimit(d)
+    glued, cocone, bag_edges = _solvable_colimit(d)
     if not d.bags:
         family, made = _accepted_edge_sets([], predicate)
         stats = SolveStats((), (), (), (made, 0))
     else:
 
         def leaf(t):
-            mapping = cocone[t].mapping
-            edge_list = [_normalize_edge(mapping[u], mapping[v]) for u, v in d.bags[t].edge_list()]
-            family, made = _accepted_edge_sets(edge_list, predicate)
-            return _Table(cocone[t].image_vertices(), frozenset(edge_list), family), made
+            family, made = _accepted_edge_sets(bag_edges[t], predicate)
+            return _Table(cocone[t].image_vertices(), frozenset(bag_edges[t]), family), made
 
         def measure(table):
             return _entry_count(table.family, len(table.vertices)), len(table.family)

@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import solver
-from .core import Graph, _normalize_edge
+from .core import Graph
 from .decomposition import StructuredDecomposition
 from .solver import (
     EMPTY_SUBOBJECT,
@@ -31,6 +31,8 @@ from .solver import (
     SolveStats,
     Subobject,
     _LONGEST_PATH,
+    _accepted_edge_sets,
+    _best_in_family,
     _fold,
     _solvable_colimit,
     _too_many_edge_sets,
@@ -172,9 +174,10 @@ def _leaf_summaries(frame, pairs, bits, predicate, vertex_bit, longest) -> tuple
     the same for S - seam, whose summary on boundary gives S's signature.
     S | {e} is decided by the verdict on the first candidate with the same
     edge e and the same summary of S on the ends of e: their degrees, and
-    whether they are joined and with which parity. That is the decided_at_boundary contract with A = S,
-    B = {e} and no common edges, so the predicate is called once per such
-    key, and once on the empty subobject.
+    whether they are joined and with which parity. That is the
+    decided_at_boundary contract with A = S, B = {e} and no common edges,
+    so the predicate is called once per such key, and once on the empty
+    subobject.
     """
     if not predicate(EMPTY_SUBOBJECT):
         return {}, 1
@@ -274,10 +277,7 @@ def solve_at_boundary(
     The colimit edge of rank r in sorted order is bit M - 1 - r of a mask
     over the M colimit edges, so that of two edge sets of one size the one
     with the smaller sorted edge tuple has the larger mask; masks add over
-    parts with disjoint edges. The witness of MAX_EDGES is (0..max end, E)
-    for the largest E with the smallest max end and then the largest mask,
-    read off the fronts; every other objective's witness follows from
-    whether the table is empty, as in _best_in_family.
+    parts with disjoint edges.
 
     longest_path's objective weighs a class by the key of its best set
     (_Summaries), with colimit vertex v at bit N - 1 - v, so that of two
@@ -285,19 +285,26 @@ def solve_at_boundary(
     A glue adds the two keys less (|T| - |ends L & ends R|, |T|) for the
     trace T, and ORs the masks; the class fixes both sides' boundary bits
     and their interiors are disjoint, so the best set of a class pair is
-    the union of their best sets. The witness is then the best set whose
-    key starts with -1 (one path) as (ends E, E), else vertex 0 alone.
+    the union of their best sets.
+
+    At the root nothing lies outside, so the empty edge set is a class of
+    its own and the other class holds the best non-empty sets. The witness
+    is _best_in_family's, the edge-set fold's rule, over one (edges, ends)
+    pair per front mask of the root classes: every objective's best
+    candidate is among them.
     """
-    glued, cocone = _solvable_colimit(d)
+    glued, cocone, bag_edges = _solvable_colimit(d)
     longest = objective is _LONGEST_PATH
     vertex_bit = lambda v: 1 << glued.vertices - 1 - v
     edge_at = glued.edge_list()[::-1]
     bit = {edge: 1 << i for i, edge in enumerate(edge_at)}
     edges_of = lambda mask: [edge_at[i] for i in _bits(mask)] if mask else ()
-    bag_edges = []
-    for t, bag in enumerate(d.bags):
-        mapping = cocone[t].mapping
-        bag_edges.append([_normalize_edge(mapping[u], mapping[v]) for u, v in bag.edge_list()])
+
+    def edge_set(mask):
+        """(edges, ends) of the edge set mask, as a family lists it."""
+        edges = edges_of(mask)
+        return frozenset(edges), frozenset().union(*edges)
+
     frames = [(leg.image_vertices(), sum(bit[e] for e in pairs)) for leg, pairs in zip(cocone, bag_edges)]
 
     def part(bags, vertices, edges, classes):
@@ -328,8 +335,7 @@ def solve_at_boundary(
 
         def sub(mask):
             if mask not in subs:
-                edges = edges_of(mask)
-                subs[mask] = frozenset(edges), frozenset().union(*edges)
+                subs[mask] = edge_set(mask)
             return subs[mask]
 
         def place(tau, flag, pieces, *contents):
@@ -397,26 +403,10 @@ def solve_at_boundary(
 
     if d.bags:
         table, stats = _fold(d, root, leaf, glue, measure)
-        classes = list(table.classes.values())
+        family = [edge_set(mask) for cls in table.classes.values() for _, mask in cls[3]]
     else:
-        classes = [[1, 1, (0, 0, 0) if longest else 0, [(-1, 0)]]] if predicate(EMPTY_SUBOBJECT) else []
-        stats = SolveStats((), (), (), (1, 0))
-    if not classes:
-        witness = None
-    elif longest:
-        best = max(((cls[2], cls[3][0][1]) for cls in classes if cls[2][0] == -1), default=None)
-        if best is not None:
-            edges = edges_of(best[1])
-            witness = Subobject(frozenset().union(*edges), frozenset(edges))
-        else:
-            witness = Subobject(frozenset({0}), frozenset()) if glued.vertices else None
-    elif objective.direction != "max":
-        witness = EMPTY_SUBOBJECT
-    elif objective.counts == "vertices":
-        witness = Subobject(frozenset(range(glued.vertices)), frozenset())
-    else:
-        size = max(cls[2] for cls in classes)
-        top, mask = _front([rep for cls in classes if cls[2] == size for rep in cls[3]])[0]
-        witness = Subobject(frozenset(range(top + 1)), frozenset(edges_of(mask)))
+        family, made = _accepted_edge_sets([], predicate)
+        stats = SolveStats((), (), (), (made, 0))
+    witness = _best_in_family(family, glued.vertices, objective)
     value = objective.weight(witness) if witness is not None else None
     return Solved(value, witness, stats, glued)

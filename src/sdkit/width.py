@@ -39,6 +39,7 @@ from .decomposition import (
     FINSET,
     GRAPH,
     StructuredDecomposition,
+    _require_tame_forest,
     _set_adhesion,
     evaluate_colimit,
     is_tame,
@@ -46,12 +47,9 @@ from .decomposition import (
 )
 from .errors import (
     EmptyDecomposition,
-    NonFinSetValued,
-    NonTreeShape,
     NotALayering,
     NotATreeDecomposition,
     NotChordal,
-    NotTame,
     TooLarge,
     ValidationError,
 )
@@ -111,18 +109,9 @@ def clique_number_chordal(g: Graph) -> int:
     return 1 + max(sum(1 for u in nbrs[v] if pos[u] > pos[v]) for v in order)
 
 
-def _require_forest_shape(d: StructuredDecomposition) -> None:
-    if not is_forest(d.shape):
-        raise NonTreeShape("the decomposition shape must be a tree or forest")
-
-
 def chordal_from_decomposition(d: StructuredDecomposition) -> Graph:
     """Complete every bag and glue: tree-shaped tame input yields a chordal graph."""
-    if d.value_kind != FINSET:
-        raise NonFinSetValued("expected a finite-set-valued decomposition")
-    _require_forest_shape(d)
-    if not is_tame(d):
-        raise NotTame("completion requires injective adhesion legs")
+    _require_tame_forest(d, FINSET, "completion")
     glued, _ = evaluate_colimit(map_decomposition(COMPLETE, d))
     return glued
 
@@ -697,10 +686,6 @@ def h_width(d: StructuredDecomposition, in_h) -> int:
     in_h must be closed under subgraphs for the resulting measure to behave;
     that is the caller's promise.
     """
-    if d.value_kind != GRAPH:
-        raise ValidationError("h-width is defined for graph-valued decompositions")
-    _require_forest_shape(d)
-    if not is_tame(d):
-        raise NotTame("h-width requires injective adhesion legs")
+    _require_tame_forest(d, GRAPH, "h-width")
     sizes = [b.vertices for b in d.bags if not in_h(b)]
     return max(sizes) if sizes else 0

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 
 import pytest
@@ -7,6 +8,10 @@ from sdkit import Graph, decomposition_from_json
 from sdkit.width import Layering
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+# pytest puts src/ on its own path (pyproject.toml); the CLI runs in child
+# processes import sdkit from the same checkout
+SRC = str(FIXTURES.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
 def load_fixture(name: str):

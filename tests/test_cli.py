@@ -106,6 +106,13 @@ class TestVerbs:
         assert code == 0
         restricted = decomposition_from_json(json.loads(out))
         assert [b.vertices for b in restricted.bags] == [3, 3]
+        # the same subgraph as a morphism file: its identity embedding
+        morphism = tmp_path / "m.json"
+        morphism.write_text(json.dumps({"dom": sub.to_json(), "map": list(range(5))}))
+        code, out_morphism = invoke(
+            capsys, "restrict", "-d", fx(fixtures_dir, "bowtie.dec.json"), "--morphism", str(morphism)
+        )
+        assert (code, out_morphism) == (0, out)
 
     def test_chordal_and_clique_tree(self, capsys, fixtures_dir):
         code, out = invoke(capsys, "chordal", "-g", fx(fixtures_dir, "completion_h.json"))
@@ -212,6 +219,76 @@ class TestErrorHandling:
             code, out = invoke(capsys, "restrict", "-d", finset, flag, path)
             assert code == 2
             assert json.loads(out) == {"error": "restriction is defined for graph-valued decompositions"}
+
+    # a graph-valued decomposition whose source leg sends both apex vertices
+    # to the one vertex of bag 0
+    WILD = {
+        "valueKind": "graph",
+        "shape": {"vertices": 2, "edges": [[0, 1]]},
+        "bags": [{"vertices": 1, "edges": []}, {"vertices": 2, "edges": []}],
+        "adhesions": [
+            {"edge": [0, 1], "apex": {"vertices": 2, "edges": []}, "legSource": [0, 0], "legTarget": [0, 1]}
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "argv, files, message",
+        [
+            (["solve", "-d", "w"], {"w": WILD}, "solving needs injective adhesion legs"),
+            (["h-width", "-d", "w"], {"w": WILD}, "h-width needs injective adhesion legs"),
+            (
+                ["restrict", "-d", "fx:bowtie.dec.json", "--morphism", "m"],
+                {"m": [0, 1]},
+                "morphism JSON must be {'dom': <graph>, 'map': [..]}",
+            ),
+            (["restrict", "-d", "fx:bowtie.dec.json"], {}, "restrict needs --morphism or -g/--graph"),
+            (
+                ["layered-width", "-g", "fx:p3.json"],
+                {},
+                "layered-width needs -l/--layering and -d/--decomposition (or --exact)",
+            ),
+            (
+                ["layered-width", "-g", "fx:p3.json", "-l", "fx:p3_layering.json"],
+                {},
+                "layered-width needs -l/--layering and -d/--decomposition (or --exact)",
+            ),
+            (
+                ["solve", "-d", "fx:bowtie.dec.json", "--property", "nope"],
+                {},
+                "unknown property 'nope'; choose from ['bipartite', 'paths', 'planar']",
+            ),
+            (
+                ["solve", "-d", "fx:bowtie.dec.json", "--objective", "nope"],
+                {},
+                "unknown objective 'nope'; choose from ['max-edges', 'max-vertices', 'min-edges']",
+            ),
+            (
+                ["layered-width", "-g", "fx:p3.json", "-l", "l", "-d", "fx:p3.dec.json"],
+                {"l": [[0], [1], [2]]},
+                "layering JSON must be {'layers': [[v, ..], ..]}",
+            ),
+            (
+                ["layered-width", "-g", "fx:p3.json", "-l", "l", "-d", "fx:p3.dec.json"],
+                {"l": {"layers": [[0], [1, "2"]]}},
+                "layer must be an array of vertex ids, got [1, '2']",
+            ),
+            (["from-arrow", "--arrow", "a"], {"a": [1]}, "arrow presentation JSON must be an object"),
+            (
+                ["from-arrow", "--arrow", "a"],
+                {"a": {"total": {"vertices": 1, "edges": []}, "base": {"vertices": 1, "edges": []}, "projection": [0.5]}},
+                "projection must be an array of base vertices",
+            ),
+        ],
+    )
+    def test_bad_input_exits_two_with_its_message(self, capsys, tmp_path, fixtures_dir, argv, files, message):
+        """fx:NAME names a fixture; any other file word is written from files."""
+        for name, data in files.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        words = [
+            fx(fixtures_dir, word[3:]) if word.startswith("fx:") else str(tmp_path / word) if word in files else word
+            for word in argv
+        ]
+        assert invoke(capsys, *words) == (2, json.dumps({"error": message}, sort_keys=True, indent=2) + "\n")
 
     def test_malformed_json_exits_two_with_position(self, capsys, tmp_path):
         broken = tmp_path / "broken.json"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from sdkit import (
     connected_components,
     discrete_graph,
     discrete_on_function,
+    find_isomorphism,
     graph_morphisms,
     is_forest,
     is_isomorphic,
@@ -399,3 +401,50 @@ class TestUtilities:
     def test_is_forest(self):
         assert is_forest(path(4))
         assert not is_forest(cycle(3))
+
+
+class TestValidationPaths:
+    """Each constructor and operation refuses input it cannot stand for."""
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: FinSet(-1), ValidationError, "finite set size must be >= 0, got -1"),
+            (lambda: Graph(-1), ValidationError, "vertex count must be >= 0, got -1"),
+            (lambda: GraphMorphism(K1, K2, (2,)), ValidationError, "vertex map sends 0 to 2, outside 0..1"),
+            (
+                lambda: Span(GraphMorphism(K1, K2, (0,)), GraphMorphism.identity(K2)),
+                ValidationError,
+                "span legs must share their domain (the apex)",
+            ),
+            (lambda: Diagram((K1, FinSet(1)), ()), IllFormedDiagram, "diagram mixes finite-set and graph objects"),
+            (
+                lambda: Diagram((K1,), ((0, 1, GraphMorphism.identity(K1)),)),
+                IllFormedDiagram,
+                "arrow indices (0,1) out of range",
+            ),
+            (
+                lambda: colimit(Diagram((), ())),
+                IllFormedDiagram,
+                "colimit of an empty diagram has no canonical object here",
+            ),
+            # a cospan across the two categories is refused when it is built,
+            # so pullback never sees one
+            (
+                lambda: pullback(Cospan(SetFunction.identity(FinSet(1)), GraphMorphism.identity(K1))),
+                CodomainMismatch,
+                "cospan legs must share their codomain",
+            ),
+        ],
+    )
+    def test_refused_with_its_message(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_cospan_apex_is_the_shared_codomain(self):
+        assert Cospan(GraphMorphism(K1, K3, (0,)), GraphMorphism(K2, K3, (1, 2))).apex == K3
+
+    def test_equal_counts_with_other_degrees_are_not_isomorphic(self):
+        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        assert (star.vertices, len(star.edges)) == (path(4).vertices, len(path(4).edges))
+        assert find_isomorphism(star, path(4)) is None

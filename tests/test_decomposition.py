@@ -17,8 +17,11 @@ from sdkit import (
     Graph,
     GraphMorphism,
     NonFinSetValued,
+    NonTreeShape,
     NotMono,
     NotTame,
+    PATHS,
+    MAX_EDGES,
     SetFunction,
     Span,
     StructuredDecomposition,
@@ -26,6 +29,7 @@ from sdkit import (
     ValueFunctor,
     canonical_form,
     check_morphism,
+    chordal_from_decomposition,
     complement,
     complete_graph,
     decomposition_from_json,
@@ -33,15 +37,20 @@ from sdkit import (
     decomposition_to_json,
     evaluate_colimit,
     from_arrow,
+    h_width,
     identity_functor,
     identity_morphism,
     is_isomorphic,
     is_tame,
     map_decomposition,
     restrict_decomposition,
+    solve_at_boundary,
+    solve_on_decomposition,
     to_arrow,
+    tree_decomposition_reading,
     validate,
 )
+from sdkit.decomposition import _require_tame_forest
 from util import (
     fs_adhesion,
     random_finset_decomposition,
@@ -425,3 +434,114 @@ class TestJson:
         assert validate(d) == []
         assert is_tame(d)
         assert [list(lab) for lab in labeling] == [sorted(b) for b in bag_sets]
+
+
+class TestValidationPaths:
+    """Each constructor and operation refuses input it cannot stand for."""
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: StructuredDecomposition(Graph(0), "poset", (), ()), ValidationError, "unknown value kind 'poset'"),
+            (lambda: single_bag(FinSet(1), GRAPH), ValidationError, "bag 0 is not a graph object"),
+            (
+                lambda: StructuredDecomposition(
+                    Graph(2, [(0, 1)]), GRAPH, (Graph(1), Graph(1)), (fs_adhesion((0, 1), [], FinSet(1), FinSet(1)),)
+                ),
+                ValidationError,
+                "adhesion (0, 1) apex is not a graph object",
+            ),
+            (
+                lambda: StructuredDecomposition(
+                    Graph(2, [(0, 1)]), FINSET, (FinSet(1), FinSet(2)), (fs_adhesion((0, 1), [(0, 0)], FinSet(1), FinSet(1)),)
+                ),
+                ValidationError,
+                "adhesion (0, 1): target leg does not land in bag 1",
+            ),
+            (
+                lambda: map_decomposition(COMPLETE, single_bag(complete_graph(1), GRAPH)),
+                ValidationError,
+                "functor complete expects finset values, got graph",
+            ),
+            (
+                lambda: canonical_form(single_bag(complete_graph(1), GRAPH)),
+                NonFinSetValued,
+                "canonical form is defined for finite-set-valued input",
+            ),
+            (
+                lambda: ArrowPresentation(Graph(2), Graph(1), GraphMorphism.identity(Graph(1))),
+                ValidationError,
+                "projection must map the total graph onto the base",
+            ),
+            (
+                lambda: decomposition_from_vertex_bags(Graph(2), Graph(2), [[0]]),
+                ValidationError,
+                "one bag vertex set is required per shape vertex",
+            ),
+            (
+                lambda: decomposition_from_vertex_bags(Graph(2), Graph(1), [[0, 5]]),
+                ValidationError,
+                "bag vertex 5 is not a vertex of the graph",
+            ),
+        ],
+    )
+    def test_refused_with_its_message(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def precondition_faults(kind):
+    """(decomposition, error, message less its task) for each fault
+    _require_tame_forest refuses when kind is asked for: a value kind other
+    than kind, a shape with a cycle and a leg that is not injective."""
+    ones = (FinSet(1), FinSet(1), FinSet(1))
+    triangle = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    cyclic = StructuredDecomposition(
+        triangle, FINSET, ones, [fs_adhesion(e, [], ones[e[0]], ones[e[1]]) for e in triangle.edge_list()]
+    )
+    bags = (FinSet(1), FinSet(2))
+    wild = StructuredDecomposition(Graph(2, [(0, 1)]), FINSET, bags, (fs_adhesion((0, 1), [(0, 0), (0, 1)], *bags),))
+    other = single_bag(FinSet(1), FINSET)
+    if kind == GRAPH:
+        cyclic, wild = map_decomposition(DISCRETE, cyclic), map_decomposition(DISCRETE, wild)
+    else:
+        other = map_decomposition(DISCRETE, other)
+    return [
+        (other, NonFinSetValued if kind == FINSET else ValidationError, f"needs a {kind}-valued decomposition"),
+        (cyclic, NonTreeShape, "needs a forest-shaped decomposition"),
+        (wild, NotTame, "needs injective adhesion legs"),
+    ]
+
+
+class TestTameForestPrecondition:
+    """Solving, completion and h-width share one precondition: a
+    decomposition of their value kind, forest-shaped and tame. Each fault
+    raises its own error as "<task> needs ..."."""
+
+    @pytest.mark.parametrize("kind", [FINSET, GRAPH])
+    def test_each_condition_raises(self, kind):
+        for d, error, message in precondition_faults(kind):
+            with pytest.raises(error, match=f"^task {re.escape(message)}$"):
+                _require_tame_forest(d, kind, "task")
+
+    def test_a_tame_forest_passes(self, five_bag_tree, bowtie_decomposition):
+        assert _require_tame_forest(five_bag_tree, FINSET, "task") is None
+        assert _require_tame_forest(bowtie_decomposition, GRAPH, "task") is None
+
+    @pytest.mark.parametrize(
+        "task, kind, call",
+        [
+            ("solving", GRAPH, lambda d: solve_on_decomposition(d, PATHS, MAX_EDGES)),
+            ("solving", GRAPH, lambda d: solve_at_boundary(d, PATHS, MAX_EDGES)),
+            ("completion", FINSET, chordal_from_decomposition),
+            ("h-width", GRAPH, lambda d: h_width(d, lambda bag: True)),
+        ],
+    )
+    def test_every_caller_raises_it(self, task, kind, call):
+        for d, error, message in precondition_faults(kind):
+            with pytest.raises(error, match=f"^{re.escape(task)} {re.escape(message)}$"):
+                call(d)
+
+    def test_tree_decomposition_reading_reads_no_tree_decomposition(self):
+        for d, _, _ in precondition_faults(GRAPH):
+            assert tree_decomposition_reading(Graph(1), d) is None

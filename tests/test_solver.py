@@ -515,6 +515,18 @@ class TestCompose:
             for sub in right.entries:
                 assert translate_subobject(sub, cocone.right.mapping) in table.entries
 
+    @pytest.mark.parametrize(
+        "left, right, message",
+        [
+            ((K1, PATHS), (K3, PATHS), "tables do not match the span feet"),
+            ((K3, PATHS), (K3, BIPARTITE), "tables were built for a different predicate"),
+        ],
+    )
+    def test_tables_of_other_feet_or_another_predicate_are_rejected(self, left, right, message):
+        tables = [enumerate_subp_bruteforce(g, predicate) for g, predicate in (left, right)]
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            compose(bowtie_span(), *tables, PATHS)
+
     def test_non_monic_span_rejected(self):
         collapse = GraphMorphism(Graph(2), K1, (0, 0))
         base = enumerate_subp_bruteforce(K1, PATHS)
@@ -601,6 +613,16 @@ class TestSolveOnDecomposition:
         result = solve_on_decomposition(d, PATHS, MAX_EDGES)
         glued, _ = evaluate_colimit(d)
         assert result.table.entries == enumerate_subp_bruteforce(glued, PATHS).entries
+
+    @pytest.mark.parametrize("route", [solve_on_decomposition, solve_at_boundary])
+    @pytest.mark.parametrize("root", [-1, 2])
+    def test_a_root_outside_the_shape_is_rejected(self, route, root):
+        with pytest.raises(ValidationError, match=f"^root {root} is not a shape vertex$"):
+            route(two_bag_bowtie_decomposition(), PATHS, MAX_EDGES, root=root)
+
+    def test_an_objective_counts_vertices_or_edges(self):
+        with pytest.raises(ValidationError, match="^an objective counts vertices or edges, not 'degrees'$"):
+            Objective("max-degree", "degrees", "max")
 
     def test_cyclic_shape_rejected(self):
         bags = (K1, K1, K1)
@@ -1086,12 +1108,15 @@ class TestLongestPath:
         return (len(best.edges), best) if best is not None else (0, EMPTY_SUBOBJECT)
 
     def test_equals_the_family_pick(self):
-        from sdkit.solver import _LONGEST_PATH
+        from sdkit.solver import _LONGEST_PATH, _best_in_family
 
         for d in ORACLE_INSTANCES + summary_route_instances():
             glued, _ = evaluate_colimit(d)
-            best = longest_single_path(solve_on_decomposition(d, PATHS, MAX_EDGES))
+            full = solve_on_decomposition(d, PATHS, MAX_EDGES)
+            best = longest_single_path(full)
             assert longest_path(glued, d)[:2] == self.answer(best)
+            # the one witness rule, on the edge-set fold's whole family
+            assert _best_in_family(full.family, glued.vertices, _LONGEST_PATH) == best
         for d in ORACLE_INSTANCES:
             for root in range(d.shape.vertices):
                 best = longest_single_path(solve_on_decomposition(d, PATHS, MAX_EDGES, root=root))

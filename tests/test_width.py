@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import random
@@ -658,11 +659,12 @@ class TestComplementedTreewidth:
         for g in bound_graphs():
             assert complemented_treewidth(g) == treewidth_exact(complement(g)), g
 
-    def test_cap_is_checked_before_the_complement_is_built(self, monkeypatch):
+    def test_cap_is_checked_before_the_neighbour_masks_are_built(self, monkeypatch):
         def fail(g):
-            raise AssertionError("complement built past the cap")
+            raise AssertionError("neighbour masks built past the cap")
 
-        monkeypatch.setattr("sdkit.core.complement", fail)
+        # the module, not the sdkit.width function the package exports
+        monkeypatch.setattr(importlib.import_module("sdkit.width"), "_neighbour_masks", fail)
         with pytest.raises(TooLarge, match=f"limited to {TREEWIDTH_CAP} vertices"):
             complemented_treewidth(Graph(TREEWIDTH_CAP + 1))
 
