@@ -1,7 +1,8 @@
 """Batch front door: parse JSON inputs, dispatch, emit deterministic output.
 
 Exit codes: 0 success, 2 validation failure (including malformed JSON, with
-a position-annotated message), 3 instance over a documented size cap.
+a position-annotated message, and a file that cannot be read or written),
+3 instance over a documented size cap.
 Output is byte-for-byte deterministic for identical inputs, except for the
 wall-time column of `bench`.
 """
@@ -59,7 +60,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
     try:
         return json.loads(text)
@@ -67,6 +68,10 @@ def _load_json(path: str):
         raise ValidationError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply to read")
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ValidationError(f"{path}: unreadable JSON: {exc}")
 
 
 def _load_graph(path: str) -> Graph:
@@ -94,8 +99,11 @@ def _load_morphism(path: str, cod: Graph) -> GraphMorphism:
 
 def _emit(payload: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {out_path}: {exc}")
     else:
         sys.stdout.write(payload)
 

@@ -50,7 +50,6 @@ from .core import (
     Graph,
     Span,
     _normalize_edge,
-    connected_components,
 )
 from .decomposition import (
     Adhesion,
@@ -307,10 +306,11 @@ class PropertyPredicate:
     decided_at_boundary claims more. Let A and B be accepted edge sets of
     two parts of one graph whose vertex sets meet in I, and T their common
     edges. Then the verdict on A | B is fixed by T and by the summaries
-    (_boundary_summary) of A - T and of B - T on I. So solve_at_boundary
-    keeps one class per summary instead of the edge sets, its glue asks the
-    predicate once per such key, and its leaf once per edge e and summary
-    of A on the ends of e (B = {e}, _leaf_summaries). It holds for paths,
+    of A - T and of B - T on I: each vertex's degree, and its component
+    and colour parity against the first vertex of I in that component. So
+    solve_at_boundary keeps one class per summary instead of the edge sets,
+    its glue asks the predicate once per such key, and its leaf once per
+    edge e and summary of A on the ends of e (B = {e}). It holds for paths,
     whose degrees and closed cycles through I are read off the summaries,
     and for bipartite, whose odd cycles through I are too; not for planar.
     """
@@ -602,33 +602,31 @@ def _best_in_family(family, n: int, objective: Objective):
     for such an E with the most edges and the smallest encoding, or vertex
     0 alone when no E has an edge (None when n is 0).
     """
-    if not family:
-        return None
-    if objective is _LONGEST_PATH:
-        family = [(edges, ends) for edges, ends in family if len(ends) == len(edges) + 1]
-        if not family:
-            return Subobject(frozenset({0}), frozenset()) if n else None
-        weights = [len(edges) for edges, _ in family]
-        lowest = lambda ends: ends
-    elif objective.counts == "edges":
-        weights = [len(edges) for edges, _ in family]
-        lowest = lambda ends: frozenset(range(max(ends, default=-1) + 1))
-    elif objective.direction == "max":
-        weights = [n] * len(family)
-        everything = frozenset(range(n))
-        lowest = lambda ends: everything
-    else:
-        weights = [len(ends) for _, ends in family]
-        lowest = lambda ends: ends
-    top = objective.best_value(weights)
-    tied = [Subobject(lowest(ends), edges) for (edges, ends), w in zip(family, weights) if w == top]
+    longest, counts_edges = objective is _LONGEST_PATH, objective.counts == "edges"
+    sign = 1 if objective.direction == "max" else -1
+    everything = frozenset(range(n)) if not counts_edges and sign > 0 else None
+    top, tied = None, []
+    for pair in family:
+        edges, ends = pair
+        if longest and len(ends) != len(edges) + 1:
+            continue
+        weight = sign * (len(edges) if counts_edges else n if everything else len(ends))
+        if top is None or weight > top:
+            top, tied = weight, []
+        if weight == top:
+            tied.append(pair)
+    if top is None:
+        return Subobject(frozenset({0}), frozenset()) if longest and family and n else None
+    for i, (edges, ends) in enumerate(tied):
+        if counts_edges and not longest:
+            ends = frozenset(range(max(ends, default=-1) + 1))
+        tied[i] = Subobject(everything or ends, edges)
     # the encoding only breaks ties; skipping it for one saves a cold first
     # call (about 10 us) in each CLI query
     return tied[0] if len(tied) == 1 else min(tied, key=Subobject.encoding)
 
 
-@dataclass(frozen=True)
-class SolveStats:
+class SolveStats(NamedTuple):
     """Deterministic counters of one fold.
 
     table_sizes holds the entries of every table, leaf or glued, in fold
@@ -691,41 +689,35 @@ def _solvable_colimit(d: StructuredDecomposition):
     return glued, cocone, bag_edges
 
 
-def _fold(d: StructuredDecomposition, root, leaf, glue, measure) -> tuple:
+def _fold(d: StructuredDecomposition, root, leaf, glue) -> tuple:
     """(table, stats) of the fold over a decomposition with bags.
 
-    leaf(t) and glue(child, parent) return (table, predicate calls), and
-    measure(table) gives (entries, accepted edge sets). In post-order, every
-    shape edge glues the child subtree's table onto the parent's accumulated
-    table; forest shapes are folded per component and then glued in
-    component order, the component of root (if given) first and from it.
+    leaf(t) and glue(child, parent) return (table, predicate calls, entries,
+    accepted edge sets). In post-order, every shape edge glues the child
+    subtree's table onto the parent's accumulated table; forest shapes are
+    folded per component and then glued in component order, the component
+    of root (if given) first and from it, the others by their least shape
+    vertex, each from that vertex.
     """
+    if root is not None and not 0 <= root < d.shape.vertices:
+        raise ValidationError(f"root {root} is not a shape vertex")
     table_sizes, edge_sets, compositions, calls = [], [], [], [0, 0]
 
-    def counted(table, made, kind):
-        calls[kind] += made
-        entries, held = measure(table)
+    def glued(left, right):
+        compositions.append((left[1], right[1]))
+        table, made, entries, held = glue(left[0], right[0])
+        calls[1] += made
         table_sizes.append(entries)
         edge_sets.append(held)
         return table, entries
 
-    def glued(left, right):
-        compositions.append((left[1], right[1]))
-        return counted(*glue(left[0], right[0]), 1)
-
     shape_nbrs = d.shape.neighbor_sets()
-    components = connected_components(d.shape)
-    if root is not None:
-        if not 0 <= root < d.shape.vertices:
-            raise ValidationError(f"root {root} is not a shape vertex")
-        components.sort(key=lambda comp: (root not in comp, comp))
-
-    def fold_component(component):
-        start = root if root is not None and root in component else component[0]
-        # iterative post-order over the tree component
-        order = []
-        parent = {start: None}
-        stack = [start]
+    parent, acc = {}, None
+    for start in ([] if root is None else [root]) + list(range(d.shape.vertices)):
+        if start in parent:
+            continue
+        # iterative post-order over the tree component of start
+        order, stack, parent[start] = [], [start], None
         while stack:
             v = stack.pop()
             order.append(v)
@@ -735,16 +727,16 @@ def _fold(d: StructuredDecomposition, root, leaf, glue, measure) -> tuple:
                     stack.append(u)
         state = {}  # shape vertex -> (table, entries) of its folded subtree
         for v in reversed(order):
-            acc = counted(*leaf(v), 0)
+            table, made, entries, held = leaf(v)
+            calls[0] += made
+            table_sizes.append(entries)
+            edge_sets.append(held)
+            folded = table, entries
             for child in sorted(shape_nbrs[v]):
-                if parent.get(child) == v:
-                    acc = glued(state.pop(child), acc)
-            state[v] = acc
-        return state[start]
-
-    acc = fold_component(components[0])
-    for component in components[1:]:
-        acc = glued(acc, fold_component(component))
+                if parent[child] == v:
+                    folded = glued(state.pop(child), folded)
+            state[v] = folded
+        acc = state[start] if acc is None else glued(acc, state[start])
     stats = SolveStats(tuple(table_sizes), tuple(compositions), tuple(edge_sets), tuple(calls))
     return acc[0], stats
 
@@ -772,15 +764,15 @@ def solve_on_decomposition(
         stats = SolveStats((), (), (), (made, 0))
     else:
 
+        def measured(table, made):
+            return table, made, _entry_count(table.family, len(table.vertices)), len(table.family)
+
         def leaf(t):
             family, made = _accepted_edge_sets(bag_edges[t], predicate)
-            return _Table(cocone[t].image_vertices(), frozenset(bag_edges[t]), family), made
+            return measured(_Table(cocone[t].image_vertices(), frozenset(bag_edges[t]), family), made)
 
-        def measure(table):
-            return _entry_count(table.family, len(table.vertices)), len(table.family)
-
-        glue = lambda left, right: _compose_entries(left, right, predicate)
-        table, stats = _fold(d, root, leaf, glue, measure)
+        glue = lambda left, right: measured(*_compose_entries(left, right, predicate))
+        table, stats = _fold(d, root, leaf, glue)
         family = table.family
     witness = _best_in_family(family, glued.vertices, objective)
     value = objective.weight(witness) if witness is not None else None

@@ -298,6 +298,31 @@ class TestErrorHandling:
         message = json.loads(out)["error"]
         assert "line 1" in message and "column" in message
 
+    # bytes no JSON reader gets through: nesting past the decoder's recursion
+    # limit, text that is not UTF-8, and an integer past Python's 4,300-digit
+    # limit for reading one
+    UNREADABLE = {
+        "deep": b"[" * 100000 + b"]" * 100000,
+        "not-utf-8": b"\x9c\xe2\xff",
+        "long-integer": b'{"vertices": ' + b"9" * 5000 + b', "edges": []}',
+    }
+
+    @pytest.mark.parametrize("content", sorted(UNREADABLE))
+    @pytest.mark.parametrize("verb, flag", [("treewidth", "-g"), ("colim", "-d"), ("bench", "--config")])
+    def test_unreadable_json_exits_two(self, capsys, tmp_path, content, verb, flag):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(self.UNREADABLE[content])
+        code, out = invoke(capsys, verb, flag, str(path))
+        assert code == 2
+        assert str(path) in json.loads(out)["error"]
+
+    def test_unwritable_output_exits_two(self, capsys, tmp_path, fixtures_dir):
+        target = tmp_path / "no-such-dir" / "x.json"
+        code, out = invoke(capsys, "treewidth", "-g", fx(fixtures_dir, "k5.json"), "-o", str(target))
+        assert code == 2
+        assert json.loads(out)["error"].startswith(f"cannot write {target}: ")
+        assert not target.parent.exists()
+
     def test_too_large_exits_three(self, capsys, tmp_path):
         big = tmp_path / "big.json"
         big.write_text(json.dumps(Graph(13).to_json()))
@@ -789,10 +814,19 @@ def test_python_dash_m_sdkit_runs_the_cli(fixtures_dir):
 
 
 def test_console_entry_point(fixtures_dir):
+    """The sdkit console script: the "module:function" that pyproject.toml
+    declares under [project.scripts], read as plain text (Python 3.10 has no
+    tomllib) and run in a child as an installed script runs it."""
+    pyproject = (pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    declared = [line.split("=", 1) for line in scripts.splitlines() if line.strip()]
+    targets = {name.strip(): value.strip().strip('"') for name, value in declared}
+    module, function = targets["sdkit"].split(":")
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
     proc = subprocess.run(
-        [sys.executable, "-m", "sdkit.cli", "treewidth", "-g", fx(fixtures_dir, "k5.json")],
+        [sys.executable, "-c", script, "treewidth", "-g", fx(fixtures_dir, "k5.json")],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"treewidth": 4}

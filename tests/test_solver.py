@@ -54,11 +54,11 @@ from sdkit.solver import (
     solve_at_boundary,
     translate_subobject,
 )
-from sdkit.summaries import _boundary_summary
 from util import (
     BUDGET_MIB,
     BUDGET_S,
     CHILD,
+    _boundary_summary,
     _is_single_path,
     all_subobjects,
     graphs_up_to_iso,
@@ -69,6 +69,7 @@ from util import (
     random_graph_decomposition,
     random_monic_graph_span,
     subp_by_all_pairs,
+    summary_leaf_calls,
 )
 
 K1, K3, K5 = complete_graph(1), complete_graph(3), complete_graph(5)
@@ -1061,6 +1062,13 @@ class TestSummaryRoute:
         # 34 accepted edge sets: 1 + 33 in TestLeafPredicateCalls.test_k4_paths
         assert len(accepted) == result.stats.edge_sets[0] == 34
         assert result.stats.predicate_calls == (len(made), 0) == (1 + len(keys), 0) == (29, 0)
+
+    @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE], ids=lambda p: p.name)
+    def test_leaves_ask_once_per_edge_and_summary(self, predicate):
+        """The leaf count of predicateCalls equals the brute-force key count
+        (util.summary_leaf_calls) on every instance, as on K4 above."""
+        for d in summary_route_instances():
+            assert solve_at_boundary(d, predicate, MAX_EDGES).stats.predicate_calls[0] == summary_leaf_calls(d, predicate)
 
     def test_solve_and_bench_take_the_summary_route(self, capsys, tmp_path):
         from sdkit.cli import run

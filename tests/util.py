@@ -32,6 +32,7 @@ from sdkit import (
 from sdkit.core import ISO_VERTEX_CAP, _UnionFind, is_json_int, object_size
 from sdkit.decomposition import _set_adhesion
 from sdkit.errors import NotChordal
+from sdkit.solver import _solvable_colimit
 from sdkit.width import _bits, _min_elimination_cost, peo
 
 # The budget the caps are chosen for (README "Size caps"): an input is
@@ -805,3 +806,79 @@ def tree_decomposition_by_conditions(g: Graph, d: StructuredDecomposition, label
         if seen != nodes:
             return None
     return labeling, colim_to_g
+
+
+# The reference boundary summary that the summary route's keys encode: the
+# tests count with it the distinct keys a leaf or a glue must ask the
+# predicate about.
+def _components(labels) -> tuple:
+    """For labels 2 * (a name of the component) + parity against it: 2 *
+    (index of the first label of the same component) + parity against it."""
+    firsts, out = {}, []
+    for i, label in enumerate(labels):
+        first, parity = firsts.setdefault(label >> 1, (i, label & 1))
+        out.append(2 * first + (label & 1 ^ parity))
+    return tuple(out)
+
+
+def _boundary_summary(edges, boundary, pieces=()) -> tuple:
+    """What a glue along the vertices boundary (sorted) sees of the union of
+    the edge set edges and the edge sets summarized in pieces, each given as
+    (its own boundary, degrees, components): (degrees, components), with
+    each boundary vertex's degree, and 2 * (index of the first boundary
+    vertex of its component) + its colour parity against that vertex. The
+    parity is well defined on a bipartite union."""
+    if not boundary:
+        return (), ()
+    if len(pieces) == 1 and not edges and pieces[0][0] == boundary:
+        return pieces[0][1:]
+    deg, links = {}, []
+    for vertices, degrees, components in pieces:
+        for i, (x, k, c) in enumerate(zip(vertices, degrees, components)):
+            deg[x] = deg.get(x, 0) + k
+            if c >> 1 != i:
+                links.append((x, vertices[c >> 1], c & 1))
+    for u, v in edges:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+        links.append((u, v, 1))
+    up = {}  # union-find: vertex -> (parent, parity against it)
+    for x, y, parity in links:
+        while x in up:
+            x, step = up[x]
+            parity ^= step
+        while y in up:
+            y, step = up[y]
+            parity ^= step
+        if x != y:
+            up[x] = (y, parity)
+    labels = []
+    for x in boundary:
+        parity = 0
+        while x in up:
+            x, step = up[x]
+            parity ^= step
+        labels.append(2 * x + parity)
+    return tuple(deg.get(x, 0) for x in boundary), _components(labels)
+
+
+def summary_leaf_calls(d: StructuredDecomposition, predicate) -> int:
+    """The predicate calls the summary route's leaves make on d, counted by
+    brute force. Per bag with edge list L in the leaf's order, 1 when the
+    predicate rejects the empty subobject, else 1 + the number of keys (j,
+    _boundary_summary(S, ends of L[j])) over the bag's accepted edge sets S
+    and the indices j past S's last index in L."""
+    calls = 0
+    for edge_list in _solvable_colimit(d)[2]:
+        calls += 1
+        if not predicate.evaluator(Subobject(frozenset(), frozenset())):
+            continue
+        keys = set()
+        for size in range(len(edge_list) + 1):
+            for chosen in itertools.combinations(range(len(edge_list)), size):
+                edges = [edge_list[i] for i in chosen]
+                if predicate.evaluator(Subobject(frozenset().union(*edges), frozenset(edges))):
+                    for j in range(chosen[-1] + 1 if chosen else 0, len(edge_list)):
+                        keys.add((j, _boundary_summary(edges, list(edge_list[j]))))
+        calls += len(keys)
+    return calls
