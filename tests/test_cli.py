@@ -316,6 +316,45 @@ class TestErrorHandling:
         assert code == 2
         assert str(path) in json.loads(out)["error"]
 
+    # files whose bytes a reader could take in more than one way, each with
+    # the message sdkit check -g gives: line breaks count as a text-mode read
+    # counts them (a lone CR and CRLF are each one), a BOM is kept as text, and
+    # a byte that is not UTF-8 is reported at its offset in the whole file
+    ODD_BYTES = {
+        "lone-cr": (
+            b'{"vertices": 2,\r"edges": [[0, 1]\r, oops]}',
+            "{path}: malformed JSON at line 3 column 3: Expecting value",
+        ),
+        "crlf": (
+            b'{"vertices": 2,\r\n"edges": [[0, 1]\r\n, oops]}',
+            "{path}: malformed JSON at line 3 column 3: Expecting value",
+        ),
+        "cr-in-a-string": (
+            b'{"vertices": 2, "edges": [[0, 1]], "a\rb": 1\r\n,}',
+            "{path}: malformed JSON at line 1 column 38: Invalid control character at",
+        ),
+        "utf-8-bom": (
+            b'\xef\xbb\xbf{"vertices": 2, "edges": [[0, 1]]}',
+            "{path}: malformed JSON at line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)",
+        ),
+        "bad-byte-past-8-kb": (
+            b'{"vertices": 2,\r\n"edges": [[0, 1]], "pad": "' + b"x" * 20980 + b'\xff"}',
+            "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 21024: invalid start byte",
+        ),
+        "utf-16": (
+            '{"vertices": 2, "edges": [[0, 1]]}'.encode("utf-16"),
+            "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ODD_BYTES))
+    def test_odd_bytes_keep_their_message(self, capsys, tmp_path, name):
+        content, message = self.ODD_BYTES[name]
+        path = tmp_path / "odd.json"
+        path.write_bytes(content)
+        code, out = invoke(capsys, "check", "-g", str(path))
+        assert (code, json.loads(out)) == (2, {"violations": [message.format(path=path)]})
+
     def test_unwritable_output_exits_two(self, capsys, tmp_path, fixtures_dir):
         target = tmp_path / "no-such-dir" / "x.json"
         code, out = invoke(capsys, "treewidth", "-g", fx(fixtures_dir, "k5.json"), "-o", str(target))
