@@ -15,9 +15,10 @@ import json
 import random
 import sys
 import time
+import types
 from json.encoder import encode_basestring_ascii
 
-from .core import Graph, GraphMorphism, Span, is_json_int
+from .core import Graph, GraphMorphism, Span, is_json_int_list
 from .decomposition import (
     Adhesion,
     GRAPH,
@@ -31,7 +32,7 @@ from .decomposition import (
     from_arrow,
     to_arrow,
 )
-from .errors import SdkitError, ValidationError
+from .errors import SdkitError, TooLarge, ValidationError
 from .solver import (
     MAX_EDGES,
     Subobject,
@@ -54,16 +55,49 @@ from .width import (
 )
 
 BENCH_HEADER = ["instance", "vertices", "edges", "width", "predicate", "value", "pairCompositions", "ms"]
+# Most instances `bench --generate` makes. They are all built before any is
+# solved; at the cap, solving them under all three predicates takes about
+# 2 s and 110 MiB (README "Size caps").
+MAX_GENERATE = 2000
+
+
+# the scanner behind json.loads, and the whitespace JSON allows around a value
+_JSON = json.JSONDecoder()
+_BLANK = " \t\n\r"
+
+
+def _json_value(text: str):
+    """json.loads(text), with its values and errors, but with the whitespace
+    around the value skipped by str.lstrip rather than json's regex: in a
+    freshly forked process the regex's first match took longer than
+    scanning a small decomposition."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    start = len(text) - len(text.lstrip(_BLANK))
+    try:
+        value, end = _JSON.scan_once(text, start)
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", text, err.value) from None
+    rest = text[end:].lstrip(_BLANK)
+    if rest:
+        raise json.JSONDecodeError("Extra data", text, len(text) - len(rest))
+    return value
 
 
 def _load_json(path: str):
+    """The JSON value in the file at path, read as text-mode UTF-8 reads it:
+    a decoding error at its offset in the whole file, a BOM kept, and CRLF
+    and a lone CR each one line break. The bytes are read unbuffered and
+    decoded once, without the text-mode reader stack."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return json.loads(text)
+        return _json_value(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -92,7 +126,7 @@ def _load_morphism(path: str, cod: Graph) -> GraphMorphism:
         raise ValidationError("morphism JSON must be {'dom': <graph>, 'map': [..]}")
     dom = Graph.from_json(data.get("dom"))
     mapping = data.get("map")
-    if not isinstance(mapping, list) or not all(is_json_int(x) for x in mapping):
+    if not is_json_int_list(mapping):
         raise ValidationError("morphism 'map' must be an array of vertex ids")
     return GraphMorphism(dom, cod, tuple(mapping))
 
@@ -121,15 +155,20 @@ def _json_text(value, newline: str = "\n") -> str:
     if kind is int:
         return int.__repr__(value)
     inner = newline + "  "
+    items = []
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
-    if kind is dict and all(type(k) is str for k in value):
+        for v in value:
+            items.append(_json_text(v, inner))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
         if not value:
             return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        if set(map(type, value)) == {str}:
+            for k in sorted(value):
+                items.append(encode_basestring_ascii(k) + ": " + _json_text(value[k], inner))
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
     if value is None:
         return "null"
     if value is True:
@@ -323,6 +362,8 @@ def _random_instance(rng: random.Random, index: int):
 def _cmd_bench(args) -> int:
     if args.generate < 0:
         raise ValidationError("bench --generate must be a non-negative count")
+    if args.generate > MAX_GENERATE:
+        raise TooLarge(f"bench --generate {args.generate} is past the cap of {MAX_GENERATE}")
     instances = []
     predicates = args.property.split(",") if args.property else ["paths"]
     if args.config:
@@ -443,7 +484,8 @@ _OPTIONS = {name: {option: flag for flag in flags for option in flag[0]} for nam
 
 
 def _parse_from_table(argv):
-    """The Namespace argparse builds for a well-formed argv, else None.
+    """The attributes argparse sets for a well-formed argv, on a plain
+    namespace, else None.
 
     Well-formed: a verb, then only its flags spelled exactly as declared,
     each value in the next word and not starting with "-", every INT value
@@ -481,7 +523,7 @@ def _parse_from_table(argv):
             if required:
                 return None
             values[dest] = default
-    return argparse.Namespace(verb=verb, func=VERBS[verb][0], **values)
+    return types.SimpleNamespace(verb=verb, func=VERBS[verb][0], **values)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -65,7 +65,8 @@ class _Map:
     mapping: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(self.mapping))
+        if type(self.mapping) is not tuple:
+            object.__setattr__(self, "mapping", tuple(self.mapping))
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -92,7 +93,7 @@ class SetFunction(_Map):
     cod: FinSet
 
     def __post_init__(self):
-        super().__post_init__()
+        _Map.__post_init__(self)
         if len(self.mapping) != self.dom.size:
             raise ValidationError(
                 f"mapping has {len(self.mapping)} entries for a domain of size {self.dom.size}"
@@ -112,8 +113,7 @@ class SetFunction(_Map):
             not isinstance(data, dict)
             or not is_json_int(data.get("dom"))
             or not is_json_int(data.get("cod"))
-            or not isinstance(data.get("map"), list)
-            or not all(is_json_int(x) for x in data["map"])
+            or not is_json_int_list(data.get("map"))
         ):
             raise ValidationError(
                 f"set function JSON must be {{'dom': n, 'cod': m, 'map': [..]}}, got {data!r}"
@@ -125,6 +125,17 @@ def is_json_int(x) -> bool:
     """An int that is not a bool: JSON true/false load as Python bools, which
     are ints, and must not pass as vertex ids or sizes."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_json_int_list(x) -> bool:
+    """A list whose every item is_json_int, checked in one loop (true and
+    false are the only bools)."""
+    if not isinstance(x, list):
+        return False
+    for item in x:
+        if not isinstance(item, int) or item is True or item is False:
+            return False
+    return True
 
 
 def _normalize_edge(u: int, v: int) -> tuple:
@@ -147,19 +158,21 @@ class Graph:
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u} is not allowed")
             if not (0 <= u < vertices and 0 <= v < vertices):
-                raise ValidationError(f"edge {e!r} has an endpoint outside 0..{vertices - 1}")
-            normalized.add(_normalize_edge(u, v))
+                raise ValidationError(f"edge {(u, v)!r} has an endpoint outside 0..{vertices - 1}")
+            normalized.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", frozenset(normalized))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in self.edges
+        return ((u, v) if u < v else (v, u)) in self.edges
 
     def edge_list(self) -> list:
         return sorted(self.edges)
 
     def neighbor_sets(self) -> list:
-        nbrs = [set() for _ in range(self.vertices)]
+        nbrs = []
+        for _ in range(self.vertices):
+            nbrs.append(set())
         for u, v in self.edges:
             nbrs[u].add(v)
             nbrs[v].add(u)
@@ -195,12 +208,10 @@ class Graph:
                 f"graph JSON must be {{'vertices': n, 'edges': [[u,v], ..]}}, got {data!r}"
             )
         _require_json_size(n, "vertex count")
-        pairs = []
         for e in edges:
-            if not (isinstance(e, list) and len(e) == 2 and all(is_json_int(x) for x in e)):
+            if not is_json_int_list(e) or len(e) != 2:
                 raise ValidationError(f"graph edge must be a pair of vertex ids, got {e!r}")
-            pairs.append((e[0], e[1]))
-        return cls(n, pairs)
+        return cls(n, edges)
 
 
 @dataclass(frozen=True)
@@ -211,19 +222,19 @@ class GraphMorphism(_Map):
     cod: Graph
 
     def __post_init__(self):
-        super().__post_init__()
-        if len(self.mapping) != self.dom.vertices:
+        _Map.__post_init__(self)
+        mapping, n = self.mapping, self.cod.vertices
+        if len(mapping) != self.dom.vertices:
             raise ValidationError(
-                f"vertex map has {len(self.mapping)} entries for {self.dom.vertices} vertices"
+                f"vertex map has {len(mapping)} entries for {self.dom.vertices} vertices"
             )
-        for x, y in enumerate(self.mapping):
-            if not isinstance(y, int) or not 0 <= y < self.cod.vertices:
-                raise ValidationError(
-                    f"vertex map sends {x} to {y!r}, outside 0..{self.cod.vertices - 1}"
-                )
+        for x, y in enumerate(mapping):
+            if not isinstance(y, int) or not 0 <= y < n:
+                raise ValidationError(f"vertex map sends {x} to {y!r}, outside 0..{n - 1}")
+        cod_edges = self.cod.edges
         for u, v in self.dom.edges:
-            fu, fv = self.mapping[u], self.mapping[v]
-            if fu != fv and not self.cod.has_edge(fu, fv):
+            fu, fv = mapping[u], mapping[v]
+            if fu != fv and ((fu, fv) if fu < fv else (fv, fu)) not in cod_edges:
                 raise ValidationError(
                     f"edge ({u},{v}) maps to non-edge ({fu},{fv}) of the codomain"
                 )
@@ -248,7 +259,7 @@ class Span:
     right: Morphism
 
     def __post_init__(self):
-        if self.left.dom != self.right.dom:
+        if self.left.dom is not self.right.dom and self.left.dom != self.right.dom:
             raise ValidationError("span legs must share their domain (the apex)")
 
     @property
@@ -284,19 +295,22 @@ class Diagram:
 
     def __init__(self, objects, arrows):
         objects = tuple(objects)
-        arrows = tuple((int(s), int(t), f) for s, t, f in arrows)
-        kinds = {type(o) for o in objects}
-        if len(kinds) > 1:
-            raise IllFormedDiagram("diagram mixes finite-set and graph objects")
+        typed = []
         for s, t, f in arrows:
+            typed.append((int(s), int(t), f))
+        for o in objects:
+            if type(o) is not type(objects[0]):
+                raise IllFormedDiagram("diagram mixes finite-set and graph objects")
+        for s, t, f in typed:
             if not 0 <= s < len(objects) or not 0 <= t < len(objects):
                 raise IllFormedDiagram(f"arrow indices ({s},{t}) out of range")
-            if f.dom != objects[s] or f.cod != objects[t]:
+            dom, cod = objects[s], objects[t]
+            if (f.dom is not dom and f.dom != dom) or (f.cod is not cod and f.cod != cod):
                 raise IllFormedDiagram(
                     f"arrow {s}->{t} does not type-check against the stored objects"
                 )
         object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "arrows", tuple(typed))
 
     @classmethod
     def of_span(cls, s: Span) -> "Diagram":
@@ -331,34 +345,58 @@ def colimit(d: Diagram):
     Returns (object, cocone) where the cocone is one morphism per diagram
     object. Vertices of the result are equivalence classes of the disjoint
     union, renumbered by their smallest (object index, element) member.
+    Element x of object i is the integer offsets[i] + x, which orders the
+    disjoint union as those pairs do, and a class's root is its least member.
     """
-    if not d.objects:
+    objects = d.objects
+    if not objects:
         raise IllFormedDiagram("colimit of an empty diagram has no canonical object here")
-    elements = [
-        (i, x) for i, obj in enumerate(d.objects) for x in range(object_size(obj))
-    ]
-    uf = _UnionFind(elements)
+    graphs = isinstance(objects[0], Graph)
+    offsets, total = [], 0
+    for obj in objects:
+        offsets.append(total)
+        total += obj.vertices if graphs else obj.size
+    parent = list(range(total))
     for s, t, f in d.arrows:
-        for x in range(object_size(d.objects[s])):
-            uf.union((s, x), (t, f(x)))
-    reps = sorted({uf.find(e) for e in elements})
-    index = {rep: i for i, rep in enumerate(reps)}
-    classof = {e: index[uf.find(e)] for e in elements}
-    if isinstance(d.objects[0], Graph):
+        source, target = offsets[s], offsets[t]
+        for x, y in enumerate(f.mapping):
+            a, b = source + x, target + y
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    # every parent is at most its child, so one ascending pass numbers each
+    # class, in place, by the order of its least member
+    count = 0
+    for e in range(total):
+        up = parent[e]
+        if up == e:
+            parent[e] = count
+            count += 1
+        else:
+            parent[e] = parent[up]
+    classof = parent
+    offsets.append(total)
+    if graphs:
         edges = set()
-        for i, obj in enumerate(d.objects):
+        for obj, offset in zip(objects, offsets):
             for u, v in obj.edges:
-                cu, cv = classof[(i, u)], classof[(i, v)]
-                if cu != cv:
-                    edges.add(_normalize_edge(cu, cv))
-        result, leg = Graph(len(reps), edges), GraphMorphism
+                cu, cv = classof[offset + u], classof[offset + v]
+                if cu < cv:
+                    edges.add((cu, cv))
+                elif cv < cu:
+                    edges.add((cv, cu))
+        result, leg = Graph(count, edges), GraphMorphism
     else:
-        result, leg = FinSet(len(reps)), SetFunction
-    cocone = tuple(
-        leg(obj, result, tuple(classof[(i, x)] for x in range(object_size(obj))))
-        for i, obj in enumerate(d.objects)
-    )
-    return result, cocone
+        result, leg = FinSet(count), SetFunction
+    cocone = []
+    for i, obj in enumerate(objects):
+        cocone.append(leg(obj, result, tuple(classof[offsets[i] : offsets[i + 1]])))
+    return result, tuple(cocone)
 
 
 def pushout(s: Span):
@@ -464,11 +502,15 @@ def connected_components(g: Graph) -> list:
 
 
 def is_forest(g: Graph) -> bool:
-    uf = _UnionFind(range(g.vertices))
+    parent = list(range(g.vertices))
     for u, v in g.edges:
-        if uf.find(u) == uf.find(v):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             return False
-        uf.union(u, v)
+        parent[v] = u
     return True
 
 
@@ -485,37 +527,41 @@ def find_isomorphism(g: Graph, h: Graph):
         )
     if g.vertices != h.vertices or len(g.edges) != len(h.edges):
         return None
-    if g.degree_sequence() != h.degree_sequence():
-        return None
     n = g.vertices
     gn = g.neighbor_sets()
     hn = h.neighbor_sets()
-    gdeg = [len(s) for s in gn]
-    hdeg = [len(s) for s in hn]
+    gdeg = list(map(len, gn))
+    hdeg = list(map(len, hn))
+    if sorted(gdeg) != sorted(hdeg):
+        return None
+    # depth-first over i = 0, 1, ..: assignment[i] is g-vertex i's image, and
+    # the candidates for it are tried in increasing order from start[i]
     assignment = [-1] * n
     used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for cand in range(n):
-            if used[cand] or gdeg[i] != hdeg[cand]:
-                continue
-            ok = True
-            for j in range(i):
-                if (j in gn[i]) != (assignment[j] in hn[cand]):
-                    ok = False
+    start = [0] * (n + 1)
+    i = 0
+    while 0 <= i < n:
+        if assignment[i] >= 0:  # back at i: free its image, try the next
+            used[assignment[i]] = False
+            assignment[i] = -1
+        cand = start[i]
+        while cand < n:
+            if not used[cand] and gdeg[i] == hdeg[cand]:
+                for j in range(i):
+                    if (j in gn[i]) != (assignment[j] in hn[cand]):
+                        break
+                else:
                     break
-            if ok:
-                assignment[i] = cand
-                used[cand] = True
-                if extend(i + 1):
-                    return True
-                used[cand] = False
-                assignment[i] = -1
-        return False
-
-    return tuple(assignment) if extend(0) else None
+            cand += 1
+        if cand < n:
+            assignment[i] = cand
+            used[cand] = True
+            start[i] = cand + 1
+            i += 1
+            start[i] = 0
+        else:
+            i -= 1
+    return tuple(assignment) if i == n else None
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -9,7 +9,7 @@ targets bag(v).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from operator import attrgetter
 from typing import Callable
 
 from .core import (
@@ -20,14 +20,13 @@ from .core import (
     SetFunction,
     Span,
     _require_json_size,
-    is_json_int,
+    is_json_int_list,
     colimit,
     complete_graph,
     complete_on_function,
     discrete_graph,
     discrete_on_function,
     is_forest,
-    object_size,
 )
 from .errors import (
     CodomainMismatch,
@@ -68,7 +67,7 @@ class StructuredDecomposition:
         if self.value_kind not in (FINSET, GRAPH):
             raise ValidationError(f"unknown value kind {self.value_kind!r}")
         object.__setattr__(self, "bags", tuple(self.bags))
-        object.__setattr__(self, "adhesions", tuple(sorted(self.adhesions, key=lambda a: a.edge)))
+        object.__setattr__(self, "adhesions", tuple(sorted(self.adhesions, key=attrgetter("edge"))))
         require_valid(self)
 
     def adhesion_at(self, u: int, v: int) -> Adhesion:
@@ -78,12 +77,18 @@ class StructuredDecomposition:
                 return a
         raise KeyError(key)
 
-    @cached_property
-    def _colimit(self):
-        if not self.bags:
-            return (FinSet(0) if self.value_kind == FINSET else Graph(0)), ()
-        obj, cocone = colimit(underlying_diagram(self))
-        return obj, cocone[: len(self.bags)]
+    # What is decided or glued on first use is kept in the instance __dict__
+    # under "_tame" and "_colimit", outside the fields (functools.cached_property
+    # takes a lock on each first use).
+
+    @property
+    def _tame_forest(self) -> bool:
+        """Whether the shape is a forest and every adhesion leg injective,
+        decided on first use for every reading and solve of self."""
+        tame = self.__dict__.get("_tame")
+        if tame is None:
+            tame = self.__dict__["_tame"] = is_forest(self.shape) and is_tame(self)
+        return tame
 
 
 def validate(d: StructuredDecomposition) -> list:
@@ -98,24 +103,27 @@ def validate(d: StructuredDecomposition) -> list:
     for i, bag in enumerate(d.bags):
         if not isinstance(bag, expected):
             violations.append(f"bag {i} is not a {d.value_kind} object")
-    edges_seen = [a.edge for a in d.adhesions]
-    if len(set(edges_seen)) != len(edges_seen):
+    edges_seen = set()
+    for a in d.adhesions:
+        edges_seen.add(a.edge)
+    if len(edges_seen) != len(d.adhesions):
         violations.append("duplicate adhesions for a single shape edge")
-    if set(edges_seen) != set(d.shape.edges):
+    if edges_seen != d.shape.edges:
         violations.append("adhesion index set differs from the shape edge set")
         return violations
     for a in d.adhesions:
         u, v = a.edge
         if u >= len(d.bags) or v >= len(d.bags):
             continue
-        if not isinstance(a.span.apex, expected):
+        left, right = a.span.left, a.span.right
+        if not isinstance(left.dom, expected):
             violations.append(f"adhesion {a.edge} apex is not a {d.value_kind} object")
             continue
-        if a.span.left.cod != d.bags[u]:
+        if left.cod is not d.bags[u] and left.cod != d.bags[u]:
             violations.append(
                 f"adhesion {a.edge}: source leg does not land in bag {u}"
             )
-        if a.span.right.cod != d.bags[v]:
+        if right.cod is not d.bags[v] and right.cod != d.bags[v]:
             violations.append(
                 f"adhesion {a.edge}: target leg does not land in bag {v}"
             )
@@ -130,7 +138,11 @@ def require_valid(d: StructuredDecomposition) -> None:
 
 def is_tame(d: StructuredDecomposition) -> bool:
     """True iff every adhesion leg is injective."""
-    return all(a.span.is_monic() for a in d.adhesions)
+    for a in d.adhesions:
+        left, right = a.span.left.mapping, a.span.right.mapping
+        if len(set(left)) != len(left) or len(set(right)) != len(right):
+            return False
+    return True
 
 
 def _require_tame_forest(d: StructuredDecomposition, kind: str, task: str) -> None:
@@ -139,27 +151,35 @@ def _require_tame_forest(d: StructuredDecomposition, kind: str, task: str) -> No
     if d.value_kind != kind:
         wrong_kind = NonFinSetValued if kind == FINSET else ValidationError
         raise wrong_kind(f"{task} needs a {kind}-valued decomposition")
-    if not is_forest(d.shape):
-        raise NonTreeShape(f"{task} needs a forest-shaped decomposition")
-    if not is_tame(d):
+    if not d._tame_forest:
+        if not is_forest(d.shape):
+            raise NonTreeShape(f"{task} needs a forest-shaped decomposition")
         raise NotTame(f"{task} needs injective adhesion legs")
 
 
 def underlying_diagram(d: StructuredDecomposition) -> Diagram:
     """Unroll: bags first (index = shape vertex), then apexes in edge order."""
-    objects = list(d.bags) + [a.span.apex for a in d.adhesions]
-    arrows = []
-    for k, a in enumerate(d.adhesions):
+    objects, arrows = list(d.bags), []
+    for a in d.adhesions:
         u, v = a.edge
-        arrows.append((len(d.bags) + k, u, a.span.left))
-        arrows.append((len(d.bags) + k, v, a.span.right))
+        arrows.append((len(objects), u, a.span.left))
+        arrows.append((len(objects), v, a.span.right))
+        objects.append(a.span.left.dom)
     return Diagram(objects, arrows)
 
 
 def evaluate_colimit(d: StructuredDecomposition):
     """Glue all bags along all adhesions; returns (object, per-bag cocone).
     It is glued on the first call, and every later call shares that pair."""
-    return d._colimit
+    glued = d.__dict__.get("_colimit")
+    if glued is None:
+        if not d.bags:
+            glued = (FinSet(0) if d.value_kind == FINSET else Graph(0)), ()
+        else:
+            obj, cocone = colimit(underlying_diagram(d))
+            glued = obj, cocone[: len(d.bags)]
+        d.__dict__["_colimit"] = glued
+    return glued
 
 
 @dataclass(frozen=True)
@@ -435,7 +455,7 @@ def _object_from_json(kind: str, data):
 
 
 def _leg_from_json(kind, apex, bag, data, label):
-    if not isinstance(data, list) or not all(is_json_int(x) for x in data):
+    if not is_json_int_list(data):
         raise ValidationError(f"{label} must be an array of element indices")
     if kind == FINSET:
         return SetFunction(apex, bag, tuple(data))
@@ -470,8 +490,12 @@ def decomposition_from_json(data) -> StructuredDecomposition:
     raw_adhesions = data.get("adhesions")
     if not isinstance(raw_bags, list) or not isinstance(raw_adhesions, list):
         raise ValidationError("decomposition JSON needs 'bags' and 'adhesions' arrays")
-    bags = tuple(_object_from_json(kind, b) for b in raw_bags)
-    _require_json_size(sum(map(object_size, bags)), "total bag size")
+    bags, total = [], 0
+    for raw in raw_bags:
+        bag = _object_from_json(kind, raw)
+        bags.append(bag)
+        total += bag.size if kind == FINSET else bag.vertices
+    _require_json_size(total, "total bag size")
     if len(bags) != shape.vertices:
         raise ValidationError(
             f"{len(bags)} bags for a shape with {shape.vertices} vertices"
@@ -481,13 +505,9 @@ def decomposition_from_json(data) -> StructuredDecomposition:
         if not isinstance(entry, dict):
             raise ValidationError("each adhesion must be a JSON object")
         edge = entry.get("edge")
-        if (
-            not isinstance(edge, list)
-            or len(edge) != 2
-            or not all(is_json_int(x) for x in edge)
-        ):
+        if not is_json_int_list(edge) or len(edge) != 2:
             raise ValidationError(f"adhesion edge must be [u, v], got {edge!r}")
-        u, v = min(edge), max(edge)
+        u, v = edge if edge[0] < edge[1] else (edge[1], edge[0])
         if not (0 <= u < shape.vertices and 0 <= v < shape.vertices) or u == v:
             raise ValidationError(f"adhesion edge {edge!r} is not a shape edge")
         apex = _object_from_json(kind, entry.get("apex"))
@@ -511,6 +531,6 @@ def arrow_from_json(data) -> ArrowPresentation:
     total = Graph.from_json(data.get("total"))
     base = Graph.from_json(data.get("base"))
     proj = data.get("projection")
-    if not isinstance(proj, list) or not all(is_json_int(x) for x in proj):
+    if not is_json_int_list(proj):
         raise ValidationError("projection must be an array of base vertices")
     return ArrowPresentation(total, base, GraphMorphism(total, base, tuple(proj)))

@@ -91,10 +91,7 @@ class Subobject(NamedTuple):
         return (tuple(sorted(self.vertices)), tuple(sorted(self.edges)))
 
     def to_json(self) -> dict:
-        return {
-            "vertices": sorted(self.vertices),
-            "edges": [list(e) for e in sorted(self.edges)],
-        }
+        return {"vertices": sorted(self.vertices), "edges": sorted(map(list, self.edges))}
 
 
 EMPTY_SUBOBJECT = Subobject(frozenset(), frozenset())
@@ -482,10 +479,11 @@ def enumerate_subp_bruteforce(g: Graph, predicate: PropertyPredicate) -> SubPTab
 
 
 def translate_subobject(sub: Subobject, mapping) -> Subobject:
-    return Subobject(
-        frozenset(mapping[v] for v in sub.vertices),
-        frozenset(_normalize_edge(mapping[u], mapping[v]) for u, v in sub.edges),
-    )
+    edges = []
+    for u, v in sub.edges:
+        a, b = mapping[u], mapping[v]
+        edges.append((a, b) if a < b else (b, a))
+    return Subobject(frozenset(map(mapping.__getitem__, sub.vertices)), frozenset(edges))
 
 
 class _Table(NamedTuple):
@@ -647,7 +645,10 @@ class SolveStats(NamedTuple):
 
     @property
     def pair_compositions(self) -> int:
-        return sum(l * r for l, r in self.compositions)
+        pairs = 0
+        for left, right in self.compositions:
+            pairs += left * right
+        return pairs
 
 
 @dataclass(frozen=True)
@@ -681,11 +682,13 @@ def _solvable_colimit(d: StructuredDecomposition):
                 f"bag with {bag.vertices} vertices exceeds the brute-force cap {BRUTE_CAP}"
             )
     glued, cocone = evaluate_colimit(d)
-    assert all(leg.is_mono() for leg in cocone), "a tame tree embeds every bag in its colimit"
-    bag_edges = [
-        [_normalize_edge(leg.mapping[u], leg.mapping[v]) for u, v in bag.edge_list()]
-        for bag, leg in zip(d.bags, cocone)
-    ]
+    bag_edges = []
+    for bag, leg in zip(d.bags, cocone):
+        at = leg.mapping
+        edges = []
+        for u, v in bag.edge_list():
+            edges.append((at[u], at[v]) if at[u] < at[v] else (at[v], at[u]))
+        bag_edges.append(edges)
     return glued, cocone, bag_edges
 
 

@@ -89,7 +89,10 @@ def _join(lab, la, lb) -> tuple:
     colour parity against that vertex, and so does the result."""
     keep, other = (la, lb) if la < lb else (lb, la)
     root, other = keep & ~1 | (la ^ lb ^ 1) & 1, other >> 1
-    return tuple([root ^ x & 1 if x >> 1 == other else x for x in lab])
+    joined = []
+    for x in lab:
+        joined.append(root ^ x & 1 if x >> 1 == other else x)
+    return tuple(joined)
 
 
 def _place(classes, signature, count, entries, weight, ends, sample, front, other=((-1, 0),)) -> None:
@@ -383,7 +386,10 @@ def solve_at_boundary(
         return (bags, left[1] + right[1] - len(iface), boundary, seam, classes), made, entries, held
 
     table, stats = _fold(d, root, leaf, glue)
-    family = [edge_set(mask) for cls in table[4].values() for _, mask in cls[3]]
+    family = []
+    for cls in table[4].values():
+        for _, mask in cls[3]:
+            family.append(edge_set(mask))
     witness = _best_in_family(family, glued.vertices, objective)
     value = objective.weight(witness) if witness is not None else None
     return Solved(value, witness, stats, glued)

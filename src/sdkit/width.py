@@ -29,8 +29,8 @@ from .core import (
     GraphMorphism,
     _UnionFind,
     is_json_int,
+    is_json_int_list,
     find_isomorphism,
-    is_forest,
     object_size,
     ISO_VERTEX_CAP,
 )
@@ -42,7 +42,6 @@ from .decomposition import (
     _require_tame_forest,
     _set_adhesion,
     evaluate_colimit,
-    is_tame,
     map_decomposition,
 )
 from .errors import (
@@ -190,7 +189,7 @@ def tree_decomposition_reading(g: Graph, d: StructuredDecomposition, labeling=No
     identity when the colimit equals g, and otherwise comes from an
     isomorphism search, which needs g to have at most ISO_VERTEX_CAP vertices.
     """
-    if d.value_kind != GRAPH or not is_forest(d.shape) or not is_tame(d):
+    if d.value_kind != GRAPH or not d._tame_forest:
         return None
     glued, cocone = evaluate_colimit(d)
     if glued.vertices != g.vertices or len(glued.edges) != len(g.edges):
@@ -207,6 +206,12 @@ def tree_decomposition_reading(g: Graph, d: StructuredDecomposition, labeling=No
                     return None
                 translate[leg(b)] = x
         colim_to_g = tuple(translate)
+        # a supplied labeling must be a bijection that sends edges onto edges
+        if sorted(colim_to_g) != list(range(g.vertices)):
+            return None
+        for u, v in glued.edges:
+            if not g.has_edge(colim_to_g[u], colim_to_g[v]):
+                return None
     elif glued == g:
         colim_to_g = tuple(range(g.vertices))
     else:
@@ -216,17 +221,12 @@ def tree_decomposition_reading(g: Graph, d: StructuredDecomposition, labeling=No
                 f"supply a labeling for graphs over {ISO_VERTEX_CAP} vertices"
             )
         colim_to_g = find_isomorphism(glued, g)
-    if (
-        colim_to_g is None
-        or sorted(colim_to_g) != list(range(g.vertices))
-        or not all(g.has_edge(colim_to_g[u], colim_to_g[v]) for u, v in glued.edges)
-    ):
-        return None
-    labeling = tuple(
-        tuple(colim_to_g[leg(b)] for b in range(bag.vertices))
-        for bag, leg in zip(d.bags, cocone)
-    )
-    return labeling, colim_to_g
+        if colim_to_g is None:
+            return None
+    labeling = []
+    for leg in cocone:
+        labeling.append(tuple(map(colim_to_g.__getitem__, leg.mapping)))
+    return tuple(labeling), colim_to_g
 
 
 def is_tree_decomposition(g: Graph, d: StructuredDecomposition, labeling=None) -> bool:
@@ -464,7 +464,7 @@ class Layering:
         if not isinstance(data, dict) or not isinstance(data.get("layers"), list):
             raise ValidationError("layering JSON must be {'layers': [[v, ..], ..]}")
         for layer in data["layers"]:
-            if not isinstance(layer, list) or not all(is_json_int(v) for v in layer):
+            if not is_json_int_list(layer):
                 raise ValidationError(f"layer must be an array of vertex ids, got {layer!r}")
         return cls(data["layers"])
 

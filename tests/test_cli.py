@@ -355,6 +355,25 @@ class TestErrorHandling:
         code, out = invoke(capsys, "check", "-g", str(path))
         assert (code, json.loads(out)) == (2, {"violations": [message.format(path=path)]})
 
+    def test_json_value_reads_as_json_loads(self):
+        """cli._json_value gives json.loads's value, or its error with the
+        same message and position, on texts around every whitespace, BOM,
+        extra-data and truncation case."""
+        rng = random.Random(21)
+        pieces = ['{"a": [1, 2]}', "[]", "7", '"s"', "null", "{", "]", "1 2", "[1,]", "-", '"\\ud800"', "1e5", "nul"]
+        blanks = ["", " ", "\n", "\t\r\n ", "\x0b", "\xa0", "\ufeff"]
+        texts = [b + p + a for p in pieces for b in blanks for a in blanks]
+        texts += ["".join(rng.choice(pieces + blanks) for _ in range(rng.randint(0, 4))) for _ in range(500)]
+
+        def read(reader, text):
+            try:
+                return "value", reader(text)
+            except json.JSONDecodeError as exc:
+                return "error", exc.msg, exc.pos, exc.lineno, exc.colno
+
+        for text in texts:
+            assert read(cli._json_value, text) == read(json.loads, text), repr(text)
+
     def test_unwritable_output_exits_two(self, capsys, tmp_path, fixtures_dir):
         target = tmp_path / "no-such-dir" / "x.json"
         code, out = invoke(capsys, "treewidth", "-g", fx(fixtures_dir, "k5.json"), "-o", str(target))
@@ -713,6 +732,35 @@ class TestBench:
         assert code == 2
         assert "--generate" in json.loads(out)["error"]
 
+    def test_generate_past_the_cap_exits_three_before_generating(self):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, str(2 * BUDGET_MIB << 20), "bench", "--generate", "100000000"],
+            capture_output=True,
+            text=True,
+        )
+        wall = time.perf_counter() - start
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "error": f"bench --generate 100000000 is past the cap of {cli.MAX_GENERATE}"
+        }
+        assert wall < BUDGET_S, wall
+
+    def test_generate_at_the_cap_ends_within_the_budget(self):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", CHILD, str(2 * BUDGET_MIB << 20),
+                "bench", "--generate", str(cli.MAX_GENERATE), "--property", "paths,bipartite,planar",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        wall = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1 + 3 * cli.MAX_GENERATE
+        assert wall < 2 * BUDGET_S, wall
+
     def test_same_seed_same_instances(self, capsys):
         first = invoke(capsys, "bench", "--generate", "3", "--seed", "7")[1]
         second = invoke(capsys, "bench", "--generate", "3", "--seed", "7")[1]
@@ -831,7 +879,8 @@ def test_table_parser_agrees_with_argparse_on_random_command_lines():
         except SystemExit:
             expected = None
         if args is not None:
-            assert args == expected, argv
+            # the table's plain namespace holds what argparse's Namespace holds
+            assert expected is not None and vars(args) == vars(expected), argv
             read_from_table += 1
         elif expected is not None:
             fell_back += 1

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 import re
 
@@ -34,7 +36,15 @@ from sdkit import (
     pushout,
     set_functions,
 )
-from util import random_graph, random_monic_graph_span, random_subgraph_mono
+from sdkit.core import object_size
+from util import (
+    colimit_reference,
+    random_diagram,
+    random_graph,
+    random_graph_decomposition,
+    random_monic_graph_span,
+    random_subgraph_mono,
+)
 
 K1, K2, K3 = complete_graph(1), complete_graph(2), complete_graph(3)
 
@@ -332,6 +342,36 @@ class TestColimit:
     def test_ill_formed_diagram(self):
         with pytest.raises(IllFormedDiagram):
             Diagram((K2, K3), ((0, 1, GraphMorphism.identity(K2)),))
+
+    @pytest.mark.parametrize("graphs", [False, True], ids=["finset", "graph"])
+    def test_agrees_with_the_pair_keyed_reference(self, graphs):
+        rng = random.Random(2113 + graphs)
+        shapes = set()
+        for _ in range(400):
+            d = random_diagram(rng, graphs)
+            assert colimit(d) == colimit_reference(d)
+            monic = all(f.is_mono() for _, _, f in d.arrows)
+            shapes.add((bool(d.arrows), monic, any(object_size(o) == 0 for o in d.objects)))
+        # arrowless, non-monic and empty-object diagrams all came up
+        assert shapes >= {(False, True, False), (True, False, False), (True, True, True), (True, False, True)}
+
+    def test_agrees_with_the_reference_on_every_fixture_and_pool_decomposition(self):
+        from sdkit.decomposition import decomposition_from_json, underlying_diagram
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        pool = json.loads((root / "perfbench" / "data" / "pool.json").read_text())
+        ds = [decomposition_from_json(dec) for _, dec in sorted(pool["decompositions"].items())]
+        ds += [decomposition_from_json(json.loads(p.read_text())) for p in sorted((root / "fixtures").glob("*.dec.json"))]
+        rng = random.Random(59)
+        ds += [random_graph_decomposition(rng, 5, 5) for _ in range(100)]
+        for d in ds:
+            if not d.bags:
+                continue
+            diagram = underlying_diagram(d)
+            obj, cocone = colimit(diagram)
+            assert (obj, cocone) == colimit_reference(diagram)
+            if d._tame_forest:  # a tame forest embeds every bag in its colimit
+                assert all(leg.is_mono() for leg in cocone[: len(d.bags)])
 
 
 class TestFunctors:

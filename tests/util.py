@@ -222,6 +222,76 @@ def random_graph_decomposition(
     return StructuredDecomposition(shape, GRAPH, tuple(bags), adhesions)
 
 
+def colimit_reference(d):
+    """sdkit.core.colimit by a union-find keyed on (object index, element)
+    pairs, each class numbered by its smallest pair: the oracle for the
+    integer-offset glue."""
+    elements = [(i, x) for i, obj in enumerate(d.objects) for x in range(object_size(obj))]
+    parent = {e: e for e in elements}
+
+    def find(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    for s, t, f in d.arrows:
+        for x in range(object_size(d.objects[s])):
+            a, b = find((s, x)), find((t, f(x)))
+            parent[max(a, b)] = min(a, b)
+    reps = sorted({find(e) for e in elements})
+    index = {rep: i for i, rep in enumerate(reps)}
+    classof = {e: index[find(e)] for e in elements}
+    if isinstance(d.objects[0], Graph):
+        edges = {
+            tuple(sorted((classof[i, u], classof[i, v])))
+            for i, obj in enumerate(d.objects)
+            for u, v in obj.edges
+            if classof[i, u] != classof[i, v]
+        }
+        result, leg = Graph(len(reps), edges), GraphMorphism
+    else:
+        result, leg = FinSet(len(reps)), SetFunction
+    cocone = tuple(
+        leg(obj, result, tuple(classof[i, x] for x in range(object_size(obj))))
+        for i, obj in enumerate(d.objects)
+    )
+    return result, cocone
+
+
+def random_diagram(rng: random.Random, graphs: bool, max_objects: int = 5, max_size: int = 5):
+    """A diagram of finite sets or of graphs with arrows between random
+    objects (loops, parallel arrows and non-injective maps included); an
+    object may be empty, and the diagram may have no arrows."""
+    from sdkit import Diagram
+
+    objects = []
+    for _ in range(rng.randint(1, max_objects)):
+        n = rng.randint(0, max_size)
+        if graphs:
+            objects.append(Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]))
+        else:
+            objects.append(FinSet(n))
+    arrows = []
+    for _ in range(rng.randint(0, 2 * len(objects))):
+        s, t = rng.randrange(len(objects)), rng.randrange(len(objects))
+        dom, cod = objects[s], objects[t]
+        n, m = object_size(dom), object_size(cod)
+        if n and not m:
+            continue
+        mapping = tuple(rng.randrange(m) for _ in range(n))
+        if not graphs:
+            arrows.append((s, t, SetFunction(dom, cod, mapping)))
+            continue
+        for _ in range(5):
+            if all(mapping[u] == mapping[v] or cod.has_edge(mapping[u], mapping[v]) for u, v in dom.edges):
+                break
+            mapping = tuple(rng.randrange(m) for _ in range(n))
+        else:
+            mapping = (rng.randrange(m),) * n  # every edge collapses onto one vertex
+        arrows.append((s, t, GraphMorphism(dom, cod, mapping)))
+    return Diagram(objects, arrows)
+
+
 def random_subgraph_mono(rng: random.Random, g: Graph) -> GraphMorphism:
     """A random subgraph of g included by its sorted-vertex embedding."""
     keep = sorted(v for v in range(g.vertices) if rng.random() < 0.7)
