@@ -744,7 +744,7 @@ class TestBench:
         assert json.loads(proc.stdout) == {
             "error": f"bench --generate 100000000 is past the cap of {cli.MAX_GENERATE}"
         }
-        assert wall < BUDGET_S, wall
+        assert wall < 2 * BUDGET_S, wall
 
     def test_generate_at_the_cap_ends_within_the_budget(self):
         start = time.perf_counter()
