@@ -365,14 +365,21 @@ def _cmd_bench(args) -> int:
     if args.generate > MAX_GENERATE:
         raise TooLarge(f"bench --generate {args.generate} is past the cap of {MAX_GENERATE}")
     instances = []
-    predicates = args.property.split(",") if args.property else ["paths"]
+    names = args.property.split(",") if args.property else ["paths"]
     if args.config:
         config = _load_json(args.config)
         if not isinstance(config, dict):
             raise ValidationError("bench config must be a JSON object")
-        predicates = config.get("predicates", predicates)
-        if not isinstance(predicates, list) or not all(isinstance(p, str) for p in predicates):
+        names = config.get("predicates", names)
+        if not isinstance(names, list) or not all(isinstance(p, str) for p in names):
             raise ValidationError("bench config 'predicates' must be an array of names")
+    # each name at most once, so an instance is solved at most once per predicate
+    predicates = {}
+    for name in names:
+        if name in predicates:
+            raise ValidationError(f"bench property {name!r} is named more than once")
+        predicates[name] = predicate_by_name(name)
+    if args.config:
         entries = config.get("instances", [])
         if not isinstance(entries, list):
             raise ValidationError("bench config 'instances' must be an array")
@@ -396,8 +403,7 @@ def _cmd_bench(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(BENCH_HEADER)
     for name, d in instances:
-        for pred_name in predicates:
-            predicate = predicate_by_name(pred_name)
+        for pred_name, predicate in predicates.items():
             started = time.perf_counter()
             result = solve(d, predicate, MAX_EDGES)
             elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -4,10 +4,11 @@ All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
 SetFunction and GraphMorphism share one map body (_Map): lookup, identity,
 composition in diagram order and monicity are written once for both
-categories, and each class adds only its own checks. Colimits are computed
-by union-find on the disjoint union of the diagram's objects and renumbered
-canonically (classes sorted by their smallest (object index, element)
-member) so outputs are bit-stable across runs.
+categories, and each class adds only its own checks. Every gluing (colimit,
+pushout, a decomposition's colimit, connected components) is one union-find
+on the disjoint union of the objects glued (_glue), renumbered canonically
+(classes sorted by their smallest (object index, element) member) so
+outputs are bit-stable across runs.
 """
 from __future__ import annotations
 
@@ -178,13 +179,6 @@ class Graph:
             nbrs[v].add(u)
         return nbrs
 
-    def degree_sequence(self) -> tuple:
-        degs = [0] * self.vertices
-        for u, v in self.edges:
-            degs[u] += 1
-            degs[v] += 1
-        return tuple(sorted(degs))
-
     def induced_subgraph(self, vertex_set) -> "Graph":
         """Induced subgraph, renumbered along the sorted vertex list."""
         keep = sorted(vertex_set)
@@ -312,32 +306,6 @@ class Diagram:
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "arrows", tuple(typed))
 
-    @classmethod
-    def of_span(cls, s: Span) -> "Diagram":
-        """The three-object diagram (left foot, right foot, apex)."""
-        return cls((s.left.cod, s.right.cod, s.apex), ((2, 0, s.left), (2, 1, s.right)))
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # keep the smaller (objectIndex, element) pair as representative
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
 
 def colimit(d: Diagram):
     """Glue a diagram's objects along its arrows.
@@ -345,21 +313,31 @@ def colimit(d: Diagram):
     Returns (object, cocone) where the cocone is one morphism per diagram
     object. Vertices of the result are equivalence classes of the disjoint
     union, renumbered by their smallest (object index, element) member.
-    Element x of object i is the integer offsets[i] + x, which orders the
-    disjoint union as those pairs do, and a class's root is its least member.
     """
-    objects = d.objects
-    if not objects:
+    if not d.objects:
         raise IllFormedDiagram("colimit of an empty diagram has no canonical object here")
+    return _glue(d.objects, [(s, range(len(f.mapping)), t, f.mapping) for s, t, f in d.arrows])
+
+
+def _glue(objects, links):
+    """The colimit of objects (all finite sets or all graphs, at least one)
+    glued along links, with one cocone leg per object.
+
+    A link (i, xs, j, ys) makes element xs[k] of object i the same as
+    element ys[k] of object j. Element x of object i is the integer
+    offsets[i] + x, which orders the disjoint union as the (i, x) pairs do;
+    a class's root is its least member, and classes are numbered in the
+    order of their least members.
+    """
     graphs = isinstance(objects[0], Graph)
     offsets, total = [], 0
     for obj in objects:
         offsets.append(total)
         total += obj.vertices if graphs else obj.size
     parent = list(range(total))
-    for s, t, f in d.arrows:
-        source, target = offsets[s], offsets[t]
-        for x, y in enumerate(f.mapping):
+    for i, xs, j, ys in links:
+        source, target = offsets[i], offsets[j]
+        for x, y in zip(xs, ys):
             a, b = source + x, target + y
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
@@ -408,8 +386,8 @@ def pushout(s: Span):
     """
     if not s.is_monic():
         raise NonMonicSpan("pushout requires both span legs to be injective")
-    obj, cocone = colimit(Diagram.of_span(s))
-    return obj, Cospan(cocone[0], cocone[1])
+    obj, cocone = _glue((s.left.cod, s.right.cod), ((0, s.left.mapping, 1, s.right.mapping),))
+    return obj, Cospan(*cocone)
 
 
 def pullback(c: Cospan):
@@ -492,13 +470,12 @@ def graph_morphisms(dom: Graph, cod: Graph) -> Iterator[GraphMorphism]:
 
 def connected_components(g: Graph) -> list:
     """Vertex sets of the connected components, each sorted, ordered by minimum."""
-    uf = _UnionFind(range(g.vertices))
-    for u, v in g.edges:
-        uf.union(u, v)
-    comps = {}
-    for v in range(g.vertices):
-        comps.setdefault(uf.find(v), []).append(v)
-    return [sorted(comps[r]) for r in sorted(comps)]
+    edges = list(g.edges)
+    glued, (leg,) = _glue((FinSet(g.vertices),), [(0, [u for u, _ in edges], 0, [v for _, v in edges])])
+    comps = [[] for _ in range(glued.size)]
+    for v, c in enumerate(leg.mapping):
+        comps[c].append(v)
+    return comps
 
 
 def is_forest(g: Graph) -> bool:

@@ -13,15 +13,14 @@ from operator import attrgetter
 from typing import Callable
 
 from .core import (
-    Diagram,
     FinSet,
     Graph,
     GraphMorphism,
     SetFunction,
     Span,
+    _glue,
     _require_json_size,
     is_json_int_list,
-    colimit,
     complete_graph,
     complete_on_function,
     discrete_graph,
@@ -157,27 +156,20 @@ def _require_tame_forest(d: StructuredDecomposition, kind: str, task: str) -> No
         raise NotTame(f"{task} needs injective adhesion legs")
 
 
-def underlying_diagram(d: StructuredDecomposition) -> Diagram:
-    """Unroll: bags first (index = shape vertex), then apexes in edge order."""
-    objects, arrows = list(d.bags), []
-    for a in d.adhesions:
-        u, v = a.edge
-        arrows.append((len(objects), u, a.span.left))
-        arrows.append((len(objects), v, a.span.right))
-        objects.append(a.span.left.dom)
-    return Diagram(objects, arrows)
-
-
 def evaluate_colimit(d: StructuredDecomposition):
     """Glue all bags along all adhesions; returns (object, per-bag cocone).
-    It is glued on the first call, and every later call shares that pair."""
+    Each adhesion makes its two leg images of every apex element the same,
+    so the apexes themselves are not glued in. It is glued on the first
+    call, and every later call shares that pair."""
     glued = d.__dict__.get("_colimit")
     if glued is None:
         if not d.bags:
             glued = (FinSet(0) if d.value_kind == FINSET else Graph(0)), ()
         else:
-            obj, cocone = colimit(underlying_diagram(d))
-            glued = obj, cocone[: len(d.bags)]
+            glued = _glue(
+                d.bags,
+                [(a.edge[0], a.span.left.mapping, a.edge[1], a.span.right.mapping) for a in d.adhesions],
+            )
         d.__dict__["_colimit"] = glued
     return glued
 

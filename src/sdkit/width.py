@@ -27,7 +27,6 @@ from .core import (
     FinSet,
     Graph,
     GraphMorphism,
-    _UnionFind,
     is_json_int,
     is_json_int_list,
     find_isomorphism,
@@ -158,11 +157,16 @@ def decomposition_from_chordal(h: Graph) -> StructuredDecomposition:
     for held in holding.values():
         for pair in itertools.combinations(held, 2):
             shared[pair] = shared.get(pair, 0) + 1
-    components = _UnionFind(range(k))
+    parent = list(range(k))
     tree_edges = []
     for _, i, j in sorted((-count, i, j) for (i, j), count in shared.items()):
-        if components.find(i) != components.find(j):
-            components.union(i, j)
+        a, b = i, j
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
             tree_edges.append((i, j))
     shape = Graph(k, tree_edges)
     bags = tuple(FinSet(len(c)) for c in cliques)

@@ -615,12 +615,12 @@ class TestCheckedAndGluedOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts of sdkit.decomposition.validate and sdkit.core.colimit
-        calls, wrapped under every sdkit module name that binds them."""
+        """Counts of sdkit.decomposition.validate and sdkit.core._glue calls,
+        wrapped under every sdkit module name that binds them."""
         from sdkit import core, decomposition
 
-        made = {"validate": 0, "colimit": 0}
-        for name, original in (("validate", decomposition.validate), ("colimit", core.colimit)):
+        made = {"validate": 0, "glue": 0}
+        for name, original in (("validate", decomposition.validate), ("glue", core._glue)):
 
             def wrapper(*args, name=name, original=original):
                 made[name] += 1
@@ -640,20 +640,41 @@ class TestCheckedAndGluedOnce:
     def test_solve_on_a_graph(self, capsys, fixtures_dir, calls, prop, graph, dec):
         argv = ["solve", "--property", prop, "-g", fx(fixtures_dir, graph), "-d", fx(fixtures_dir, dec)]
         assert invoke(capsys, *argv)[0] == 0
-        assert calls == {"validate": 1, "colimit": 1}
+        assert calls == {"validate": 1, "glue": 1}
 
     @pytest.mark.parametrize("prop", ["paths", "bipartite", "planar"])
     def test_solve_on_a_decomposition(self, capsys, fixtures_dir, calls, prop):
         argv = ["solve", "--property", prop, "-d", fx(fixtures_dir, "bowtie.dec.json")]
         assert invoke(capsys, *argv)[0] == 0
-        assert calls == {"validate": 1, "colimit": 1}
+        assert calls == {"validate": 1, "glue": 1}
 
     def test_evaluate_colimit_returns_one_object(self, fixtures_dir, calls):
         from sdkit import evaluate_colimit
 
         d = decomposition_from_json(json.loads((fixtures_dir / "five_bag_tree.dec.json").read_text()))
         assert evaluate_colimit(d) is evaluate_colimit(d)
-        assert calls == {"validate": 1, "colimit": 1}
+        assert calls == {"validate": 1, "glue": 1}
+
+    @pytest.mark.parametrize("prop", ["paths", "bipartite", "planar"])
+    def test_solve_on_a_graph_glues_the_bags_alone(self, capsys, fixtures_dir, monkeypatch, prop):
+        from sdkit import core, decomposition
+
+        glued = []
+
+        def glue(objects, links):
+            glued.append(len(objects))
+            return core._glue(objects, links)
+
+        def no_diagram(*args):
+            raise AssertionError("a Diagram was built")
+
+        monkeypatch.setattr(decomposition, "_glue", glue)
+        monkeypatch.setattr(core.Diagram, "__init__", no_diagram)
+        argv = ["solve", "--property", prop, "-g", fx(fixtures_dir, "td_example_g.json")]
+        assert invoke(capsys, *argv, "-d", fx(fixtures_dir, "td_example.dec.json"))[0] == 0
+        # one cocone leg per bag, none for an apex
+        bags = json.loads((fixtures_dir / "td_example.dec.json").read_text())["bags"]
+        assert glued == [len(bags)]
 
 
 class TestBench:
@@ -760,6 +781,34 @@ class TestBench:
         assert proc.returncode == 0, proc.stderr
         assert len(proc.stdout.splitlines()) == 1 + 3 * cli.MAX_GENERATE
         assert wall < 2 * BUDGET_S, wall
+
+    def test_repeated_property_exits_two_before_solving(self):
+        start = time.perf_counter()
+        names = ",".join(["paths"] * 200)
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, str(2 * BUDGET_MIB << 20), "bench", "--generate", "500", "--property", names],
+            capture_output=True,
+            text=True,
+        )
+        wall = time.perf_counter() - start
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout) == {"error": "bench property 'paths' is named more than once"}
+        assert wall < 2 * BUDGET_S, wall
+
+    @pytest.mark.parametrize(
+        "predicates, complaint",
+        [
+            (["paths", "planar", "paths"], "bench property 'paths' is named more than once"),
+            (["paths", "colour"], "unknown property 'colour'"),
+        ],
+    )
+    def test_config_predicates_are_checked_before_any_instance_is_read(self, capsys, tmp_path, predicates, complaint):
+        cfg = tmp_path / "cfg.json"
+        missing = str(tmp_path / "missing.dec.json")
+        cfg.write_text(json.dumps({"instances": [{"decomposition": missing}], "predicates": predicates}))
+        code, out = invoke(capsys, "bench", "--config", str(cfg))
+        assert code == 2
+        assert complaint in json.loads(out)["error"]
 
     def test_same_seed_same_instances(self, capsys):
         first = invoke(capsys, "bench", "--generate", "3", "--seed", "7")[1]

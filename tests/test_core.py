@@ -39,11 +39,14 @@ from sdkit import (
 from sdkit.core import object_size
 from util import (
     colimit_reference,
+    components_by_search,
     random_diagram,
+    random_finset_decomposition,
     random_graph,
     random_graph_decomposition,
     random_monic_graph_span,
     random_subgraph_mono,
+    underlying_diagram,
 )
 
 K1, K2, K3 = complete_graph(1), complete_graph(2), complete_graph(3)
@@ -326,16 +329,17 @@ class TestColimit:
         assert cocone[0].mapping == tuple(range(4))
 
     def test_finset_tree_gluing_matches_hand_count(self, five_bag_tree):
-        from sdkit.decomposition import underlying_diagram
+        from sdkit import evaluate_colimit
 
-        obj, _ = colimit(underlying_diagram(five_bag_tree))
+        obj, _ = evaluate_colimit(five_bag_tree)
         assert obj.size == 9
 
     def test_span_diagram_equals_pushout(self):
         rng = random.Random(23)
         for _ in range(30):
             span = random_monic_graph_span(rng, 4)
-            via_diagram, _ = colimit(Diagram.of_span(span))
+            feet_and_apex = (span.left.cod, span.right.cod, span.apex)
+            via_diagram, _ = colimit(Diagram(feet_and_apex, ((2, 0, span.left), (2, 1, span.right))))
             via_pushout, _ = pushout(span)
             assert via_diagram == via_pushout
 
@@ -356,7 +360,8 @@ class TestColimit:
         assert shapes >= {(False, True, False), (True, False, False), (True, True, True), (True, False, True)}
 
     def test_agrees_with_the_reference_on_every_fixture_and_pool_decomposition(self):
-        from sdkit.decomposition import decomposition_from_json, underlying_diagram
+        from sdkit import evaluate_colimit, is_tame
+        from sdkit.decomposition import decomposition_from_json
 
         root = pathlib.Path(__file__).resolve().parent.parent
         pool = json.loads((root / "perfbench" / "data" / "pool.json").read_text())
@@ -364,14 +369,27 @@ class TestColimit:
         ds += [decomposition_from_json(json.loads(p.read_text())) for p in sorted((root / "fixtures").glob("*.dec.json"))]
         rng = random.Random(59)
         ds += [random_graph_decomposition(rng, 5, 5) for _ in range(100)]
+        ds += [random_graph_decomposition(rng, 5, 5, tree=False) for _ in range(100)]
+        ds += [random_finset_decomposition(rng, 5, 5, tree=False, tame=False) for _ in range(100)]
+        shapes = set()
         for d in ds:
             if not d.bags:
                 continue
             diagram = underlying_diagram(d)
-            obj, cocone = colimit(diagram)
-            assert (obj, cocone) == colimit_reference(diagram)
+            reference = colimit_reference(diagram)
+            assert colimit(diagram) == reference
+            obj, cocone = evaluate_colimit(d)
+            # the apexes are not glued in, and change neither the classes
+            # of the bags nor their numbering
+            assert (obj, cocone) == (reference[0], reference[1][: len(d.bags)])
             if d._tame_forest:  # a tame forest embeds every bag in its colimit
-                assert all(leg.is_mono() for leg in cocone[: len(d.bags)])
+                assert all(leg.is_mono() for leg in cocone)
+            empty_apex = any(object_size(a.span.apex) == 0 for a in d.adhesions)
+            shapes.add((d.value_kind, is_forest(d.shape), is_tame(d), empty_apex))
+        # cyclic shapes and empty apexes of both kinds, non-injective finset legs
+        assert {("graph", False), ("finset", False)} <= {(k, f) for k, f, _, _ in shapes}
+        assert {"graph", "finset"} <= {k for k, _, _, empty in shapes if empty}
+        assert ("finset", False) in {(k, t) for k, _, t, _ in shapes}
 
 
 class TestFunctors:
@@ -437,6 +455,13 @@ class TestUtilities:
     def test_connected_components(self):
         g = Graph(5, [(0, 1), (3, 4)])
         assert connected_components(g) == [[0, 1], [2], [3, 4]]
+
+    def test_connected_components_agree_with_breadth_first_search(self):
+        rng = random.Random(31)
+        graphs = [Graph(0), Graph(1), discrete_graph(6)]
+        graphs += [random_graph(rng, 9, p) for p in (0.0, 0.1, 0.25, 0.5) for _ in range(50)]
+        for g in graphs:
+            assert connected_components(g) == components_by_search(g)
 
     def test_is_forest(self):
         assert is_forest(path(4))

@@ -17,6 +17,7 @@ import tempfile
 import pytest
 
 from sdkit import Graph, cli, decomposition_from_json
+from sdkit.errors import SdkitError
 from sdkit.solver import longest_path
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -36,14 +37,18 @@ def _workloads():
 
 def outcomes(workload: str, work_dir: str) -> dict:
     """query id -> (argv, [exit code, stdout sha256]); argv is None for a
-    library call, whose (value, witness, stats) is hashed as JSON."""
+    library call, whose (value, witness, stats) is hashed as JSON, and whose
+    refusal (an SdkitError) is exit code 1 with its text hashed."""
     prepared = _workloads().prepare(workload, SEED, work_dir)
     found = {}
     for q in prepared.queries:
         if q.argv is None:
             g, d, labeling = prepared.library_inputs[q.id]
-            value, witness, stats = longest_path(Graph.from_json(g), decomposition_from_json(d), labeling)
-            code, out = 0, json.dumps([value, witness.to_json(), list(stats)], sort_keys=True)
+            try:
+                value, witness, stats = longest_path(Graph.from_json(g), decomposition_from_json(d), labeling)
+                code, out = 0, json.dumps([value, witness.to_json(), list(stats)], sort_keys=True)
+            except SdkitError as exc:  # a refusal is an outcome to compare
+                code, out = 1, f"{type(exc).__name__}: {exc}"
         else:
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer):

@@ -29,7 +29,7 @@ from sdkit import (
     predicate_paths,
     validate,
 )
-from sdkit.core import ISO_VERTEX_CAP, _UnionFind, is_json_int, object_size
+from sdkit.core import ISO_VERTEX_CAP, is_json_int, object_size
 from sdkit.decomposition import _set_adhesion
 from sdkit.errors import NotChordal
 from sdkit.solver import _solvable_colimit
@@ -258,6 +258,20 @@ def colimit_reference(d):
     return result, cocone
 
 
+def underlying_diagram(d: StructuredDecomposition):
+    """A decomposition unrolled into a diagram: bags first (index = shape
+    vertex), then apexes in edge order, each with its two legs."""
+    from sdkit import Diagram
+
+    objects, arrows = list(d.bags), []
+    for a in d.adhesions:
+        u, v = a.edge
+        arrows.append((len(objects), u, a.span.left))
+        arrows.append((len(objects), v, a.span.right))
+        objects.append(a.span.left.dom)
+    return Diagram(objects, arrows)
+
+
 def random_diagram(rng: random.Random, graphs: bool, max_objects: int = 5, max_size: int = 5):
     """A diagram of finite sets or of graphs with arrows between random
     objects (loops, parallel arrows and non-injective maps included); an
@@ -290,6 +304,24 @@ def random_diagram(rng: random.Random, graphs: bool, max_objects: int = 5, max_s
             mapping = (rng.randrange(m),) * n  # every edge collapses onto one vertex
         arrows.append((s, t, GraphMorphism(dom, cod, mapping)))
     return Diagram(objects, arrows)
+
+
+def components_by_search(g: Graph) -> list:
+    """sdkit.connected_components by breadth-first search from each vertex
+    not yet reached, in vertex order."""
+    nbrs, seen, comps = g.neighbor_sets(), set(), []
+    for s in range(g.vertices):
+        if s in seen:
+            continue
+        seen.add(s)
+        queue = [s]
+        for v in queue:  # the loop also visits what it appends
+            for w in nbrs[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        comps.append(sorted(queue))
+    return comps
 
 
 def random_subgraph_mono(rng: random.Random, g: Graph) -> GraphMorphism:
@@ -657,11 +689,12 @@ def clique_tree_by_pairs(h: Graph) -> StructuredDecomposition:
         shared = len(set(cliques[i]) & set(cliques[j]))
         if shared:
             weighted.append((-shared, i, j))
-    components = _UnionFind(range(k))
+    component = list(range(k))  # each clique's component, relabelled on every union
     tree_edges = []
     for _, i, j in sorted(weighted):
-        if components.find(i) != components.find(j):
-            components.union(i, j)
+        ci, cj = component[i], component[j]
+        if ci != cj:
+            component = [ci if c == cj else c for c in component]
             tree_edges.append((i, j))
     shape = Graph(k, tree_edges)
     bags = tuple(FinSet(len(c)) for c in cliques)
