@@ -9,25 +9,29 @@ a union of accepted edge sets is kept when the predicate accepts it. Only
 pairs that agree on the edges the two ambients share need trying, because
 an accepted union restricts to an accepted edge set of each (full,
 subgraph-closed) table and both restrictions share one trace on the shared
-edges. `solve_on_decomposition` enumerates every bag's accepted edge sets
-on its image in the colimit of a tame tree-shaped decomposition, where
-every partial colimit embeds, and glues them there in post-order with
-`_compose_entries`. `compose` takes the Sub_P tables of the feet of a monic
-span, as `enumerate_subp_bruteforce` builds them, and runs that fold on the
-span's one-edge decomposition, whose colimit is the pushout. The glue asks
-the predicate once per matched pair. An Objective weighs a subobject by its
-vertex or edge count, so the best entry, ties broken by the smallest
-encoding, is read off the edge sets; the full table of a solve is built
-only when SolveResult.table is read.
+edges. So the glued table is the accepted unions of the trace-matched
+pairs, and each union comes from one pair. `solve_on_decomposition`
+enumerates every bag's accepted edge sets on its image in the colimit of a
+tame tree-shaped decomposition, where every partial colimit embeds, and
+glues them there in post-order with `_compose_entries`. `compose` takes the
+Sub_P tables of the feet of a monic span, as `enumerate_subp_bruteforce`
+builds them, and runs that fold on the span's one-edge decomposition, whose
+colimit is the pushout. The glue asks the predicate once per matched pair,
+except a pair with a side inside the shared edges: it gives back the other
+side, accepted already. An Objective weighs a subobject by its vertex or
+edge count, so the best entry, ties broken by the smallest encoding, is
+read off the edge sets; the full table of a solve is built only when
+SolveResult.table is read.
 
 For a predicate decided_at_boundary, `solve_at_boundary` runs the same fold
 (_fold) without keeping edge sets: a table is one class per signature, what
 the rest of the decomposition can see of an edge set (its trace on the
 part's edges that lie in other bags, and the summary of the rest on the
 part's vertices that do), with exact counts and the best witnesses. Its
-glue asks the predicate once per key of the shared-edge trace and the two
-sides' boundary summaries, and its leaf once per (edge, summary of the set
-it extends on the edge's ends). `solve`, the route of `sdkit solve`, takes
+glue places every trace-matched pair of classes by the same rule and asks
+the predicate once per key of the shared-edge trace and the two sides'
+boundary summaries; its leaf asks once per (edge, summary of the set it
+extends on the edge's ends). `solve`, the route of `sdkit solve`, takes
 it for paths and bipartite, and longest_path takes it with its own weight;
 the edge-set fold stays the oracle and the route for planar and compose.
 
@@ -503,33 +507,32 @@ def _compose_entries(left: _Table, right: _Table, predicate: PropertyPredicate) 
     An edge set U of the union is accepted exactly when the predicate
     accepts it and U & left.edges and U & right.edges are accepted, which
     are edge sets of the two families with one trace on the shared edges.
-    So only pairs with the same trace are glued. A pair with one side inside
-    the shared edges gives back the other side and is skipped; every other
-    matched pair gives a new edge set, and no two give the same one. The
-    predicate is called once per matched pair.
+    So the glued family is the accepted unions of the trace-matched pairs,
+    and each union comes from one pair only. A pair with a side inside the
+    shared edges gives back the other side, accepted already; the predicate
+    is called once per other matched pair.
     """
     shared = left.edges & right.edges
-    family = list(left.family)
     by_trace = {}
     for edges, ends in right.family:
-        trace = edges & shared
-        if trace != edges:
-            by_trace.setdefault(trace, []).append((edges, ends))
-            family.append((edges, ends))
-    if len(family) > MAX_EDGE_SETS:
-        raise _too_many_edge_sets()
-    calls = 0
+        by_trace.setdefault(edges & shared, []).append((edges, ends))
+    family, calls = [], 0
     for edges, ends in left.family:
         trace = edges & shared
-        if trace == edges or trace not in by_trace:
-            continue
-        calls += len(by_trace[trace])
-        for other, other_ends in by_trace[trace]:
-            union, union_ends = edges | other, ends | other_ends
-            if predicate(Subobject(union_ends, union)):
+        inside = edges == trace
+        for other, other_ends in by_trace.get(trace, ()):
+            if inside:
+                family.append((other, other_ends))
+            elif other == trace:
+                family.append((edges, ends))
+            else:
+                calls += 1
+                union, union_ends = edges | other, ends | other_ends
+                if not predicate(Subobject(union_ends, union)):
+                    continue
                 family.append((union, union_ends))
-                if len(family) > MAX_EDGE_SETS:
-                    raise _too_many_edge_sets()
+            if len(family) > MAX_EDGE_SETS:
+                raise _too_many_edge_sets()
     return _Table(left.vertices | right.vertices, left.edges | right.edges, family), calls
 
 
@@ -631,11 +634,11 @@ class SolveStats(NamedTuple):
     order, and edge_sets the accepted edge sets they stand for. compositions
     holds (|L|, |R|) per glue; pair_compositions is the sum of |L| * |R|
     over them, the size of the full pair space. Only the edge sets whose
-    traces match on the overlap are actually glued. predicate_calls is
-    (leaf, glue): the calls the leaves and the glues made. The edge-set
-    fold's glue makes one per matched pair (_compose_entries);
-    solve_at_boundary's makes one per boundary-summary key, so at most as
-    many.
+    traces match on the overlap are actually glued, each union from one
+    pair. predicate_calls is (leaf, glue): the calls the leaves and the
+    glues made. The edge-set fold's glue makes one per matched pair with
+    no side inside the shared edges (_compose_entries); solve_at_boundary's
+    makes one per boundary-summary key of such pairs, so at most as many.
     """
 
     table_sizes: tuple

@@ -30,7 +30,6 @@ from .solver import (
     SolveStats,
     Subobject,
     _LONGEST_PATH,
-    _accepted_edge_sets,
     _best_in_family,
     _fold,
     _solvable_colimit,
@@ -95,7 +94,7 @@ def _join(lab, la, lb) -> tuple:
     return tuple(joined)
 
 
-def _place(classes, signature, count, entries, weight, ends, sample, front, other=((-1, 0),)) -> None:
+def _place(classes, signature, count, entries, weight, ends, sample, front, other) -> None:
     """Add count edge sets standing for entries entries to the class of
     signature, with their best weight weight and the (max end, mask) pairs
     of front, each combined with each of other, as their best sets; ends
@@ -143,7 +142,8 @@ def solve_at_boundary(
     """solve_on_decomposition for a predicate decided_at_boundary, with the
     same value, witness, TooLarge points and stats, except that the leaf
     count of predicate_calls counts the calls its leaves make. No edge set
-    is kept: a table is one class per signature.
+    is kept: a table is one class per signature. A decomposition without
+    bags is left to solve_on_decomposition.
 
     The colimit edge of rank r in sorted order is bit M - 1 - r of an edge
     mask over the M colimit edges, and colimit vertex v is bit N - 1 - v of
@@ -153,20 +153,19 @@ def solve_at_boundary(
     width * v, wide enough for any degree, so degrees add over disjoint
     edge sets.
 
-    A table is (bags, size, boundary, seam, classes) for the part of d made
-    of the bags in the mask bags: size counts the part's vertices, boundary
-    lists (sorted) those that also lie in a bag outside it, and seam masks
-    its edges that do. An accepted edge set E has the signature (E & seam,
-    whether E - seam is non-empty, degrees, components), the last two the
-    summary of E - seam on boundary: the degrees of the boundary vertices,
-    and a tuple that gives each boundary vertex 2 * (index of the first
-    boundary vertex of its component) + its colour parity against that
-    vertex. classes maps a signature to [count of edge sets, entries they
-    stand for, their best weight, front, ends, sample], where front lists
-    the (max end, mask) of the sets of that weight that no other beats on
-    both (_finish), ends masks the boundary vertices the sets touch, and
-    sample is the mask of one of the sets, which a glue asks the predicate
-    about.
+    A table is (bags, boundary, seam, classes) for the part of d made of
+    the bags in the mask bags: boundary lists (sorted) the part's vertices
+    that also lie in a bag outside it, and seam masks its edges that do. An
+    accepted edge set E has the signature (E & seam, whether E - seam is
+    non-empty, degrees, components), the last two the summary of E - seam
+    on boundary: the degrees of the boundary vertices, and a tuple that
+    gives each boundary vertex 2 * (index of the first boundary vertex of
+    its component) + its colour parity against that vertex. classes maps a
+    signature to [count of edge sets, entries they stand for, their best
+    weight, front, ends, sample], where front lists the (max end, mask) of
+    the sets of that weight that no other beats on both (_finish), ends
+    masks the boundary vertices the sets touch, and sample is the mask of
+    one of the sets, which a glue asks the predicate about.
 
     The weight is the size |E|, or, for longest_path, the key (|E| - |ends
     E|, |E|, vertex mask of ends E): a linear forest has |ends E| - |E|
@@ -182,12 +181,10 @@ def solve_at_boundary(
     pair per front mask of the root classes: every objective's best
     candidate is among them.
     """
-    glued, cocone, bag_edges = _solvable_colimit(d)
     if not d.bags:
-        family, made = _accepted_edge_sets([], predicate)
-        witness = _best_in_family(family, glued.vertices, objective)
-        value = objective.weight(witness) if witness is not None else None
-        return Solved(value, witness, SolveStats((), (), (), (made, 0)), glued)
+        result = solver.solve_on_decomposition(d, predicate, objective, root)
+        return Solved(result.value, result.witness, result.stats, result.ambient)
+    glued, cocone, bag_edges = _solvable_colimit(d)
     longest, high, width = objective is _LONGEST_PATH, glued.vertices - 1, glued.vertices.bit_length()
     evaluate = predicate.evaluator  # predicate(sub), one call frame fewer
     full = (1 << width) - 1
@@ -256,7 +253,7 @@ def solve_at_boundary(
             edges.append((local[u], local[v], width * u, width * v, b, v, 1 << high - u | 1 << high - v))
         classes = {}
         if not evaluate(EMPTY_SUBOBJECT):
-            return (tb, n, tuple(boundary), seam, classes), 1, 0, 0
+            return (tb, tuple(boundary), seam, classes), 1, 0, 0
         start, verdicts, k = tuple(range(0, 2 * n, 2)), {}, len(boundary)
         calls, count, size, level = 1, 1, 0, [(0, 0, start, 0, start, 0, -1, 0)]
         while level:
@@ -265,6 +262,7 @@ def solve_at_boundary(
                 used, tau = ends.bit_count(), mask & seam
                 signature = (tau, mask != tau, rdeg & fields, rlab[:k])
                 weight = (size - used, size, ends) if longest else size
+                # inline, not _place: a call per listed set slows a one-bag K7 solve by about 12%
                 cls = classes.get(signature)
                 if cls is None:
                     classes[signature] = [1, 1 << n - used, weight, {top: mask}, ends & ends_mask, mask]
@@ -301,27 +299,28 @@ def solve_at_boundary(
                     grown.append((j + 1, grown_deg, grown_lab, *rest, mask | eb, v if v > top else top, ends | ab))
             size += 1
             level = grown
-        return (tb, n, tuple(boundary), seam, classes), calls, *_finish(classes)
+        return (tb, tuple(boundary), seam, classes), calls, *_finish(classes)
 
     def glue(left, right):
         """(table, calls, entries, accepted edge sets) of the union of the
         parts left and right, glued from their classes.
 
-        Every class is carried into the glued table alone (a right class
-        only when it is not inside the shared edges), and every pair of
-        classes with one trace on the shared edges, neither inside them, is
-        glued when the predicate accepts it: asked once per key of the trace
-        and the two sides' summaries on the interface, on the union of
-        their samples.
+        As in _compose_entries, the glued edge sets are the accepted unions
+        of the pairs with one trace on the shared edges, one pair each, so
+        every pair of classes with one trace is placed. A pair with a class
+        inside the shared edges (whose one set is the trace) gives back the
+        other class, accepted already. Any other pair is placed when the
+        predicate accepts it: asked once per key of the trace and the two
+        sides' summaries on the interface, on the union of their samples.
         """
-        bags, shared, seams = left[0] | right[0], left[3] & right[3], left[3] | right[3]
+        bags, shared, seams = left[0] | right[0], left[2] & right[2], left[2] | right[2]
         boundary, iface, seam, fields, ends_mask, iface_fields, iface_mask = [], [], 0, 0, 0, 0, 0
-        for x in sorted({*left[2], *right[2]}):
+        for x in sorted({*left[1], *right[1]}):
             if home[x] & ~bags:
                 boundary.append(x)
                 fields |= full << width * x
                 ends_mask |= 1 << high - x
-            if x in left[2] and x in right[2]:
+            if x in left[1] and x in right[1]:
                 iface.append(x)
                 iface_fields |= full << width * x
                 iface_mask |= 1 << high - x
@@ -332,40 +331,33 @@ def solve_at_boundary(
                 seam |= low
         boundary, iface, classes = tuple(boundary), tuple(iface), {}
         keys, lefts, by_trace = {}, [], {}
-        for side, other in ((left, right), (right, left)):
-            for (tau, flag, degrees, components), cls in side[4].items():
-                piece, trace = ((side[2], components),), tau & shared
-                inside = not flag and tau == trace
-                if side is left or not inside:
-                    more, joined = summary(piece, tau & ~seam, boundary) if boundary else (0, ())
-                    count, entries, weight, front, ends, sample = cls
-                    signature = (tau & seam, bool(flag or tau & ~seam), degrees + more & fields, joined)
-                    entries <<= other[1] - len(iface)
-                    _place(classes, signature, count, entries, weight, ends & ends_mask, sample, front)
-                if not inside:
-                    more, joined = summary(piece, tau ^ trace, iface)
-                    key = keys.setdefault((trace, degrees + more & iface_fields, joined), len(keys))
-                    item = (key, cls[4] & iface_mask, tau, flag, degrees, components, cls)
-                    if side is left:
-                        lefts.append((trace, item))
-                    else:
-                        by_trace.setdefault(trace, []).append(item)
+        for side in (left, right):
+            for (tau, flag, degrees, components), cls in side[3].items():
+                trace = tau & shared
+                more, joined = summary(((side[1], components),), tau ^ trace, iface)
+                key = keys.setdefault((trace, degrees + more & iface_fields, joined), len(keys))
+                item = (key, not flag and tau == trace, cls[4] & iface_mask, tau, flag, degrees, components, cls)
+                if side is left:
+                    lefts.append((trace, item))
+                else:
+                    by_trace.setdefault(trace, []).append(item)
         made, verdicts = 0, {}  # verdicts: (left key, right key) -> verdict on the union
-        for trace, (key, ends, tau, flag, degrees, components, cls) in lefts:
-            for other_key, other_ends, other_tau, other_flag, other_degrees, other_components, other in by_trace.get(
+        for trace, (key, inside, ends, tau, flag, degrees, components, cls) in lefts:
+            for other_key, other_inside, other_ends, other_tau, other_flag, other_degrees, other_components, other in by_trace.get(
                 trace, ()
             ):
-                accepted = verdicts.get((key, other_key))
-                if accepted is None:
-                    made += 1
-                    union_edges, union_ends = edge_set(cls[5] | other[5])
-                    accepted = verdicts[key, other_key] = evaluate(Subobject(union_ends, union_edges))
-                if not accepted:
-                    continue
+                if not (inside or other_inside):
+                    accepted = verdicts.get((key, other_key))
+                    if accepted is None:
+                        made += 1
+                        union_edges, union_ends = edge_set(cls[5] | other[5])
+                        accepted = verdicts[key, other_key] = evaluate(Subobject(union_ends, union_edges))
+                    if not accepted:
+                        continue
                 lost, met, w, loose = trace.bit_count(), (ends & other_ends).bit_count(), other[2], (tau | other_tau) & ~seam
                 more, joined = 0, ()
                 if boundary:
-                    pieces = ((left[2], components), (right[2], other_components))
+                    pieces = ((left[1], components), (right[1], other_components))
                     more, joined = summary(pieces, loose, boundary)
                 _place(
                     classes,
@@ -383,11 +375,11 @@ def solve_at_boundary(
         entries, held = _finish(classes)
         if held > solver.MAX_EDGE_SETS:
             raise _too_many_edge_sets()
-        return (bags, left[1] + right[1] - len(iface), boundary, seam, classes), made, entries, held
+        return (bags, boundary, seam, classes), made, entries, held
 
     table, stats = _fold(d, root, leaf, glue)
     family = []
-    for cls in table[4].values():
+    for cls in table[3].values():
         for _, mask in cls[3]:
             family.append(edge_set(mask))
     witness = _best_in_family(family, glued.vertices, objective)

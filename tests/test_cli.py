@@ -753,6 +753,11 @@ class TestBench:
         assert code == 2
         assert "--generate" in json.loads(out)["error"]
 
+    def test_generate_one_past_the_cap_is_too_large(self, capsys):
+        code, out = invoke(capsys, "bench", "--generate", "2001")
+        assert code == 3
+        assert json.loads(out) == {"error": "bench --generate 2001 is past the cap of 2000"}
+
     def test_generate_past_the_cap_exits_three_before_generating(self):
         start = time.perf_counter()
         proc = subprocess.run(

@@ -94,6 +94,13 @@ class TestValidate:
         with pytest.raises(ValidationError, match="^1 bags for a shape with 2 vertices$"):
             StructuredDecomposition(Graph(2), FINSET, (FinSet(1),), ())
 
+    def test_adhesion_past_the_bags_is_left_to_the_bag_count(self):
+        bags = (complete_graph(2), complete_graph(2))
+        leg = lambda bag: GraphMorphism(Graph(1), bag, (0,))
+        adhesion = Adhesion((1, 2), Span(leg(bags[1]), leg(bags[0])))
+        with pytest.raises(ValidationError, match="^2 bags for a shape with 3 vertices$"):
+            StructuredDecomposition(Graph(3, [(1, 2)]), GRAPH, bags, (adhesion,))
+
 
 class TestTameness:
     def test_fixture_is_tame(self, five_bag_tree):
@@ -414,6 +421,11 @@ class TestRestrict:
         glued, _ = evaluate_colimit(wild)
         with pytest.raises(NotTame):
             restrict_decomposition(wild, GraphMorphism.identity(glued))
+
+    def test_finset_valued_decomposition_rejected(self):
+        d = single_bag(FinSet(2), FINSET)
+        with pytest.raises(ValidationError, match="^restriction is defined for graph-valued decompositions$"):
+            restrict_decomposition(d, GraphMorphism.identity(complete_graph(2)))
 
     def test_wrong_codomain_rejected(self):
         d = single_bag(complete_graph(2), GRAPH)

@@ -50,6 +50,7 @@ from sdkit.decomposition import Adhesion
 from sdkit.solver import (
     EMPTY_SUBOBJECT,
     _accepted_edge_sets,
+    _compose_entries,
     best_entry,
     solve_at_boundary,
     translate_subobject,
@@ -931,6 +932,35 @@ def verdicts_by_key(left, right, predicate):
             union = Subobject(ends | other_ends, edges | other)
             out.setdefault(key, []).append(predicate.evaluator(union))
     return out
+
+
+class TestEdgeSetGlue:
+    """Each union of a glue comes from one trace-matched pair, since
+    (L | R) & left edges = L when the traces match: the glued family is the
+    accepted unions of those pairs, none twice."""
+
+    @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE, PLANAR], ids=lambda p: p.name)
+    def test_every_glue_is_the_accepted_unions_of_its_matched_pairs(self, monkeypatch, predicate):
+        instances = ORACLE_INSTANCES + forest_instances() + [ladder(k)[1] for k in (3, 4, 5)]
+        glues = 0
+        for d in instances:
+            for left, right in glues_of(monkeypatch, d, predicate):
+                shared = left.edges & right.edges
+                unions, asked = set(), 0
+                for edges, ends in left.family:
+                    trace = edges & shared
+                    for other, other_ends in right.family:
+                        if other & shared != trace:
+                            continue
+                        if predicate(Subobject(ends | other_ends, edges | other)):
+                            unions.add((edges | other, ends | other_ends))
+                        asked += trace not in (edges, other)
+                table, calls = _compose_entries(left, right, predicate)
+                assert len({edges for edges, _ in table.family}) == len(table.family)
+                assert set(table.family) == unions
+                assert calls == asked
+                glues += 1
+        assert glues > 300
 
 
 class TestBoundaryKeyedGlue:

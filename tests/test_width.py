@@ -766,6 +766,12 @@ class TestLayering:
             pushed_then_joined = layer_join([pushout(s)[0] for s in spans])
             assert is_isomorphic(joined_then_pushed, pushed_then_joined)
 
+    def test_json_round_trip(self):
+        layering = Layering([[3, 0], [], [2, 1]])
+        data = json.loads(json.dumps(layering.to_json()))
+        assert data == {"layers": [[0, 3], [], [1, 2]]}
+        assert Layering.from_json(data) == layering
+
     def test_is_layering(self):
         g = path(3)
         assert is_layering(g, Layering([[0], [1], [2]]))
