@@ -16,12 +16,15 @@ tame tree-shaped decomposition, where every partial colimit embeds, and
 glues them there in post-order with `_compose_entries`. `compose` takes the
 Sub_P tables of the feet of a monic span, as `enumerate_subp_bruteforce`
 builds them, and runs that fold on the span's one-edge decomposition, whose
-colimit is the pushout. The glue asks the predicate once per matched pair,
-except a pair with a side inside the shared edges: it gives back the other
-side, accepted already. An Objective weighs a subobject by its vertex or
-edge count, so the best entry, ties broken by the smallest encoding, is
-read off the edge sets; the full table of a solve is built only when
-SolveResult.table is read.
+colimit is the pushout. A part the predicate accepts whole has every edge
+set accepted, so the leaf and the glue first ask about the part's whole
+edge set (the bag's edges, or the union of the two sides'), and on a yes
+take its power set without another call. Otherwise the leaf runs Apriori
+and the glue asks once per matched pair, except a pair with a side inside
+the shared edges: it gives back the other side, accepted already. An
+Objective weighs a subobject by its vertex or edge count, so the best
+entry, ties broken by the smallest encoding, is read off the edge sets; the
+full table of a solve is built only when SolveResult.table is read.
 
 For a predicate decided_at_boundary, `solve_at_boundary` runs the same fold
 (_fold) without keeping edge sets: a table is one class per signature, what
@@ -408,22 +411,46 @@ def _entry_count(family, n: int) -> int:
     return sum(1 << (n - len(ends)) for _, ends in family)
 
 
+def _power_set(edge_list) -> list:
+    """Every subset of edge_list with its ends, the empty set first: the
+    family of a part whose whole edge set is accepted, built without a
+    predicate call. Raises TooLarge at once past MAX_EDGE_SETS."""
+    if 1 << len(edge_list) > MAX_EDGE_SETS:
+        raise _too_many_edge_sets()
+    family = [(frozenset(), frozenset())]
+    for edge in edge_list:
+        family += [(edges | {edge}, ends.union(edge)) for edges, ends in family]
+    return family
+
+
+def _accepted_whole(edges, predicate: PropertyPredicate) -> bool:
+    """The predicate's verdict on a part's whole edge set, on its ends."""
+    return predicate(Subobject(frozenset().union(*edges), frozenset(edges)))
+
+
 def _accepted_edge_sets(edge_list, predicate: PropertyPredicate) -> tuple:
     """(family, calls) for the Sub_P table of the graph with the edges in
     edge_list, in whatever numbering those edges use.
 
     family lists every accepted edge set with its ends, the empty set first,
     and calls counts the predicate calls. Rests on the PropertyPredicate
-    contract: the accepted edge sets form a downward-closed family, listed
-    level by level from the empty set (Apriori). A candidate S | {e}, with e
-    after S's last edge in edge_list order, is tested on the ends of its
-    edges only when every set one edge smaller was accepted, so the
-    predicate is called once per accepted edge set and once per minimal
-    rejected one.
+    contract: the accepted edge sets form a downward-closed family. The
+    empty set is asked first, then, with two edges or more, the whole edge
+    set: when it is accepted the family is the power set (_power_set) and
+    the leaf made 2 calls. Otherwise the family is listed level by level
+    from the empty set (Apriori). A candidate S | {e}, with e after S's last
+    edge in edge_list order, is tested on the ends of its edges only when
+    every set one edge smaller was accepted, so the predicate is called once
+    per accepted edge set, once per minimal rejected one, and once more for
+    the rejected whole.
     """
     if not predicate(EMPTY_SUBOBJECT):
         return [], 1
     calls = 1
+    if len(edge_list) > 1:
+        calls += 1
+        if _accepted_whole(edge_list, predicate):
+            return _power_set(edge_list), calls
     # accepted edge sets of the current size: edge-index bitmask ->
     # (edge indices, edge set, ends)
     level = {0: ((), frozenset(), frozenset())}
@@ -508,15 +535,26 @@ def _compose_entries(left: _Table, right: _Table, predicate: PropertyPredicate) 
     accepts it and U & left.edges and U & right.edges are accepted, which
     are edge sets of the two families with one trace on the shared edges.
     So the glued family is the accepted unions of the trace-matched pairs,
-    and each union comes from one pair only. A pair with a side inside the
-    shared edges gives back the other side, accepted already; the predicate
-    is called once per other matched pair.
+    and each union comes from one pair only.
+
+    When both families are non-empty and the union has two edges or more,
+    the predicate is first asked about the whole union. When it accepts,
+    every edge set of the union is accepted and the family is its power set
+    (_power_set): 1 call. Otherwise the pairs are glued: a pair with a side
+    inside the shared edges gives back the other side, accepted already; the
+    predicate is called once per other matched pair.
     """
+    vertices, whole = left.vertices | right.vertices, left.edges | right.edges
+    calls = 0
+    if left.family and right.family and len(whole) > 1:
+        calls += 1
+        if _accepted_whole(whole, predicate):
+            return _Table(vertices, whole, _power_set(sorted(whole))), calls
     shared = left.edges & right.edges
     by_trace = {}
     for edges, ends in right.family:
         by_trace.setdefault(edges & shared, []).append((edges, ends))
-    family, calls = [], 0
+    family = []
     for edges, ends in left.family:
         trace = edges & shared
         inside = edges == trace
@@ -533,7 +571,7 @@ def _compose_entries(left: _Table, right: _Table, predicate: PropertyPredicate) 
                 family.append((union, union_ends))
             if len(family) > MAX_EDGE_SETS:
                 raise _too_many_edge_sets()
-    return _Table(left.vertices | right.vertices, left.edges | right.edges, family), calls
+    return _Table(vertices, whole, family), calls
 
 
 def compose(span: Span, sub_l: SubPTable, sub_r: SubPTable, predicate: PropertyPredicate):
@@ -636,9 +674,12 @@ class SolveStats(NamedTuple):
     over them, the size of the full pair space. Only the edge sets whose
     traces match on the overlap are actually glued, each union from one
     pair. predicate_calls is (leaf, glue): the calls the leaves and the
-    glues made. The edge-set fold's glue makes one per matched pair with
-    no side inside the shared edges (_compose_entries); solve_at_boundary's
-    makes one per boundary-summary key of such pairs, so at most as many.
+    glues made. In the edge-set fold a part with two edges or more is
+    first asked whole: a leaf accepted whole makes 2 calls (the empty set,
+    the whole), a glue whose union is accepted 1; otherwise a glue makes 1
+    more per matched pair with no side inside the shared edges
+    (_compose_entries). solve_at_boundary's glue makes one per
+    boundary-summary key of such pairs.
     """
 
     table_sizes: tuple

@@ -3,6 +3,7 @@ import contextlib
 import enum
 import io
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -953,6 +954,27 @@ def test_python_dash_m_sdkit_runs_the_cli(fixtures_dir):
         outputs.append(proc.stdout)
     assert json.loads(outputs[0]) == {"treewidth": 4}
     assert outputs[0] == outputs[1]
+
+
+def test_the_cli_needs_only_the_standard_library(fixtures_dir):
+    """In a child with no site-packages (python -S) and only src/ on its
+    path, solve under each property and treewidth exit 0, and every module
+    that `import sdkit.cli` loads is in the standard library or in sdkit."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    runs = [["solve", "-d", fx(fixtures_dir, "bowtie.dec.json"), "--property", prop] for prop in ("paths", "bipartite", "planar")]
+    for argv in runs + [["treewidth", "-g", fx(fixtures_dir, "k5.json")]]:
+        proc = subprocess.run([sys.executable, "-S", "-m", "sdkit", *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (argv, proc.stderr)
+    script = (
+        "import json, sys; before = set(sys.modules); import sdkit.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "sdkit.cli" in loaded
+    outside = [name for name in loaded if name.split(".")[0] not in sys.stdlib_module_names | {"sdkit"}]
+    assert outside == []
 
 
 def test_console_entry_point(fixtures_dir):

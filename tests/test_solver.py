@@ -296,21 +296,28 @@ class TestLeafPredicateCalls:
 
     @staticmethod
     def expected_calls(g, predicate=PATHS) -> int:
-        """1 (the empty subobject) + non-empty accepted edge sets + minimal
-        rejected edge sets."""
+        """1 (the empty subobject), + 1 (the whole edge set, asked with two
+        edges or more), + when the whole is rejected, non-empty accepted
+        edge sets + minimal rejected edge sets."""
         edge_sets = [
             frozenset(c) for r in range(len(g.edges) + 1) for c in itertools.combinations(g.edges, r)
         ]
         accepted = {s for s in edge_sets if predicate(Subobject(ends(s), s))}
+        if not accepted:
+            return 1
+        probe = int(len(g.edges) > 1)
+        if probe and g.edges in accepted:
+            return 2
         minimal_rejected = [
             s for s in edge_sets if s not in accepted and all(s - {e} in accepted for e in s)
         ]
-        return 1 + (len(accepted) - 1) + len(minimal_rejected)
+        return 1 + probe + (len(accepted) - 1) + len(minimal_rejected)
 
     def test_k4_paths(self):
         k4 = complete_graph(4)
-        # 33 non-empty linear forests; 4 triangles, 4 stars and 3 four-cycles
-        assert self.calls(k4) == self.expected_calls(k4) == 1 + 33 + 11
+        # the whole K4 is rejected; 33 non-empty linear forests; 4
+        # triangles, 4 stars and 3 four-cycles
+        assert self.calls(k4) == self.expected_calls(k4) == 1 + 1 + 33 + 11
 
     def test_count_does_not_depend_on_vertex_labels(self):
         rng = random.Random(101)
@@ -385,9 +392,19 @@ def one_bag(g):
     return StructuredDecomposition(Graph(1), GRAPH, (g,), ())
 
 
+def bipyramid(k):
+    """The cycle C_k on 0..k-1 and two hubs k, k + 1 joined to each of its
+    vertices: planar, with 3k edges."""
+    return Graph(k + 2, [tuple(sorted((i, (i + 1) % k))) for i in range(k)] + [(v, h) for v in range(k) for h in (k, k + 1)])
+
+
+EDGE_SET_CAP_ERROR = "a Sub_P table grew past 262144 accepted edge sets"
+
+
 class TestCapsInAChildProcess:
     """Every known worst input of a cap ends in its answer or in exit 3
-    within the budget."""
+    within the budget. value is the answer, or the exact error of exit 3
+    where one is pinned (None otherwise)."""
 
     @pytest.mark.parametrize(
         "d, prop, value",
@@ -400,6 +417,10 @@ class TestCapsInAChildProcess:
             pytest.param(one_bag(complete_graph(8)), "bipartite", None, id="K8-bipartite"),
             pytest.param(one_bag(complete_graph(7)), "planar", None, id="K7-planar"),
             pytest.param(one_bag(complete_graph(10)), "paths", None, id="K10-paths"),
+            # MAX_EDGE_SETS at a leaf accepted whole: the C8 bipyramid is
+            # planar, so its 2^24 edge sets are refused at once (about
+            # 0.1 s); Apriori took about 2.0 s and 345 MiB to count 2^18
+            pytest.param(one_bag(bipyramid(8)), "planar", EDGE_SET_CAP_ERROR, id="bipyramid-8-planar"),
             # MAX_EDGE_SETS at a glue: ladder-7 paths counts 154,594 edge
             # sets at most and is solved in about 0.1 s; bipartite would
             # count all 2^19 and is refused in about 0.1 s. The edge-set
@@ -418,9 +439,11 @@ class TestCapsInAChildProcess:
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True)
         wall = time.perf_counter() - start
-        assert proc.returncode == (0 if value is not None else 3), proc.stderr
-        if value is not None:
+        assert proc.returncode == (0 if isinstance(value, int) else 3), proc.stderr
+        if isinstance(value, int):
             assert json.loads(proc.stdout)["value"] == value
+        elif value is not None:
+            assert json.loads(proc.stdout) == {"error": value}
         assert wall < 2 * BUDGET_S, wall
 
 
@@ -766,11 +789,12 @@ class TestSolveCounters:
         return result, len(made)
 
     def test_bowtie_paths(self):
-        # two K3 leaves of 8 calls each; no edge is shared, so each of the
-        # 6 x 6 pairs of non-empty edge sets is glued, one call each, and 9
-        # of them give the shared vertex degree 3 or 4
+        # two K3 leaves of 9 calls each (the rejected whole triangle, then 8);
+        # the glue asks the whole bowtie, rejected, then no edge is shared,
+        # so each of the 6 x 6 pairs of non-empty edge sets is glued, one
+        # call each, and 9 of them give the shared vertex degree 3 or 4
         result, made = self.counted_solve(two_bag_bowtie_decomposition(), PATHS)
-        assert result.stats.predicate_calls == (16, 36) and made == 52
+        assert result.stats.predicate_calls == (18, 1 + 36) and made == 55
         assert result.stats.edge_sets == (7, 7, 7 + 6 + 36 - 9)
 
     @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE, PLANAR], ids=lambda p: p.name)
@@ -937,12 +961,14 @@ def verdicts_by_key(left, right, predicate):
 class TestEdgeSetGlue:
     """Each union of a glue comes from one trace-matched pair, since
     (L | R) & left edges = L when the traces match: the glued family is the
-    accepted unions of those pairs, none twice."""
+    accepted unions of those pairs, none twice. The glue first asks the
+    whole union when both sides hold an edge set and it has two edges or
+    more; accepted, that is its one call and the family is the power set."""
 
     @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE, PLANAR], ids=lambda p: p.name)
     def test_every_glue_is_the_accepted_unions_of_its_matched_pairs(self, monkeypatch, predicate):
         instances = ORACLE_INSTANCES + forest_instances() + [ladder(k)[1] for k in (3, 4, 5)]
-        glues = 0
+        glues = accepted_whole = 0
         for d in instances:
             for left, right in glues_of(monkeypatch, d, predicate):
                 shared = left.edges & right.edges
@@ -958,9 +984,102 @@ class TestEdgeSetGlue:
                 table, calls = _compose_entries(left, right, predicate)
                 assert len({edges for edges, _ in table.family}) == len(table.family)
                 assert set(table.family) == unions
-                assert calls == asked
+                whole = left.edges | right.edges
+                probed = bool(left.family and right.family) and len(whole) > 1
+                if probed and predicate(Subobject(frozenset().union(*whole), whole)):
+                    assert calls == 1 and len(unions) == 1 << len(whole)
+                    accepted_whole += 1
+                else:
+                    assert calls == probed + asked
                 glues += 1
-        assert glues > 300
+        assert glues > 300 and accepted_whole > 30
+
+
+def random_planar_graphs():
+    """Seeded planar graphs (by networkx) on 7-8 vertices with 12-17 edges,
+    up to a triangulation of 7 vertices; each is redrawn until planar. (The
+    brute-force table of an 8-vertex triangulation takes about 10 s.)"""
+    rng = random.Random(409)
+    out = []
+    for n, m in [(7, 12), (7, 13), (7, 14), (7, 15), (8, 12), (8, 14), (8, 16), (8, 17)]:
+        pairs = list(itertools.combinations(range(n), 2))
+        while True:
+            edges = sorted(rng.sample(pairs, m))
+            if nx.check_planarity(nx.Graph(edges))[0]:
+                out.append(Graph(n, edges))
+                break
+    return out
+
+
+class TestWholePartProbe:
+    """A part the predicate accepts whole is not asked about its subsets:
+    the leaf asks the empty set and the whole edge set and then lists the
+    power set, and a glue whose union is accepted asks once."""
+
+    @staticmethod
+    def family_by_all_pairs(g, predicate) -> set:
+        """The accepted edge sets of the brute-force table."""
+        return {sub.edges for sub in subp_by_all_pairs(g, predicate).entries}
+
+    @staticmethod
+    def edge_sets(family) -> set:
+        """The edge sets of a family of (edge set, ends), each checked to
+        come once and with its own ends."""
+        assert all(ends == frozenset().union(*edges) for edges, ends in family)
+        found = {edges for edges, _ in family}
+        assert len(found) == len(family)
+        return found
+
+    def leaf_family(self, g, predicate) -> set:
+        return self.edge_sets(_accepted_edge_sets(g.edge_list(), predicate)[0])
+
+    @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE, PLANAR], ids=lambda p: p.name)
+    def test_leaf_family_is_the_all_pairs_family_up_to_six_vertices(self, predicate):
+        accepted_whole = 0
+        for n in range(7):
+            for g in graphs_up_to_iso(n):
+                assert self.leaf_family(g, predicate) == self.family_by_all_pairs(g, predicate)
+                accepted_whole += len(g.edges) > 1 and predicate(whole(g))
+        assert accepted_whole > 10
+
+    @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE, PLANAR], ids=lambda p: p.name)
+    def test_leaf_family_is_the_all_pairs_family_on_random_planar_graphs(self, predicate):
+        for g in random_planar_graphs():
+            assert self.leaf_family(g, predicate) == self.family_by_all_pairs(g, predicate)
+
+    def test_a_bag_accepted_whole_makes_two_calls(self):
+        bipyramid = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3)] + [(v, h) for v in range(4) for h in (4, 5)])
+        for g, predicate in [(complete_graph(4), PLANAR), (bipyramid, PLANAR), (cycle(6), BIPARTITE), (path(5), PATHS)]:
+            assert TestLeafPredicateCalls.calls(g, predicate) == 2
+            result = solve_on_decomposition(one_bag(g), predicate, MAX_EDGES)
+            assert result.stats.predicate_calls == (2, 0)
+            assert result.stats.edge_sets == (1 << len(g.edges),)
+        # one edge: the whole is the only non-empty candidate, asked once
+        assert TestLeafPredicateCalls.calls(complete_graph(2), PLANAR) == 2
+
+    def test_a_glue_whose_union_is_accepted_makes_one_call(self):
+        # the bowtie's two triangles; ladder-4's three 4-cycles
+        for d, leaves, glues in [(two_bag_bowtie_decomposition(), 2, 1), (ladder(4)[1], 3, 2)]:
+            result, made = TestSolveCounters.counted_solve(d, PLANAR)
+            assert result.stats.predicate_calls == (2 * leaves, glues) and made == 2 * leaves + glues
+            glued, _ = evaluate_colimit(d)
+            assert result.stats.edge_sets[-1] == 1 << len(glued.edges)
+            assert self.edge_sets(result.family) == self.family_by_all_pairs(glued, PLANAR)
+
+    def test_a_whole_past_the_cap_is_refused_before_any_subset_is_asked(self, monkeypatch):
+        from sdkit import solver
+
+        monkeypatch.setattr(solver, "MAX_EDGE_SETS", 32)
+        for d in (one_bag(complete_graph(4)), two_bag_bowtie_decomposition()):
+            made = []
+
+            def evaluator(sub):
+                made.append(sub)
+                return True
+
+            with pytest.raises(TooLarge, match="past 32 accepted edge sets"):
+                solve_on_decomposition(d, dataclasses.replace(PLANAR, evaluator=evaluator), MAX_EDGES)
+            assert all(len(sub.edges) in (0, 3, 6) for sub in made)
 
 
 class TestBoundaryKeyedGlue:
