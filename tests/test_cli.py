@@ -961,7 +961,7 @@ def test_the_cli_needs_only_the_standard_library(fixtures_dir):
     path, solve under each property and treewidth exit 0, and every module
     that `import sdkit.cli` loads is in the standard library or in sdkit."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-    runs = [["solve", "-d", fx(fixtures_dir, "bowtie.dec.json"), "--property", prop] for prop in ("paths", "bipartite", "planar")]
+    runs = [["solve", "-d", fx(fixtures_dir, "bowtie.dec.json"), "--property", p] for p in ("paths", "bipartite", "planar")]
     for argv in runs + [["treewidth", "-g", fx(fixtures_dir, "k5.json")]]:
         proc = subprocess.run([sys.executable, "-S", "-m", "sdkit", *argv], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, (argv, proc.stderr)
