@@ -19,12 +19,16 @@ builds them, and runs that fold on the span's one-edge decomposition, whose
 colimit is the pushout. A part the predicate accepts whole has every edge
 set accepted, so the leaf and the glue first ask about the part's whole
 edge set (the bag's edges, or the union of the two sides'), and on a yes
-take its power set without another call. Otherwise the leaf runs Apriori
-and the glue asks once per matched pair, except a pair with a side inside
-the shared edges: it gives back the other side, accepted already. An
-Objective weighs a subobject by its vertex or edge count, so the best
-entry, ties broken by the smallest encoding, is read off the edge sets; the
-full table of a solve is built only when SolveResult.table is read.
+take its power set without another call. The power set is kept as the
+part's sorted edges (_PowerSet): its edge sets and entries are counted
+exactly without listing them, and it is listed (_listed) only where its
+sets are read. Otherwise the leaf runs Apriori and the glue asks once per matched
+pair, except a pair with a side inside the shared edges: it gives back the
+other side, accepted already. An Objective weighs a subobject by its
+vertex or edge count, so the best entry, ties broken by the smallest
+encoding, is read off the edge sets (of a power set, off its two extreme
+sets); the full table of a solve is built only when SolveResult.table is
+read.
 
 For a predicate decided_at_boundary, `solve_at_boundary` runs the same fold
 (_fold) without keeping edge sets: a table is one class per signature, what
@@ -40,8 +44,9 @@ the edge-set fold stays the oracle and the route for planar and compose.
 
 Three caps raise TooLarge, each on what it protects: BRUTE_CAP on the
 vertices of a bag, MAX_EDGE_SETS on the accepted edge sets any table of the
-fold holds (counted by either route), and MAX_TABLE_ENTRIES on the entries
-of a table about to be built (_expand).
+fold stands for (counted by either route, a power set when it is formed),
+and MAX_TABLE_ENTRIES on the entries of a table about to be built
+(_expand).
 
 The planar predicate is the path-addition test of Demoucron, Malgrange &
 Pertuiset (1964), polynomial in the subobject and without state between
@@ -77,10 +82,11 @@ from .width import tree_decomposition_reading
 # rejected candidates a leaf tries: a star K1,m under paths holds about m^2/2
 # edge sets but tries C(m, 3) candidates.
 BRUTE_CAP = 10
-# Most accepted edge sets one table of the fold may hold, leaf or glued: the
-# largest power of two at which every known worst input (README "Size caps")
-# is refused or answered within 5 s wall and 512 MiB peak RSS. A held set
-# costs about 1.2 KB, and 17-18 us in a leaf.
+# Most accepted edge sets one table of the fold may stand for, leaf or glued:
+# the largest power of two at which every known worst input (README "Size
+# caps") is refused or answered within 5 s wall and 512 MiB peak RSS. A set
+# the edge-set fold lists costs about 1.2 KB, and 17-18 us in a leaf; a
+# power set, kept as its edges (_PowerSet), holds none but is counted alike.
 MAX_EDGE_SETS = 1 << 18
 # Most entries (vertex set, edge set) a built table may have: compose,
 # enumerate_subp_bruteforce and SolveResult.table build every entry.
@@ -405,52 +411,89 @@ def _too_many_edge_sets() -> TooLarge:
     return TooLarge(f"a Sub_P table grew past {MAX_EDGE_SETS} accepted edge sets")
 
 
+class _PowerSet(tuple):
+    """The family of a part the predicate accepts whole: the part's sorted
+    edges, standing for every subset of them without listing it (_listed).
+    """
+
+
 def _entry_count(family, n: int) -> int:
-    """The entries a family of (edge set, ends) stands for over n vertices:
-    2^(n - |ends|) per edge set."""
-    return sum(1 << (n - len(ends)) for _, ends in family)
+    """The entries a family stands for over n vertices: 2^(n - |ends E|)
+    per accepted edge set E. A _PowerSet is counted without listing it, by
+    the shorter of two equal sums: that one over its 2^m edge sets, with
+    their ends as bitmasks, or one over the 2^|U| vertex sets W of the ends
+    U of its edges. An entry of a power set is a vertex set and any edges
+    inside it, so its entries number 2^(n - |U|) times the sum of 2^e(W),
+    e(W) the edges inside W."""
+    if not isinstance(family, _PowerSet):
+        return sum(1 << (n - len(ends)) for _, ends in family)
+    bit = {v: 1 << i for i, v in enumerate(sorted(frozenset().union(*family)))}
+    if len(bit) > len(family):
+        # sparse, as a matching of m edges: its 2m ends have 2^(2m) sets
+        masks = [0]
+        for u, v in family:
+            masks += [mask | bit[u] | bit[v] for mask in masks]
+        return sum(1 << (n - mask.bit_count()) for mask in masks)
+    lower = [0] * len(bit)  # vertex index -> its neighbours of lower index
+    for u, v in family:
+        low, high = sorted((bit[u], bit[v]))
+        lower[high.bit_length() - 1] |= low
+    inside = [0]  # vertex mask over the first i vertices -> edges inside it
+    for nbrs in lower:
+        inside += [e + (mask & nbrs).bit_count() for mask, e in enumerate(inside)]
+    return sum(1 << e for e in inside) << (n - len(bit))
 
 
-def _power_set(edge_list) -> list:
-    """Every subset of edge_list with its ends, the empty set first: the
-    family of a part whose whole edge set is accepted, built without a
-    predicate call. Raises TooLarge at once past MAX_EDGE_SETS."""
-    if 1 << len(edge_list) > MAX_EDGE_SETS:
+def _listed(family) -> list:
+    """family as a list of (edge set, ends): a listed family as it is, a
+    _PowerSet as every subset of its edges, the empty set first. This is the
+    one place a power set is listed, and only where its sets are read: a
+    glue whose union is rejected, _LONGEST_PATH's witness,
+    SolveResult.family and .table, and enumerate_subp_bruteforce (so
+    compose)."""
+    if not isinstance(family, _PowerSet):
+        return family
+    listed = [(frozenset(), frozenset())]
+    for edge in family:
+        listed += [(edges | {edge}, ends.union(edge)) for edges, ends in listed]
+    return listed
+
+
+def _accepted_whole(edges, predicate: PropertyPredicate):
+    """The family of a part whose whole edge set the predicate accepts,
+    asked on its ends: the _PowerSet of its edges; None when rejected.
+    Raises TooLarge at once when the power set is past MAX_EDGE_SETS."""
+    if not predicate(Subobject(frozenset().union(*edges), frozenset(edges))):
+        return None
+    if 1 << len(edges) > MAX_EDGE_SETS:
         raise _too_many_edge_sets()
-    family = [(frozenset(), frozenset())]
-    for edge in edge_list:
-        family += [(edges | {edge}, ends.union(edge)) for edges, ends in family]
-    return family
-
-
-def _accepted_whole(edges, predicate: PropertyPredicate) -> bool:
-    """The predicate's verdict on a part's whole edge set, on its ends."""
-    return predicate(Subobject(frozenset().union(*edges), frozenset(edges)))
+    return _PowerSet(sorted(edges))
 
 
 def _accepted_edge_sets(edge_list, predicate: PropertyPredicate) -> tuple:
     """(family, calls) for the Sub_P table of the graph with the edges in
     edge_list, in whatever numbering those edges use.
 
-    family lists every accepted edge set with its ends, the empty set first,
-    and calls counts the predicate calls. Rests on the PropertyPredicate
-    contract: the accepted edge sets form a downward-closed family. The
-    empty set is asked first, then, with two edges or more, the whole edge
-    set: when it is accepted the family is the power set (_power_set) and
-    the leaf made 2 calls. Otherwise the family is listed level by level
-    from the empty set (Apriori). A candidate S | {e}, with e after S's last
-    edge in edge_list order, is tested on the ends of its edges only when
-    every set one edge smaller was accepted, so the predicate is called once
-    per accepted edge set, once per minimal rejected one, and once more for
-    the rejected whole.
+    family holds every accepted edge set, and calls counts the predicate
+    calls. Rests on the PropertyPredicate contract: the accepted edge sets
+    form a downward-closed family. The empty set is asked first, then, with
+    two edges or more, the whole edge set: when it is accepted the family is
+    the power set, kept as a _PowerSet (_accepted_whole), and the
+    leaf made 2 calls. Otherwise the family lists every accepted edge set
+    with its ends, level by level from the empty set (Apriori). A candidate
+    S | {e}, with e after S's last edge in edge_list order, is tested on the
+    ends of its edges only when every set one edge smaller was accepted, so
+    the predicate is called once per accepted edge set, once per minimal
+    rejected one, and once more for the rejected whole.
     """
     if not predicate(EMPTY_SUBOBJECT):
         return [], 1
     calls = 1
     if len(edge_list) > 1:
         calls += 1
-        if _accepted_whole(edge_list, predicate):
-            return _power_set(edge_list), calls
+        family = _accepted_whole(edge_list, predicate)
+        if family is not None:
+            return family, calls
     # accepted edge sets of the current size: edge-index bitmask ->
     # (edge indices, edge set, ends)
     level = {0: ((), frozenset(), frozenset())}
@@ -475,13 +518,15 @@ def _accepted_edge_sets(edge_list, predicate: PropertyPredicate) -> tuple:
 
 
 def _expand(family, vertices) -> frozenset:
-    """The entries that a family of (edge set, ends) stands for: every edge
-    set with every vertex set between its ends and `vertices`."""
+    """The entries that a family stands for: every accepted edge set with
+    every vertex set between its ends and `vertices`. They are counted
+    before the family is listed."""
     count = _entry_count(family, len(vertices))
     if count > MAX_TABLE_ENTRIES:
         raise TooLarge(f"a Sub_P table of {count} entries is past the cap of {MAX_TABLE_ENTRIES}")
     if not family:
         return frozenset()
+    family = _listed(family)
     order = sorted(vertices)
     bit = {v: 1 << i for i, v in enumerate(order)}
     vsets = [frozenset(v for v in order if bit[v] & mask) for mask in range(1 << len(order))]
@@ -520,7 +565,8 @@ def translate_subobject(sub: Subobject, mapping) -> Subobject:
 class _Table(NamedTuple):
     """The full Sub_P table of a part (a subgraph) of one ambient graph,
     kept as its accepted edge sets: it holds every (V, E) with (E, ends(E))
-    in family and ends(E) <= V <= vertices."""
+    in family and ends(E) <= V <= vertices. family is a list of (edge set,
+    ends), or, for a part accepted whole, a _PowerSet."""
 
     vertices: frozenset
     edges: frozenset
@@ -539,23 +585,25 @@ def _compose_entries(left: _Table, right: _Table, predicate: PropertyPredicate) 
 
     When both families are non-empty and the union has two edges or more,
     the predicate is first asked about the whole union. When it accepts,
-    every edge set of the union is accepted and the family is its power set
-    (_power_set): 1 call. Otherwise the pairs are glued: a pair with a side
-    inside the shared edges gives back the other side, accepted already; the
-    predicate is called once per other matched pair.
+    every edge set of the union is accepted and the family is its power set,
+    kept as a _PowerSet (_accepted_whole): 1 call. Otherwise both
+    families are listed (_listed) and the pairs are glued: a pair with a
+    side inside the shared edges gives back the other side, accepted
+    already; the predicate is called once per other matched pair.
     """
     vertices, whole = left.vertices | right.vertices, left.edges | right.edges
     calls = 0
     if left.family and right.family and len(whole) > 1:
         calls += 1
-        if _accepted_whole(whole, predicate):
-            return _Table(vertices, whole, _power_set(sorted(whole))), calls
+        family = _accepted_whole(whole, predicate)
+        if family is not None:
+            return _Table(vertices, whole, family), calls
     shared = left.edges & right.edges
     by_trace = {}
-    for edges, ends in right.family:
+    for edges, ends in _listed(right.family):
         by_trace.setdefault(edges & shared, []).append((edges, ends))
     family = []
-    for edges, ends in left.family:
+    for edges, ends in _listed(left.family):
         trace = edges & shared
         inside = edges == trace
         for other, other_ends in by_trace.get(trace, ()):
@@ -640,8 +688,18 @@ def _best_in_family(family, n: int, objective: Objective):
     one path exactly when |ends(E)| = |E| + 1. The witness is (ends(E), E)
     for such an E with the most edges and the smallest encoding, or vertex
     0 alone when no E has an edge (None when n is 0).
+
+    Of a _PowerSet, only the two extreme sets are
+    candidates, the empty set and the whole: the whole is the one set with
+    the most edges, the empty set the one with the fewest edges or ends,
+    and under max-vertices every set ties and the empty set has the
+    smallest encoding. _LONGEST_PATH reads the listed power set.
     """
     longest, counts_edges = objective is _LONGEST_PATH, objective.counts == "edges"
+    if isinstance(family, _PowerSet) and longest:
+        family = _listed(family)
+    elif isinstance(family, _PowerSet):
+        family = [(frozenset(), frozenset()), (frozenset(family), frozenset().union(*family))]
     sign = 1 if objective.direction == "max" else -1
     everything = frozenset(range(n)) if not counts_edges and sign > 0 else None
     top, tied = None, []
@@ -679,7 +737,8 @@ class SolveStats(NamedTuple):
     the whole), a glue whose union is accepted 1; otherwise a glue makes 1
     more per matched pair with no side inside the shared edges
     (_compose_entries). solve_at_boundary's glue makes one per
-    boundary-summary key of such pairs.
+    boundary-summary key of such pairs. The counts of a part accepted whole
+    are exact but taken without listing its power set (_entry_count).
     """
 
     table_sizes: tuple
@@ -698,19 +757,25 @@ class SolveStats(NamedTuple):
 @dataclass(frozen=True)
 class SolveResult:
     """Value, witness and counters of one solve. The colimit's Sub_P table
-    is kept as its accepted edge sets with their ends (family); table, the
-    full SubPTable, is built from them when first read."""
+    is kept as the fold left it (kept_family: its accepted edge sets with
+    their ends, or the _PowerSet of a colimit accepted whole). family, the
+    accepted edge sets with their ends as a tuple, and table, the full
+    SubPTable, are built from it when first read."""
 
     value: object
     witness: Subobject
     stats: SolveStats
     ambient: Graph
     predicate_name: str
-    family: tuple = field(repr=False, compare=False)
+    kept_family: object = field(repr=False, compare=False)
+
+    @cached_property
+    def family(self) -> tuple:
+        return tuple(_listed(self.kept_family))
 
     @cached_property
     def table(self) -> SubPTable:
-        entries = _expand(self.family, range(self.ambient.vertices))
+        entries = _expand(self.kept_family, range(self.ambient.vertices))
         return SubPTable(self.ambient, self.predicate_name, entries, self.stats.pair_compositions)
 
 
@@ -812,7 +877,9 @@ def solve_on_decomposition(
     else:
 
         def measured(table, made):
-            return table, made, _entry_count(table.family, len(table.vertices)), len(table.family)
+            family = table.family
+            held = 1 << len(family) if isinstance(family, _PowerSet) else len(family)
+            return table, made, _entry_count(family, len(table.vertices)), held
 
         def leaf(t):
             family, made = _accepted_edge_sets(bag_edges[t], predicate)
@@ -823,7 +890,7 @@ def solve_on_decomposition(
         family = table.family
     witness = _best_in_family(family, glued.vertices, objective)
     value = objective.weight(witness) if witness is not None else None
-    return SolveResult(value, witness, stats, glued, predicate.name, tuple(family))
+    return SolveResult(value, witness, stats, glued, predicate.name, family)
 
 
 def solve(d: StructuredDecomposition, predicate: PropertyPredicate, objective: Objective):

@@ -34,6 +34,7 @@ from sdkit import (
     complete_graph,
     compose,
     compose_optimize,
+    decomposition_from_vertex_bags,
     decomposition_to_json,
     enumerate_subp_bruteforce,
     evaluate_colimit,
@@ -49,8 +50,13 @@ from sdkit import (
 from sdkit.decomposition import Adhesion
 from sdkit.solver import (
     EMPTY_SUBOBJECT,
+    _LONGEST_PATH,
+    _PowerSet,
     _accepted_edge_sets,
+    _best_in_family,
     _compose_entries,
+    _entry_count,
+    _listed,
     best_entry,
     solve_at_boundary,
     translate_subobject,
@@ -945,10 +951,10 @@ def verdicts_by_key(left, right, predicate):
     shared = left.edges & right.edges
     iface = sorted(left.vertices & right.vertices)
     by_trace = {}
-    for other, other_ends in right.family:
+    for other, other_ends in _listed(right.family):
         by_trace.setdefault(other & shared, []).append((other, other_ends))
     out = {}
-    for edges, ends in left.family:
+    for edges, ends in _listed(left.family):
         trace = edges & shared
         for other, other_ends in by_trace.get(trace, ()):
             if trace in (edges, other):
@@ -974,17 +980,18 @@ class TestEdgeSetGlue:
             for left, right in glues_of(monkeypatch, d, predicate):
                 shared = left.edges & right.edges
                 unions, asked = set(), 0
-                for edges, ends in left.family:
+                for edges, ends in _listed(left.family):
                     trace = edges & shared
-                    for other, other_ends in right.family:
+                    for other, other_ends in _listed(right.family):
                         if other & shared != trace:
                             continue
                         if predicate(Subobject(ends | other_ends, edges | other)):
                             unions.add((edges | other, ends | other_ends))
                         asked += trace not in (edges, other)
                 table, calls = _compose_entries(left, right, predicate)
-                assert len({edges for edges, _ in table.family}) == len(table.family)
-                assert set(table.family) == unions
+                family = _listed(table.family)
+                assert len({edges for edges, _ in family}) == len(family)
+                assert set(family) == unions
                 whole = left.edges | right.edges
                 probed = bool(left.family and right.family) and len(whole) > 1
                 if probed and predicate(Subobject(frozenset().union(*whole), whole)):
@@ -1032,7 +1039,7 @@ class TestWholePartProbe:
         return found
 
     def leaf_family(self, g, predicate) -> set:
-        return self.edge_sets(_accepted_edge_sets(g.edge_list(), predicate)[0])
+        return self.edge_sets(_listed(_accepted_edge_sets(g.edge_list(), predicate)[0]))
 
     @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE, PLANAR], ids=lambda p: p.name)
     def test_leaf_family_is_the_all_pairs_family_up_to_six_vertices(self, predicate):
@@ -1083,6 +1090,167 @@ class TestWholePartProbe:
             assert all(len(sub.edges) in (0, 3, 6) for sub in made)
 
 
+class TestPowerSetKeptAsEdges:
+    """A part accepted whole keeps its family as its sorted edge tuple. Its
+    entry count, edge-set count and witness are read off that tuple without
+    listing it, and must equal what the listed power set gives."""
+
+    @staticmethod
+    def assert_alike(g, shift):
+        """g's edges moved up by shift, on shift + g.vertices + 2 vertices,
+        so that vertices no edge touches lie below and above the ends."""
+        edges = _PowerSet(sorted((u + shift, v + shift) for u, v in g.edges))
+        n = shift + g.vertices + 2
+        listed = _listed(edges)
+        assert len(listed) == 1 << len(edges) and listed[0] == (frozenset(), frozenset())
+        assert _entry_count(edges, n) == _entry_count(listed, n)
+        for objective in (MAX_EDGES, MAX_VERTICES, MIN_EDGES, MIN_VERTICES, _LONGEST_PATH):
+            assert _best_in_family(edges, n, objective) == _best_in_family(listed, n, objective)
+
+    def test_equals_the_listing_up_to_six_vertices(self):
+        sparse = dense = 0
+        for n in range(7):
+            for g in graphs_up_to_iso(n):
+                for shift in (0, 2):
+                    self.assert_alike(g, shift)
+                ends = len(frozenset().union(*g.edges))
+                sparse += ends > len(g.edges)
+                dense += 0 < ends <= len(g.edges)
+        # both sums of _entry_count are taken: by edge set and by vertex set
+        assert sparse > 20 and dense > 20
+
+    def test_equals_the_listing_on_random_planar_graphs(self):
+        # up to 16 edges: listing the 2^18 sets of the last one would hold
+        # about 300 MiB
+        for g in random_planar_graphs():
+            if len(g.edges) <= 16:
+                self.assert_alike(g, 1)
+
+    def test_an_accepted_part_is_kept_as_its_edges(self):
+        g = bipyramid(4)
+        family, calls = _accepted_edge_sets(g.edge_list(), PLANAR)
+        assert isinstance(family, _PowerSet) and family == tuple(sorted(g.edges)) and calls == 2
+        result = solve_on_decomposition(one_bag(g), PLANAR, MAX_EDGES)
+        assert result.family == tuple(_listed(family))
+        assert result.stats.table_sizes == (_entry_count(_listed(family), g.vertices),)
+
+
+def three_star_k33():
+    """K3,3 (a1, a2, a3 = 0, 1, 2 and b1, b2, b3 = 3, 4, 5) on the path
+    decomposition with bags {a1, a2, a3, b_i}: each bag is a star K1,3."""
+    g = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    return decomposition_from_vertex_bags(g, path(3), [[0, 1, 2, b] for b in range(3, 6)])[0]
+
+
+def crossed_ladder():
+    """(g, d): the 2 x 5 ladder (top j = j, bottom j = 5 + j) whose last
+    three rungs carry the crossing diagonals t2-b4 and b2-t4, with the path
+    decomposition whose bags are the first two squares and those three
+    rungs. The last bag is K3,3, so g is not planar; the two squares, and
+    their glue, are accepted whole."""
+    g = ladder(5)[0]
+    g = Graph(10, sorted(g.edges | {(2, 9), (4, 7)}))
+    return g, decomposition_from_vertex_bags(g, path(3), [[0, 1, 5, 6], [1, 2, 6, 7], [2, 3, 4, 7, 8, 9]])[0]
+
+
+class TestRejectedUnionOverWholeParts:
+    """A glue whose union is rejected lists the power sets of the sides that
+    were accepted whole and glues them pair by pair."""
+
+    def test_k33_over_three_stars(self):
+        d = three_star_k33()
+        result = solve_on_decomposition(d, PLANAR, MAX_EDGES)
+        assert result.value == 8
+        assert result.stats.table_sizes == (35, 35, 187, 35, 1192)
+        assert result.stats.edge_sets == (8, 8, 64, 8, 511)
+        assert result.stats.predicate_calls == (6, 443)
+        assert len(result.family) == 511 and len(result.table.entries) == 1192
+        glued, _ = evaluate_colimit(d)
+        assert result.table == subp_by_all_pairs(glued, PLANAR)
+
+    def test_crossed_ladder_equals_the_colimit_table(self, monkeypatch):
+        from sdkit import solver
+
+        g, d = crossed_ladder()
+        glued, _ = evaluate_colimit(d)
+        assert not predicate_planar(whole(glued))
+        table = subp_by_all_pairs(glued, PLANAR)
+        kept = []  # per glue side: kept as an edge tuple
+        compose_entries = solver._compose_entries
+
+        def recording(left, right, predicate):
+            kept.extend(isinstance(side.family, _PowerSet) for side in (left, right))
+            return compose_entries(left, right, predicate)
+
+        monkeypatch.setattr(solver, "_compose_entries", recording)
+        # rooted at the middle bag or the K3,3 bag, the two squares glue
+        # whole first, and that 7-edge power set is listed at the rejected glue
+        for root, sides in [(None, "FTFT"), (1, "TTFT"), (2, "TTTF")]:
+            for objective in (MAX_EDGES, MAX_VERTICES, MIN_EDGES):
+                kept.clear()
+                result = solve_on_decomposition(d, PLANAR, objective, root=root)
+                best = best_entry(table, objective)
+                assert (result.value, result.witness) == (objective.weight(best), best)
+                assert kept == [flag == "T" for flag in sides]
+            assert result.stats.table_sizes[-1] == len(table.entries)
+
+
+class TestCapPointsDoNotMove:
+    """Keeping a power set as its edges moves no refusal: a planar ladder,
+    accepted whole at every step, is refused at the first fold step past
+    MAX_EDGE_SETS, with the message it always had, and its table past
+    MAX_TABLE_ENTRIES when it is read."""
+
+    # ladder-5's fold order is leaf, leaf, glue, leaf, glue, leaf, glue
+    EDGE_SETS = (16, 16, 128, 16, 1024, 16, 8192)
+
+    @pytest.mark.parametrize("cap", [15, 16, 127, 128, 1023, 1024, 8191, 8192])
+    def test_the_edge_set_cap(self, monkeypatch, capsys, tmp_path, cap):
+        from sdkit import solver
+        from sdkit.cli import run
+
+        d = ladder(5)[1]
+        steps = []
+        for name in ("_accepted_edge_sets", "_compose_entries"):
+            original = getattr(solver, name)
+            recording = lambda *args, _f=original, _n=name: steps.append(_n) or _f(*args)
+            monkeypatch.setattr(solver, name, recording)
+        monkeypatch.setattr(solver, "MAX_EDGE_SETS", cap)
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(decomposition_to_json(d)))
+        code = run(["solve", "-d", str(path), "--property", "planar"])
+        out = json.loads(capsys.readouterr().out)
+        past = [i for i, held in enumerate(self.EDGE_SETS) if held > cap]
+        if not past:
+            assert code == 0 and out["value"] == 13 and tuple(out["stats"]["edgeSets"]) == self.EDGE_SETS
+            return
+        message = f"a Sub_P table grew past {cap} accepted edge sets"
+        assert code == 3 and out == {"error": message}
+        assert len(steps) == past[0] + 1
+        steps.clear()
+        with pytest.raises(TooLarge) as refused:
+            solve_on_decomposition(d, PLANAR, MAX_EDGES)
+        assert str(refused.value) == message and len(steps) == past[0] + 1
+
+    def test_the_table_cap(self, monkeypatch, capsys, tmp_path):
+        from sdkit import solver
+        from sdkit.cli import run
+
+        d = ladder(5)[1]
+        entries = solve_on_decomposition(d, PLANAR, MAX_EDGES).stats.table_sizes[-1]
+        monkeypatch.setattr(solver, "MAX_TABLE_ENTRIES", entries - 1)
+        result = solve_on_decomposition(d, PLANAR, MAX_EDGES)
+        assert result.value == 13
+        with pytest.raises(TooLarge) as refused:
+            result.table
+        assert str(refused.value) == f"a Sub_P table of {entries} entries is past the cap of {entries - 1}"
+        # solve builds no table, so the cap leaves it as it is
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(decomposition_to_json(d)))
+        assert run(["solve", "-d", str(path), "--property", "planar"]) == 0
+        assert json.loads(capsys.readouterr().out)["stats"]["tableSizes"][-1] == entries
+
+
 class TestBoundaryKeyedGlue:
     """PATHS and BIPARTITE are decided_at_boundary: the glue asks them once
     per (trace, boundary summaries) key and reuses the verdict for every
@@ -1105,7 +1273,7 @@ class TestBoundaryKeyedGlue:
     def test_ladder_5_family_is_the_sub_p_family_of_the_colimit(self, predicate):
         d = ladder(5)[1]
         glued, _ = evaluate_colimit(d)
-        family, _ = _accepted_edge_sets(glued.edge_list(), predicate)
+        family = _listed(_accepted_edge_sets(glued.edge_list(), predicate)[0])
         result = solve_on_decomposition(d, predicate, MAX_EDGES)
         assert len(result.family) == len(family) and set(result.family) == set(family)
 
