@@ -1091,9 +1091,10 @@ class TestWholePartProbe:
 
 
 class TestPowerSetKeptAsEdges:
-    """A part accepted whole keeps its family as its sorted edge tuple. Its
-    entry count, edge-set count and witness are read off that tuple without
-    listing it, and must equal what the listed power set gives."""
+    """A part accepted whole keeps its family as a _PowerSet, its sorted
+    edges. Its entry count, edge-set count and witness are read off those
+    edges without listing them, and must equal what the listed power set
+    gives."""
 
     @staticmethod
     def assert_alike(g, shift):
@@ -1175,7 +1176,7 @@ class TestRejectedUnionOverWholeParts:
         glued, _ = evaluate_colimit(d)
         assert not predicate_planar(whole(glued))
         table = subp_by_all_pairs(glued, PLANAR)
-        kept = []  # per glue side: kept as an edge tuple
+        kept = []  # per glue side: kept as a _PowerSet
         compose_entries = solver._compose_entries
 
         def recording(left, right, predicate):
