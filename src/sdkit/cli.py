@@ -370,6 +370,8 @@ def _cmd_bench(args) -> int:
         config = _load_json(args.config)
         if not isinstance(config, dict):
             raise ValidationError("bench config must be a JSON object")
+        if args.property and "predicates" in config:
+            raise ValidationError("bench takes --property or a config with 'predicates', not both")
         names = config.get("predicates", names)
         if not isinstance(names, list) or not all(isinstance(p, str) for p in names):
             raise ValidationError("bench config 'predicates' must be an array of names")

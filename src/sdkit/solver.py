@@ -30,7 +30,7 @@ encoding, is read off the edge sets (of a power set, off its two extreme
 sets); the full table of a solve is built only when SolveResult.table is
 read.
 
-For a predicate decided_at_boundary, `solve_at_boundary` runs the same fold
+The summary route (summaries._solve_at_boundary) runs the same fold
 (_fold) without keeping edge sets: a table is one class per signature, what
 the rest of the decomposition can see of an edge set (its trace on the
 part's edges that lie in other bags, and the summary of the rest on the
@@ -38,9 +38,9 @@ part's vertices that do), with exact counts and the best witnesses. Its
 glue places every trace-matched pair of classes by the same rule and asks
 the predicate once per key of the shared-edge trace and the two sides'
 boundary summaries; its leaf asks once per (edge, summary of the set it
-extends on the edge's ends). `solve`, the route of `sdkit solve`, takes
-it for paths and bipartite, and longest_path takes it with its own weight;
-the edge-set fold stays the oracle and the route for planar and compose.
+extends on the edge's ends). `solve` alone picks the route: the summary
+route for a predicate decided_at_boundary on a decomposition with bags, and
+the edge-set fold, the oracle and the route of compose, for any other.
 
 Three caps raise TooLarge, each on what it protects: BRUTE_CAP on the
 vertices of a bag, MAX_EDGE_SETS on the accepted edge sets any table of the
@@ -58,11 +58,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
-from .core import (
-    Graph,
-    Span,
-    _normalize_edge,
-)
+from .core import Graph, Span
 from .decomposition import (
     Adhesion,
     GRAPH,
@@ -318,7 +314,7 @@ class PropertyPredicate:
     edges. Then the verdict on A | B is fixed by T and by the summaries
     of A - T and of B - T on I: each vertex's degree, and its component
     and colour parity against the first vertex of I in that component. So
-    solve_at_boundary keeps one class per summary instead of the edge sets,
+    the summary route keeps one class per summary instead of the edge sets,
     its glue asks the predicate once per such key, and its leaf once per
     edge e and summary of A on the ends of e (B = {e}). It holds for paths,
     whose degrees and closed cycles through I are read off the summaries,
@@ -673,7 +669,7 @@ def best_entry(table: SubPTable, objective: Objective):
 def _best_in_family(family, n: int, objective: Objective):
     """best_entry of the full table over the vertices 0..n-1 that family, a
     list of (edge set, ends), stands for, without building it; None if
-    family is empty. Both routes read their witness here, solve_at_boundary
+    family is empty. Both routes read their witness here, the summary route
     from the best sets of its root classes.
 
     The entries with edge set E have every vertex set between ends(E) and
@@ -736,7 +732,7 @@ class SolveStats(NamedTuple):
     first asked whole: a leaf accepted whole makes 2 calls (the empty set,
     the whole), a glue whose union is accepted 1; otherwise a glue makes 1
     more per matched pair with no side inside the shared edges
-    (_compose_entries). solve_at_boundary's glue makes one per
+    (_compose_entries). The summary route's glue makes one per
     boundary-summary key of such pairs. The counts of a part accepted whole
     are exact but taken without listing its power set (_entry_count).
     """
@@ -894,9 +890,10 @@ def solve_on_decomposition(
 
 
 def solve(d: StructuredDecomposition, predicate: PropertyPredicate, objective: Objective):
-    """The route sdkit solve takes: solve_at_boundary for a predicate
-    decided_at_boundary, solve_on_decomposition for any other."""
-    route = solve_at_boundary if predicate.decided_at_boundary else solve_on_decomposition
+    """Value, witness, stats and ambient by the one route rule: the summary
+    route for a predicate decided_at_boundary on a decomposition with bags,
+    else solve_on_decomposition, the only route with table and family."""
+    route = _solve_at_boundary if predicate.decided_at_boundary and d.bags else solve_on_decomposition
     return route(d, predicate, objective)
 
 
@@ -936,4 +933,4 @@ def max_planar_subgraph(g: Graph, d: StructuredDecomposition, labeling=None):
 
 
 # the summary route needs the names above, so it is bound last
-from .summaries import solve_at_boundary  # noqa: E402
+from .summaries import _solve_at_boundary  # noqa: E402

@@ -1,5 +1,5 @@
 """Sub_P tables kept as one class per boundary signature: the summary
-route of the solver (solve_at_boundary), for predicates decided_at_boundary.
+route of the solver (_solve_at_boundary), which solver.solve alone takes.
 
 The route folds a tame tree-shaped decomposition as solve_on_decomposition
 does (solver._fold), with the same value, witness, TooLarge points and
@@ -39,7 +39,7 @@ from .solver import (
 
 class Solved(NamedTuple):
     """Value, witness and counters of a solve that keeps no table
-    (solve_at_boundary), with the colimit it is over."""
+    (_solve_at_boundary), with the colimit it is over."""
 
     value: object
     witness: Subobject
@@ -52,7 +52,7 @@ def _merge(pieces, edges, target, width) -> tuple:
     sees of the union of the edge set edges and the edge sets summarized in
     pieces, each given as (its boundary, its components there): the degrees
     of edges alone, and the components of the union, packed and numbered as
-    solve_at_boundary says. The parities are well defined on a bipartite
+    _solve_at_boundary says. The parities are well defined on a bipartite
     union."""
     up, degrees, links = {}, 0, []  # up: union-find, vertex -> (parent, parity against it)
     for u, v in edges:
@@ -98,7 +98,7 @@ def _place(classes, signature, count, entries, weight, ends, sample, front, othe
     """Add count edge sets standing for entries entries to the class of
     signature, with their best weight weight and the (max end, mask) pairs
     of front, each combined with each of other, as their best sets; ends
-    and the sample set are the class's if it is new (solve_at_boundary)."""
+    and the sample set are the class's if it is new (_solve_at_boundary)."""
     cls = classes.get(signature)
     if cls is None:
         cls = classes[signature] = [0, 0, weight, {}, ends, sample]
@@ -133,17 +133,16 @@ def _finish(classes) -> tuple:
     return entries, held
 
 
-def solve_at_boundary(
+def _solve_at_boundary(
     d: StructuredDecomposition,
     predicate: PropertyPredicate,
     objective: Objective,
     root=None,
 ) -> Solved:
-    """solve_on_decomposition for a predicate decided_at_boundary, with the
-    same value, witness, TooLarge points and stats, except that the leaf
-    count of predicate_calls counts the calls its leaves make. No edge set
-    is kept: a table is one class per signature. A decomposition without
-    bags is left to solve_on_decomposition.
+    """solve_on_decomposition for a predicate decided_at_boundary and a
+    decomposition with bags, with the same value, witness, TooLarge points
+    and stats, except that the leaf count of predicate_calls counts the calls
+    its leaves make. No edge set is kept: a table is one class per signature.
 
     The colimit edge of rank r in sorted order is bit M - 1 - r of an edge
     mask over the M colimit edges, and colimit vertex v is bit N - 1 - v of
@@ -181,9 +180,6 @@ def solve_at_boundary(
     pair per front mask of the root classes: every objective's best
     candidate is among them.
     """
-    if not d.bags:
-        result = solver.solve_on_decomposition(d, predicate, objective, root)
-        return Solved(result.value, result.witness, result.stats, result.ambient)
     glued, cocone, bag_edges = _solvable_colimit(d)
     longest, high, width = objective is _LONGEST_PATH, glued.vertices - 1, glued.vertices.bit_length()
     evaluate = predicate.evaluator  # predicate(sub), one call frame fewer

@@ -816,6 +816,22 @@ class TestBench:
         assert code == 2
         assert complaint in json.loads(out)["error"]
 
+    def test_property_and_config_predicates_together_exit_two_before_any_instance_is_read(
+        self, capsys, tmp_path, fixtures_dir
+    ):
+        cfg = tmp_path / "cfg.json"
+        missing = str(tmp_path / "missing.dec.json")
+        cfg.write_text(json.dumps({"instances": [{"decomposition": missing}], "predicates": ["paths"]}))
+        code, out = invoke(capsys, "bench", "--config", str(cfg), "--property", "planar,bipartite")
+        assert code == 2
+        assert json.loads(out) == {"error": "bench takes --property or a config with 'predicates', not both"}
+        # without 'predicates' in the config, --property names them
+        bowtie = {"id": "bowtie", "decomposition": fx(fixtures_dir, "bowtie.dec.json")}
+        cfg.write_text(json.dumps({"instances": [bowtie]}))
+        code, out = invoke(capsys, "bench", "--config", str(cfg), "--property", "planar,bipartite")
+        assert code == 0
+        assert [row.split(",")[4] for row in out.splitlines()[1:]] == ["planar", "bipartite"]
+
     def test_same_seed_same_instances(self, capsys):
         first = invoke(capsys, "bench", "--generate", "3", "--seed", "7")[1]
         second = invoke(capsys, "bench", "--generate", "3", "--seed", "7")[1]

@@ -44,13 +44,13 @@ from sdkit import (
     is_tame,
     map_decomposition,
     restrict_decomposition,
-    solve_at_boundary,
     solve_on_decomposition,
     to_arrow,
     tree_decomposition_reading,
     validate,
 )
 from sdkit.decomposition import _require_tame_forest
+from sdkit.solver import _solve_at_boundary
 from util import (
     fs_adhesion,
     random_finset_decomposition,
@@ -544,7 +544,7 @@ class TestTameForestPrecondition:
         "task, kind, call",
         [
             ("solving", GRAPH, lambda d: solve_on_decomposition(d, PATHS, MAX_EDGES)),
-            ("solving", GRAPH, lambda d: solve_at_boundary(d, PATHS, MAX_EDGES)),
+            ("solving", GRAPH, lambda d: _solve_at_boundary(d, PATHS, MAX_EDGES)),
             ("completion", FINSET, chordal_from_decomposition),
             ("h-width", GRAPH, lambda d: h_width(d, lambda bag: True)),
         ],

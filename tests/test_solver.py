@@ -45,6 +45,7 @@ from sdkit import (
     predicate_paths,
     predicate_planar,
     pushout,
+    solve,
     solve_on_decomposition,
 )
 from sdkit.decomposition import Adhesion
@@ -57,8 +58,8 @@ from sdkit.solver import (
     _compose_entries,
     _entry_count,
     _listed,
+    _solve_at_boundary,
     best_entry,
-    solve_at_boundary,
     translate_subobject,
 )
 from util import (
@@ -646,7 +647,7 @@ class TestSolveOnDecomposition:
         glued, _ = evaluate_colimit(d)
         assert result.table.entries == enumerate_subp_bruteforce(glued, PATHS).entries
 
-    @pytest.mark.parametrize("route", [solve_on_decomposition, solve_at_boundary])
+    @pytest.mark.parametrize("route", [solve_on_decomposition, _solve_at_boundary])
     @pytest.mark.parametrize("root", [-1, 2])
     def test_a_root_outside_the_shape_is_rejected(self, route, root):
         with pytest.raises(ValidationError, match=f"^root {root} is not a shape vertex$"):
@@ -1304,7 +1305,7 @@ OBJECTIVES = (MAX_EDGES, MAX_VERTICES, MIN_EDGES, MIN_VERTICES)
 
 
 class TestSummaryRoute:
-    """solve_at_boundary gives what solve_on_decomposition gives: value,
+    """_solve_at_boundary gives what solve_on_decomposition gives: value,
     witness and every counter but the predicate calls. Its glue asks once
     per (trace, left summary, right summary) key."""
 
@@ -1317,7 +1318,7 @@ class TestSummaryRoute:
         keys = sum(len(verdicts_by_key(left, right, predicate)) for left, right in glues)
         for objective in OBJECTIVES:
             witness = _best_in_family(full.family, full.ambient.vertices, objective)
-            result = solve_at_boundary(d, predicate, objective, root=root)
+            result = _solve_at_boundary(d, predicate, objective, root=root) if d.bags else solve(d, predicate, objective)
             assert (result.witness, result.value) == (witness, witness and objective.weight(witness))
             assert result.ambient == full.ambient
             new, old = result.stats, full.stats
@@ -1337,7 +1338,7 @@ class TestSummaryRoute:
         never = dataclasses.replace(PATHS, evaluator=lambda sub: False)
         assert never.decided_at_boundary
         for d in (ORACLE_INSTANCES[0], two_bag_bowtie_decomposition(), ladder(4)[1], td_example):
-            result = solve_at_boundary(d, never, MAX_EDGES)
+            result = _solve_at_boundary(d, never, MAX_EDGES) if d.bags else solve(d, never, MAX_EDGES)
             full = solve_on_decomposition(d, never, MAX_EDGES)
             assert result.witness is result.value is None is full.witness
             assert result.stats == full.stats
@@ -1350,7 +1351,7 @@ class TestSummaryRoute:
         monkeypatch.setattr(solver, "MAX_EDGE_SETS", cap)
         for d in (two_bag_bowtie_decomposition(), ladder(5)[1]):
             outcomes = []
-            for route in (solve_on_decomposition, solve_at_boundary):
+            for route in (solve_on_decomposition, _solve_at_boundary):
                 try:
                     outcomes.append(route(d, PATHS, MAX_EDGES).witness)
                 except TooLarge as error:
@@ -1377,7 +1378,7 @@ class TestSummaryRoute:
         }
         made = []
         counted = dataclasses.replace(PATHS, evaluator=lambda sub: made.append(sub) or predicate_paths(sub))
-        result = solve_at_boundary(one_bag(k4), counted, MAX_EDGES)
+        result = _solve_at_boundary(one_bag(k4), counted, MAX_EDGES)
         # 34 accepted edge sets: 1 + 33 in TestLeafPredicateCalls.test_k4_paths
         assert len(accepted) == result.stats.edge_sets[0] == 34
         assert result.stats.predicate_calls == (len(made), 0) == (1 + len(keys), 0) == (29, 0)
@@ -1387,7 +1388,7 @@ class TestSummaryRoute:
         """The leaf count of predicateCalls equals the brute-force key count
         (util.summary_leaf_calls) on every instance, as on K4 above."""
         for d in summary_route_instances():
-            assert solve_at_boundary(d, predicate, MAX_EDGES).stats.predicate_calls[0] == summary_leaf_calls(d, predicate)
+            assert _solve_at_boundary(d, predicate, MAX_EDGES).stats.predicate_calls[0] == summary_leaf_calls(d, predicate)
 
     def test_solve_and_bench_take_the_summary_route(self, capsys, tmp_path):
         from sdkit.cli import run
@@ -1398,9 +1399,9 @@ class TestSummaryRoute:
         for predicate in (PATHS, BIPARTITE, PLANAR):
             assert run(["solve", "-d", str(path), "--property", predicate.name]) == 0
             calls = json.loads(capsys.readouterr().out)["stats"]["predicateCalls"]
-            route = solve_at_boundary if predicate.decided_at_boundary else solve_on_decomposition
+            route = _solve_at_boundary if predicate.decided_at_boundary else solve_on_decomposition
             assert tuple(calls.values()) == route(d, predicate, MAX_EDGES).stats.predicate_calls[::-1]
-        assert run(["bench", "--config", str(self.bench_config(tmp_path, path)), "--property", "paths"]) == 0
+        assert run(["bench", "--config", str(self.bench_config(tmp_path, path))]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert rows[1].split(",")[:7] == ["ladder-4", "8", "10", "3", "paths", "7", "22080"]
 
@@ -1416,14 +1417,73 @@ class TestSummaryRoute:
 
         g, d, labeling = ladder(4)
         routes = []
-        for name in ("solve_on_decomposition", "solve_at_boundary"):
+        for name in ("solve_on_decomposition", "_solve_at_boundary"):
             original = getattr(solver, name)
             recording = lambda *args, _f=original, _n=name: routes.append(_n) or _f(*args)
             monkeypatch.setattr(solver, name, recording)
         assert max_bipartite_subgraph(g, d, labeling)[0] == 10
         assert longest_path(g, d, labeling)[0] == 7
         assert max_planar_subgraph(g, d, labeling)[0] == 10
-        assert routes == ["solve_at_boundary", "solve_at_boundary", "solve_on_decomposition"]
+        assert routes == ["_solve_at_boundary", "_solve_at_boundary", "solve_on_decomposition"]
+
+
+class TestOneDoor:
+    """sdkit.solve is the one public solve and the only caller of the
+    summary route; its route rule reads predicate.decided_at_boundary and
+    d.bags alone."""
+
+    @staticmethod
+    def k5_decompositions():
+        k5 = complete_graph(5)
+        one = decomposition_from_vertex_bags(k5, Graph(1), [range(5)])[0]
+        two = decomposition_from_vertex_bags(k5, Graph(2, [(0, 1)]), [range(5), range(1, 5)])[0]
+        return one, two
+
+    @pytest.mark.parametrize(
+        "objective, value", [(MAX_EDGES, 9), (MAX_VERTICES, 5), (MIN_EDGES, 0)], ids=["max-edges", "max-vertices", "min-edges"]
+    )
+    def test_planar_k5_gets_a_planar_witness(self, objective, value):
+        """The summary route, asked about planar, answered 10 with K5 itself
+        on both decompositions."""
+        import sdkit
+
+        for d in self.k5_decompositions():
+            result = sdkit.solve(d, PLANAR, objective)
+            assert result.value == value
+            assert predicate_planar(result.witness)
+            assert result.witness.edges <= result.ambient.edges
+
+    def test_sdkit_exports_solve_and_not_the_summary_route(self):
+        import sdkit
+        from sdkit import solver
+
+        assert sdkit.solve is solver.solve
+        assert not hasattr(sdkit, "solve_at_boundary")
+
+    def test_the_route_reads_the_predicate_and_the_bags_alone(self, monkeypatch):
+        from sdkit import solver
+
+        routes = []
+        for name in ("solve_on_decomposition", "_solve_at_boundary"):
+            original = getattr(solver, name)
+            recording = lambda *args, _f=original, _n=name: routes.append(_n) or _f(*args)
+            monkeypatch.setattr(solver, name, recording)
+        undecided = dataclasses.replace(PATHS, decided_at_boundary=False)
+        empty, bowtie = ORACLE_INSTANCES[0], two_bag_bowtie_decomposition()
+        assert not empty.bags
+        for d, predicate, route in [
+            (empty, PATHS, "solve_on_decomposition"),
+            (empty, BIPARTITE, "solve_on_decomposition"),
+            (empty, PLANAR, "solve_on_decomposition"),
+            (bowtie, undecided, "solve_on_decomposition"),
+            (bowtie, PLANAR, "solve_on_decomposition"),
+            (bowtie, PATHS, "_solve_at_boundary"),
+            (bowtie, BIPARTITE, "_solve_at_boundary"),
+        ]:
+            routes.clear()
+            result = solve(d, predicate, MAX_EDGES)
+            assert routes == [route]
+            assert result.value == solve_on_decomposition(d, predicate, MAX_EDGES).value
 
 
 class TestLongestPath:
@@ -1447,7 +1507,7 @@ class TestLongestPath:
         for d in ORACLE_INSTANCES:
             for root in range(d.shape.vertices):
                 best = longest_single_path(solve_on_decomposition(d, PATHS, MAX_EDGES, root=root))
-                assert solve_at_boundary(d, PATHS, _LONGEST_PATH, root=root).witness == best
+                assert _solve_at_boundary(d, PATHS, _LONGEST_PATH, root=root).witness == best
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_ladder_k_has_a_path_through_every_vertex(self, k):
