@@ -32,11 +32,10 @@ from .decomposition import (
     from_arrow,
     to_arrow,
 )
-from .errors import SdkitError, TooLarge, ValidationError
+from .errors import CodomainMismatch, SdkitError, TooLarge, ValidationError
 from .solver import (
     MAX_EDGES,
     Subobject,
-    translate_subobject,
     objective_by_name,
     predicate_by_name,
     solve,
@@ -182,21 +181,19 @@ def _emit_json(data, out_path) -> None:
     _emit(_json_text(data) + "\n", out_path)
 
 
-def _cmd_colim(args) -> int:
+# Each _cmd_* handler returns (exit code, answer) and writes nothing; run
+# writes the answer, a JSON value or bench's CSV text, to stdout or -o.
+def _cmd_colim(args) -> tuple:
     d = _load_decomposition(args.decomposition)
     obj, cocone = evaluate_colimit(d)
-    _emit_json(
-        {
-            "valueKind": d.value_kind,
-            "object": obj.to_json(),
-            "cocone": [list(leg.mapping) for leg in cocone],
-        },
-        args.output,
-    )
-    return 0
+    return 0, {
+        "valueKind": d.value_kind,
+        "object": obj.to_json(),
+        "cocone": [list(leg.mapping) for leg in cocone],
+    }
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     if not args.decomposition and not args.graph:
         raise ValidationError("check needs -d/--decomposition or -g/--graph")
     violations = []
@@ -210,23 +207,18 @@ def _cmd_check(args) -> int:
             decomposition_from_json(_load_json(args.decomposition))
         except ValidationError as exc:
             violations.append(str(exc))
-    _emit_json({"violations": violations}, args.output)
-    return 0 if not violations else 2
+    return 2 if violations else 0, {"violations": violations}
 
 
-def _cmd_to_arrow(args) -> int:
-    d = _load_decomposition(args.decomposition)
-    _emit_json(arrow_to_json(to_arrow(d)), args.output)
-    return 0
+def _cmd_to_arrow(args) -> tuple:
+    return 0, arrow_to_json(to_arrow(_load_decomposition(args.decomposition)))
 
 
-def _cmd_from_arrow(args) -> int:
-    arrow = arrow_from_json(_load_json(args.arrow))
-    _emit_json(decomposition_to_json(from_arrow(arrow)), args.output)
-    return 0
+def _cmd_from_arrow(args) -> tuple:
+    return 0, decomposition_to_json(from_arrow(arrow_from_json(_load_json(args.arrow))))
 
 
-def _cmd_restrict(args) -> int:
+def _cmd_restrict(args) -> tuple:
     d = _load_decomposition(args.decomposition)
     if not args.morphism and not args.graph:
         raise ValidationError("restrict needs --morphism or -g/--graph")
@@ -238,89 +230,75 @@ def _cmd_restrict(args) -> int:
     else:
         # subgraph given in colimit coordinates; embed by vertex identity
         sub = _load_graph(args.graph)
+        if sub.vertices > glued.vertices:
+            raise CodomainMismatch(
+                f"-g graph has {sub.vertices} vertices, more than the colimit's {glued.vertices}"
+            )
+        stray = min(sub.edges - glued.edges, default=None)
+        if stray is not None:
+            raise CodomainMismatch(f"-g graph edge {stray} is not an edge of the colimit")
         delta = GraphMorphism(sub, glued, tuple(range(sub.vertices)))
     restricted, _ = restrict_decomposition(d, delta)
-    _emit_json(decomposition_to_json(restricted), args.output)
-    return 0
+    return 0, decomposition_to_json(restricted)
 
 
-def _cmd_chordal(args) -> int:
-    g = _load_graph(args.graph)
-    order = peo(g)
-    _emit_json(
-        {"chordal": order is not None, "peo": list(order) if order is not None else None},
-        args.output,
-    )
-    return 0
+def _cmd_chordal(args) -> tuple:
+    order = peo(_load_graph(args.graph))
+    return 0, {"chordal": order is not None, "peo": list(order) if order is not None else None}
 
 
-def _cmd_clique_tree(args) -> int:
-    g = _load_graph(args.graph)
-    _emit_json(decomposition_to_json(decomposition_from_chordal(g)), args.output)
-    return 0
+def _cmd_clique_tree(args) -> tuple:
+    return 0, decomposition_to_json(decomposition_from_chordal(_load_graph(args.graph)))
 
 
-def _cmd_treewidth(args) -> int:
-    g = _load_graph(args.graph)
-    _emit_json({"treewidth": treewidth_exact(g)}, args.output)
-    return 0
+def _cmd_treewidth(args) -> tuple:
+    return 0, {"treewidth": treewidth_exact(_load_graph(args.graph))}
 
 
-def _cmd_co_treewidth(args) -> int:
-    g = _load_graph(args.graph)
-    _emit_json({"coTreewidth": complemented_treewidth(g)}, args.output)
-    return 0
+def _cmd_co_treewidth(args) -> tuple:
+    return 0, {"coTreewidth": complemented_treewidth(_load_graph(args.graph))}
 
 
-def _cmd_layered_width(args) -> int:
+def _cmd_layered_width(args) -> tuple:
     g = _load_graph(args.graph)
     if args.exact:
-        _emit_json({"layeredTreewidth": layered_treewidth_exact(g)}, args.output)
-        return 0
+        return 0, {"layeredTreewidth": layered_treewidth_exact(g)}
     if not args.layering or not args.decomposition:
         raise ValidationError("layered-width needs -l/--layering and -d/--decomposition (or --exact)")
     layering = _load_layering(args.layering)
     d = _load_decomposition(args.decomposition)
-    _emit_json({"layeredWidth": layered_width(g, layering, d)}, args.output)
-    return 0
+    return 0, {"layeredWidth": layered_width(g, layering, d)}
 
 
-def _cmd_h_width(args) -> int:
+def _cmd_h_width(args) -> tuple:
     d = _load_decomposition(args.decomposition)
     predicate = predicate_by_name(args.property)
 
     def bag_in_class(bag: Graph) -> bool:
         return predicate(Subobject(frozenset(range(bag.vertices)), bag.edges))
 
-    _emit_json({"hWidth": h_width(d, bag_in_class)}, args.output)
-    return 0
+    return 0, {"hWidth": h_width(d, bag_in_class)}
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple:
     d = _load_decomposition(args.decomposition)
     predicate = predicate_by_name(args.property)
     objective = objective_by_name(args.objective)
     if args.graph:
-        result, translate = solve_on_graph(_load_graph(args.graph), d, predicate, objective)
+        result = solve_on_graph(_load_graph(args.graph), d, predicate, objective)
     else:
-        result, translate = solve(d, predicate, objective), None
-    witness = result.witness
-    if witness is not None and translate is not None:
-        witness = translate_subobject(witness, translate)
-    _emit_json(
-        {
-            "value": result.value,
-            "witness": witness.to_json() if witness is not None else None,
-            "stats": {
-                "edgeSets": list(result.stats.edge_sets),
-                "pairCompositions": result.stats.pair_compositions,
-                "predicateCalls": dict(zip(("leaf", "glue"), result.stats.predicate_calls)),
-                "tableSizes": list(result.stats.table_sizes),
-            },
+        result = solve(d, predicate, objective)
+    witness, stats = result.witness, result.stats
+    return 0, {
+        "value": result.value,
+        "witness": witness.to_json() if witness is not None else None,
+        "stats": {
+            "edgeSets": list(stats.edge_sets),
+            "pairCompositions": stats.pair_compositions,
+            "predicateCalls": dict(zip(("leaf", "glue"), stats.predicate_calls)),
+            "tableSizes": list(stats.table_sizes),
         },
-        args.output,
-    )
-    return 0
+    }
 
 
 def _random_instance(rng: random.Random, index: int):
@@ -359,7 +337,7 @@ def _random_instance(rng: random.Random, index: int):
     return f"gen{index}", d
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> tuple:
     if args.generate < 0:
         raise ValidationError("bench --generate must be a non-negative count")
     if args.generate > MAX_GENERATE:
@@ -421,8 +399,7 @@ def _cmd_bench(args) -> int:
                     f"{elapsed_ms:.3f}",
                 ]
             )
-    _emit(buffer.getvalue(), args.output)
-    return 0
+    return 0, buffer.getvalue()
 
 
 # A flag is (option strings, dest, kind, default, required); kind is VALUE
@@ -558,7 +535,9 @@ def run(argv) -> int:
     if args is None:
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, answer = args.func(args)
+        _emit(answer if type(answer) is str else _json_text(answer) + "\n", args.output)
+        return code
     except SdkitError as exc:
         _emit_json({"error": str(exc)}, None)
         return exc.exit_code

@@ -105,22 +105,6 @@ class SetFunction(_Map):
                     f"mapping sends {x} to {y!r}, outside codomain 0..{self.cod.size - 1}"
                 )
 
-    def to_json(self) -> dict:
-        return {"dom": self.dom.size, "cod": self.cod.size, "map": list(self.mapping)}
-
-    @classmethod
-    def from_json(cls, data) -> "SetFunction":
-        if (
-            not isinstance(data, dict)
-            or not is_json_int(data.get("dom"))
-            or not is_json_int(data.get("cod"))
-            or not is_json_int_list(data.get("map"))
-        ):
-            raise ValidationError(
-                f"set function JSON must be {{'dom': n, 'cod': m, 'map': [..]}}, got {data!r}"
-            )
-        return cls(FinSet(data["dom"]), FinSet(data["cod"]), tuple(data["map"]))
-
 
 def is_json_int(x) -> bool:
     """An int that is not a bool: JSON true/false load as Python bools, which

@@ -898,23 +898,25 @@ def solve(d: StructuredDecomposition, predicate: PropertyPredicate, objective: O
 
 
 def solve_on_graph(g: Graph, d: StructuredDecomposition, predicate, objective, labeling=None):
-    """(result, colim_to_g): solve(d, ...) with d read as a tree decomposition
-    of g, and the bijection from its colimit's vertices onto g's that
-    translates a witness (see tree_decomposition_reading). Raises
-    NotATreeDecomposition when d does not glue to g."""
+    """solve(d, ...) with d read as a tree decomposition of g, answered on g
+    (see tree_decomposition_reading): Solved(value, witness in g's
+    numbering, stats, g). Raises NotATreeDecomposition when d does not glue
+    to g."""
     reading = tree_decomposition_reading(g, d, labeling)
     if reading is None:
         raise NotATreeDecomposition("the decomposition is not a tree decomposition of the graph")
-    return solve(d, predicate, objective), reading[1]
+    result = solve(d, predicate, objective)
+    witness = result.witness
+    if witness is not None:
+        witness = translate_subobject(witness, reading[1])
+    return Solved(result.value, witness, result.stats, g)
 
 
 def _solve_named(g, d, predicate, labeling, objective=MAX_EDGES):
     """(value, witness in g's numbering, stats) of an objective that counts
     edges; (0, the empty subobject, stats) when there is no witness."""
-    result, colim_to_g = solve_on_graph(g, d, predicate, objective, labeling)
-    if result.witness is None:
-        return 0, EMPTY_SUBOBJECT, result.stats
-    return result.value, translate_subobject(result.witness, colim_to_g), result.stats
+    value, witness, stats, _ = solve_on_graph(g, d, predicate, objective, labeling)
+    return (0, EMPTY_SUBOBJECT, stats) if witness is None else (value, witness, stats)
 
 
 def longest_path(g: Graph, d: StructuredDecomposition, labeling=None):
@@ -933,4 +935,4 @@ def max_planar_subgraph(g: Graph, d: StructuredDecomposition, labeling=None):
 
 
 # the summary route needs the names above, so it is bound last
-from .summaries import _solve_at_boundary  # noqa: E402
+from .summaries import Solved, _solve_at_boundary  # noqa: E402

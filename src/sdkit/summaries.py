@@ -38,8 +38,9 @@ from .solver import (
 
 
 class Solved(NamedTuple):
-    """Value, witness and counters of a solve that keeps no table
-    (_solve_at_boundary), with the colimit it is over."""
+    """Value, witness and counters of a solve that keeps no table, with the
+    graph the witness lies in: the colimit for _solve_at_boundary, g for
+    solver.solve_on_graph."""
 
     value: object
     witness: Subobject

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from sdkit import FinSet, Graph, TooLarge, decomposition_from_json, decomposition_to_json
+from sdkit import CodomainMismatch, FinSet, Graph, TooLarge, decomposition_from_json, decomposition_to_json
 from sdkit import cli
 from sdkit.core import JSON_SIZE_CAP
 from sdkit.cli import FLAGS, VERBS, build_parser, run
@@ -220,6 +220,25 @@ class TestErrorHandling:
             code, out = invoke(capsys, "restrict", "-d", finset, flag, path)
             assert code == 2
             assert json.loads(out) == {"error": "restriction is defined for graph-valued decompositions"}
+
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ({"vertices": 9, "edges": []}, "-g graph has 9 vertices, more than the colimit's 5"),
+            ({"vertices": 5, "edges": [[1, 2], [0, 3]]}, "-g graph edge (0, 3) is not an edge of the colimit"),
+        ],
+        ids=["too-many-vertices", "edge-outside"],
+    )
+    def test_restrict_names_a_graph_outside_the_colimit(self, capsys, tmp_path, fixtures_dir, graph, message):
+        """The bowtie's colimit has 5 vertices; a -g graph that is not its
+        subgraph is named as such, not by the identity map into it."""
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph))
+        argv = ["restrict", "-d", fx(fixtures_dir, "bowtie.dec.json"), "-g", str(path)]
+        assert invoke(capsys, *argv) == (2, json.dumps({"error": message}, sort_keys=True, indent=2) + "\n")
+        args = cli._parse_from_table(argv)
+        with pytest.raises(CodomainMismatch):
+            args.func(args)
 
     # a graph-valued decomposition whose source leg sends both apex vertices
     # to the one vertex of bag 0
@@ -548,6 +567,40 @@ class TestDeterminismAndRoundTrip:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text()) == {"treewidth": 4}
+
+    @staticmethod
+    def to_stdout_and_to_file(capsys, tmp_path, argv):
+        """(exit code, stdout) of argv, and (exit code, stdout, file text) of
+        argv with -o FILE, the file read as bytes and decoded."""
+        code, out = invoke(capsys, *argv)
+        target = tmp_path / "out"
+        code_o, out_o = invoke(capsys, *argv, "-o", str(target))
+        return (code, out), (code_o, out_o, target.read_bytes().decode("utf-8"))
+
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_output_file_gets_what_stdout_gets(self, capsys, tmp_path, fixtures_dir, verb):
+        argv = valid_call(verb, fixtures_dir, tmp_path)
+        (code, out), to_file = self.to_stdout_and_to_file(capsys, tmp_path, argv)
+        assert to_file == (code, "", out)
+        assert code == 0 and out
+
+    def test_check_writes_its_violations_to_the_output_file(self, capsys, tmp_path, fixtures_dir):
+        data = json.load(open(fx(fixtures_dir, "five_bag_tree.dec.json")))
+        data["bags"] = data["bags"][:-1]
+        bad = tmp_path / "bad.dec.json"
+        bad.write_text(json.dumps(data))
+        (code, out), to_file = self.to_stdout_and_to_file(capsys, tmp_path, ["check", "-d", str(bad)])
+        assert to_file == (code, "", out)
+        assert code == 2 and json.loads(out)["violations"]
+
+    def test_bench_writes_its_csv_to_the_output_file(self, capsys, tmp_path):
+        """Byte for byte but the wall-time column."""
+        argv = ["bench", "--generate", "3"]
+        (code, out), (code_o, out_o, written) = self.to_stdout_and_to_file(capsys, tmp_path, argv)
+        without_ms = lambda text: [line.rsplit(",", 1)[0] for line in text.split("\n")]
+        assert (code, code_o, out_o) == (0, 0, "")
+        assert without_ms(written) == without_ms(out)
+        assert len(out.splitlines()) == 4 and out.endswith("\n")
 
 
 class TestJsonWriter:

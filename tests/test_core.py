@@ -115,17 +115,11 @@ class TestGraphBasics:
         with pytest.raises(ValidationError):
             SetFunction(FinSet(2), FinSet(2), (0, 2))
 
-    def test_set_function_json_round_trip(self):
-        f = SetFunction(FinSet(3), FinSet(2), (1, 0, 1))
-        assert f.to_json() == {"dom": 3, "cod": 2, "map": [1, 0, 1]}
-        assert SetFunction.from_json(f.to_json()) == f
-
     def test_json_booleans_are_not_integers(self):
         for bad in (
             lambda: Graph.from_json({"vertices": 2, "edges": [[0, True]]}),
             lambda: Graph.from_json({"vertices": True, "edges": []}),
             lambda: FinSet.from_json({"size": False}),
-            lambda: SetFunction.from_json({"dom": 1, "cod": 2, "map": [True]}),
         ):
             with pytest.raises(ValidationError):
                 bad()

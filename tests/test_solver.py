@@ -1529,3 +1529,67 @@ class TestLongestPath:
         with pytest.raises(TooLarge) as refused:
             longest_path(g, d, labeling)
         assert str(refused.value) == message
+
+
+def graphs_with_their_decompositions():
+    """(g, d) for the fixtures and the pool's `solve -g` queries whose
+    colimit numbers its vertices otherwise than g: each g as given and
+    relabeled by a seeded permutation, kept when the bijection from the
+    colimit onto g is not the identity."""
+    from sdkit import decomposition_from_json, tree_decomposition_reading
+
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    pool = json.loads((fixtures.parent / "perfbench" / "data" / "pool.json").read_text())
+    read = lambda name: json.loads((fixtures / name).read_text())
+    named = [(read(f"{stem}.json"), read(f"{stem}.dec.json")) for stem in ("bowtie", "p3")]
+    named.append((read("td_example_g.json"), read("td_example.dec.json")))
+    queries = [q for qs in pool["queries"].values() for q in qs if q["verb"] == "solve" and "graph" in q]
+    for g, d in sorted({(q["graph"], q["decomposition"]) for q in queries}):
+        named.append((pool["graphs"][g], pool["decompositions"][d]))
+    rng = random.Random(271)
+    out = []
+    for g_json, d_json in named:
+        g, d = Graph.from_json(g_json), decomposition_from_json(d_json)
+        perm = list(range(g.vertices))
+        rng.shuffle(perm)
+        for h in (g, Graph(g.vertices, [(perm[u], perm[v]) for u, v in g.edges])):
+            if tuple(tree_decomposition_reading(h, d)[1]) != tuple(range(h.vertices)):
+                out.append((h, d))
+    return out
+
+
+class TestSolveOnGraph:
+    """solve_on_graph answers on g: a Solved whose witness is in g's
+    numbering and whose ambient is g, as `sdkit solve -g` prints it."""
+
+    def test_the_witness_lies_in_g(self, capsys, tmp_path):
+        from sdkit import predicate_by_name
+        from sdkit.cli import run
+        from sdkit.solver import Solved, solve_on_graph
+
+        instances = graphs_with_their_decompositions()
+        assert len(instances) > 40
+        g_path, d_path = tmp_path / "g.json", tmp_path / "d.json"
+        for g, d in instances:
+            g_path.write_text(json.dumps(g.to_json()))
+            d_path.write_text(json.dumps(decomposition_to_json(d)))
+            for prop in ("paths", "bipartite", "planar"):
+                predicate = predicate_by_name(prop)
+                answer = solve_on_graph(g, d, predicate, MAX_EDGES)
+                assert type(answer) is Solved and answer.ambient is g
+                assert answer.witness.edges <= g.edges and predicate(answer.witness)
+                assert answer.witness.vertices <= frozenset(range(g.vertices))
+                on_colimit = solve(d, predicate, MAX_EDGES)
+                assert (answer.value, answer.stats) == (on_colimit.value, on_colimit.stats)
+                assert run(["solve", "-g", str(g_path), "-d", str(d_path), "--property", prop]) == 0
+                printed = json.loads(capsys.readouterr().out)
+                assert (printed["value"], printed["witness"]) == (answer.value, answer.witness.to_json())
+
+    def test_longest_path_on_the_empty_graph(self):
+        from sdkit.solver import solve_on_graph
+
+        g = Graph(0)
+        d = StructuredDecomposition(Graph(0), GRAPH, (), ())
+        value, witness, stats = longest_path(g, d)
+        assert (value, witness) == (0, EMPTY_SUBOBJECT)
+        assert solve_on_graph(g, d, PATHS, _LONGEST_PATH) == (None, None, stats, g)
