@@ -26,9 +26,9 @@ sets are read. Otherwise the leaf runs Apriori and the glue asks once per matche
 pair, except a pair with a side inside the shared edges: it gives back the
 other side, accepted already. An Objective weighs a subobject by its
 vertex or edge count, so the best entry, ties broken by the smallest
-encoding, is read off the edge sets (of a power set, off its two extreme
-sets); the full table of a solve is built only when SolveResult.table is
-read.
+encoding, is read off the edge sets, and, but for the most edges, off the
+down-set alone (_best_in_family); the full table of a solve is built only
+when SolveResult.table is read.
 
 The summary route (summaries._solve_at_boundary) runs the same fold
 (_fold) without keeping edge sets: a table is one class per signature, what
@@ -87,6 +87,10 @@ MAX_EDGE_SETS = 1 << 18
 # Most entries (vertex set, edge set) a built table may have: compose,
 # enumerate_subp_bruteforce and SolveResult.table build every entry.
 MAX_TABLE_ENTRIES = 1 << 20
+# Most vertices predicate_planar hands to its path-addition test, after its
+# degree reduction: a one-bag 30 x 30 triangulated grid, reduced to 898, is
+# answered by `sdkit h-width` within 5 s and 512 MiB (README "Size caps").
+PLANAR_CAP = 898
 
 
 class Subobject(NamedTuple):
@@ -267,7 +271,8 @@ def _planar(adj) -> bool:
 
 def predicate_planar(sub: Subobject) -> bool:
     """Planarity by the path-addition test, after cheap exits on the edge
-    count of the graph reduced to minimum degree 3."""
+    count of the graph reduced to minimum degree 3; TooLarge when that
+    graph has more than PLANAR_CAP vertices."""
     if len(sub.edges) <= 8:
         # a nonplanar graph contains a subdivision of K3,3 (9 edges) or of
         # K5 (10 edges), by Kuratowski's theorem
@@ -297,6 +302,8 @@ def predicate_planar(sub: Subobject) -> bool:
         return True
     if edges > 3 * len(adj) - 6:
         return False
+    if len(adj) > PLANAR_CAP:
+        raise TooLarge(f"a planarity test of {len(adj)} vertices is past the cap of {PLANAR_CAP}")
     return _planar(adj)
 
 
@@ -360,6 +367,8 @@ class Objective:
     def __post_init__(self):
         if self.counts not in ("vertices", "edges"):
             raise ValidationError(f"an objective counts vertices or edges, not {self.counts!r}")
+        if self.direction not in ("max", "min"):
+            raise ValidationError(f"an objective's direction is max or min, not {self.direction!r}")
 
     def weight(self, sub: Subobject) -> int:
         return len(sub.vertices) if self.counts == "vertices" else len(sub.edges)
@@ -668,52 +677,43 @@ def best_entry(table: SubPTable, objective: Objective):
 
 def _best_in_family(family, n: int, objective: Objective):
     """best_entry of the full table over the vertices 0..n-1 that family, a
-    list of (edge set, ends), stands for, without building it; None if
-    family is empty. Both routes read their witness here, the summary route
-    from the best sets of its root classes.
+    list of (edge set, ends) or a _PowerSet, stands for, without building
+    it; None if it holds no edge set. Both routes read their witness here,
+    the summary route from the best sets of its root classes.
 
-    The entries with edge set E have every vertex set between ends(E) and
-    all vertices. The best of them with the smallest encoding is
-    0..max ends(E) (the smallest sorted tuple that holds ends(E); empty for
-    E empty) when the objective counts edges, every vertex when it
-    maximizes vertices, and ends(E) when it minimizes them. One candidate
-    per edge set is therefore enough, and its weight is known from (E,
-    ends(E)), so only the candidates of the best weight are built.
-
-    For _LONGEST_PATH the family is of linear forests (PATHS), and E forms
-    one path exactly when |ends(E)| = |E| + 1. The witness is (ends(E), E)
-    for such an E with the most edges and the smallest encoding, or vertex
-    0 alone when no E has an edge (None when n is 0).
-
-    Of a _PowerSet, only the two extreme sets are
-    candidates, the empty set and the whole: the whole is the one set with
-    the most edges, the empty set the one with the fewest edges or ends,
-    and under max-vertices every set ties and the empty set has the
-    smallest encoding. _LONGEST_PATH reads the listed power set.
+    Sub_P is a down-set, so a non-empty family holds the empty edge set with
+    every vertex set: unread, that is the best entry when the objective
+    minimizes (no vertex), or maximizes vertices (all n: every entry ties,
+    and the empty edge set encodes smallest). Under max-edges one pass keeps
+    the sets with the most edges (of a _PowerSet, its whole set), and only
+    they are built, each over 0..max ends(E), its smallest encoding. For
+    _LONGEST_PATH the family is of linear forests (PATHS; a _PowerSet is
+    listed), and E forms one path exactly when |ends(E)| = |E| + 1: the
+    witness is (ends(E), E) for such an E with the most edges and the
+    smallest encoding, or vertex 0 alone when no E has an edge (None when n
+    is 0).
     """
-    longest, counts_edges = objective is _LONGEST_PATH, objective.counts == "edges"
-    if isinstance(family, _PowerSet) and longest:
-        family = _listed(family)
-    elif isinstance(family, _PowerSet):
-        family = [(frozenset(), frozenset()), (frozenset(family), frozenset().union(*family))]
-    sign = 1 if objective.direction == "max" else -1
-    everything = frozenset(range(n)) if not counts_edges and sign > 0 else None
-    top, tied = None, []
+    if not family and not isinstance(family, _PowerSet):
+        return None
+    if objective.direction == "min":
+        return EMPTY_SUBOBJECT
+    if objective.counts == "vertices":
+        return Subobject(frozenset(range(n)), frozenset())
+    longest = objective is _LONGEST_PATH
+    if isinstance(family, _PowerSet):
+        family = _listed(family) if longest else [(frozenset(family), frozenset().union(*family))]
+    most, tied = -1, []
     for pair in family:
-        edges, ends = pair
-        if longest and len(ends) != len(edges) + 1:
+        size = len(pair[0])
+        if size < most or longest and len(pair[1]) != size + 1:
             continue
-        weight = sign * (len(edges) if counts_edges else n if everything else len(ends))
-        if top is None or weight > top:
-            top, tied = weight, []
-        if weight == top:
-            tied.append(pair)
-    if top is None:
-        return Subobject(frozenset({0}), frozenset()) if longest and family and n else None
+        if size > most:
+            most, tied = size, []
+        tied.append(pair)
+    if not tied:
+        return Subobject(frozenset({0}), frozenset()) if n else None
     for i, (edges, ends) in enumerate(tied):
-        if counts_edges and not longest:
-            ends = frozenset(range(max(ends, default=-1) + 1))
-        tied[i] = Subobject(everything or ends, edges)
+        tied[i] = Subobject(ends if longest else frozenset(range(max(ends, default=-1) + 1)), edges)
     # the encoding only breaks ties; skipping it for one saves a cold first
     # call (about 10 us) in each CLI query
     return tied[0] if len(tied) == 1 else min(tied, key=Subobject.encoding)

@@ -221,8 +221,8 @@ def tree_decomposition_reading(g: Graph, d: StructuredDecomposition, labeling=No
     else:
         if g.vertices > ISO_VERTEX_CAP:
             raise TooLarge(
-                "deriving a bag labeling needs an isomorphism search; "
-                f"supply a labeling for graphs over {ISO_VERTEX_CAP} vertices"
+                "deriving a bag labeling needs an isomorphism search; supply a labeling for graphs "
+                f"over {ISO_VERTEX_CAP} vertices, or number the graph as `sdkit colim -d` prints it"
             )
         colim_to_g = find_isomorphism(glued, g)
         if colim_to_g is None:

@@ -12,12 +12,25 @@ import time
 
 import pytest
 
-from sdkit import CodomainMismatch, FinSet, Graph, TooLarge, decomposition_from_json, decomposition_to_json
+from sdkit import (
+    CodomainMismatch,
+    FinSet,
+    GRAPH,
+    Graph,
+    StructuredDecomposition,
+    Subobject,
+    TooLarge,
+    complete_graph,
+    decomposition_from_json,
+    decomposition_to_json,
+    predicate_planar,
+)
 from sdkit import cli
 from sdkit.core import JSON_SIZE_CAP
 from sdkit.cli import FLAGS, VERBS, build_parser, run
+from sdkit.solver import PLANAR_CAP
 from sdkit.width import LAYERED_CAP
-from util import BUDGET_MIB, BUDGET_S, CHILD, grid, grid_path_decomposition
+from util import BUDGET_MIB, BUDGET_S, CHILD, block_chain, grid, grid_path_decomposition
 
 
 def invoke(capsys, *argv):
@@ -72,7 +85,8 @@ class TestVerbs:
         assert json.loads(out) == {"violations": []}
 
     def test_check_reports_violations(self, capsys, tmp_path, fixtures_dir):
-        data = json.load(open(fx(fixtures_dir, "five_bag_tree.dec.json")))
+        with open(fx(fixtures_dir, "five_bag_tree.dec.json")) as handle:
+            data = json.load(handle)
         data["bags"] = data["bags"][:-1]
         bad = tmp_path / "bad.dec.json"
         bad.write_text(json.dumps(data))
@@ -432,6 +446,24 @@ class TestErrorHandling:
         assert code == 3
         assert "supply a labeling" in json.loads(out)["error"]
 
+    def test_the_isomorphism_cap_message_names_the_colim_numbering(self, capsys, tmp_path):
+        d, glued, relabeled = grid_path_decomposition()
+        dec = tmp_path / "d.json"
+        dec.write_text(json.dumps(decomposition_to_json(d)))
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(relabeled.to_json()))
+        code, out = invoke(capsys, "solve", "-g", str(graph), "-d", str(dec))
+        assert code == 3 and json.loads(out) == {
+            "error": "deriving a bag labeling needs an isomorphism search; supply a labeling for graphs "
+            "over 8 vertices, or number the graph as `sdkit colim -d` prints it"
+        }
+        # the remedy: the graph numbered as colim prints it solves
+        code, out = invoke(capsys, "colim", "-d", str(dec))
+        assert code == 0 and Graph.from_json(json.loads(out)["object"]) == glued
+        graph.write_text(json.dumps(json.loads(out)["object"]))
+        code, out = invoke(capsys, "solve", "-g", str(graph), "-d", str(dec))
+        assert code == 0 and json.loads(out)["value"] == 8
+
     def test_solve_against_a_graph_the_decomposition_does_not_glue_to(self, capsys, fixtures_dir):
         code, out = invoke(
             capsys, "solve", "-g", fx(fixtures_dir, "k5.json"), "-d", fx(fixtures_dir, "bowtie.dec.json")
@@ -521,6 +553,64 @@ class TestJsonSizeCap:
         assert wall < 2 * BUDGET_S, wall
 
 
+def planar_h_width_in_child(tmp_path, g):
+    """(finished process, wall seconds) of `sdkit h-width --property planar`
+    on the one-bag decomposition of g, in a child process limited to twice
+    the budget's memory."""
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(decomposition_to_json(StructuredDecomposition(Graph(1), GRAPH, (g,), ()))))
+    argv = [str(2 * BUDGET_MIB << 20), "h-width", "-d", str(path), "--property", "planar"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True)
+    return proc, time.perf_counter() - start
+
+
+def k4_chain(blocks):
+    return block_chain([complete_graph(4)] * blocks)
+
+
+class TestPlanarCap:
+    """predicate_planar refuses a graph that keeps more than PLANAR_CAP
+    vertices after its degree reduction, before the path-addition test.
+    Without the cap a one-bag triangulated 40 x 40 grid took `sdkit h-width
+    --property planar` 11.8 s, and a chain of 1,200 K4 blocks 807 MiB. Each
+    family at the cap is answered within the budget: the 30 x 30 grid, whose
+    two corners of degree 2 are smoothed away, and 299 K4 blocks."""
+
+    AT_THE_CAP = {"grid-30x30": grid(30, 30, diagonals=True), "k4-chain-299": k4_chain(299)}
+
+    def test_the_families_reach_the_cap(self, monkeypatch):
+        from sdkit import solver
+
+        monkeypatch.setattr(solver, "PLANAR_CAP", PLANAR_CAP - 1)
+        for g in self.AT_THE_CAP.values():
+            with pytest.raises(TooLarge, match=f"^a planarity test of {PLANAR_CAP} vertices is past"):
+                predicate_planar(Subobject(frozenset(range(g.vertices)), g.edges))
+
+    @pytest.mark.parametrize("name", sorted(AT_THE_CAP))
+    def test_at_the_cap_answers_within_the_budget(self, tmp_path, name):
+        # about 1.4-2.1 s for the grid and 0.3 s (81 MiB) for the chain
+        proc, wall = planar_h_width_in_child(tmp_path, self.AT_THE_CAP[name])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"hWidth": 0}
+        assert wall < 2 * BUDGET_S, wall
+
+    @pytest.mark.parametrize(
+        "g, vertices",
+        [
+            pytest.param(grid(31, 31, diagonals=True), 959, id="grid-31x31"),
+            pytest.param(grid(60, 60, diagonals=True), 3598, id="grid-60x60"),
+            pytest.param(k4_chain(300), 901, id="k4-chain-300"),
+            pytest.param(k4_chain(1200), 3601, id="k4-chain-1200"),
+        ],
+    )
+    def test_past_the_cap_exits_three_at_once(self, tmp_path, g, vertices):
+        proc, wall = planar_h_width_in_child(tmp_path, g)
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stdout) == {"error": f"a planarity test of {vertices} vertices is past the cap of {PLANAR_CAP}"}
+        assert wall < 2 * BUDGET_S, wall
+
+
 class TestDeterminismAndRoundTrip:
     def test_identical_bytes_across_runs(self, capsys, fixtures_dir):
         outputs = []
@@ -585,7 +675,8 @@ class TestDeterminismAndRoundTrip:
         assert code == 0 and out
 
     def test_check_writes_its_violations_to_the_output_file(self, capsys, tmp_path, fixtures_dir):
-        data = json.load(open(fx(fixtures_dir, "five_bag_tree.dec.json")))
+        with open(fx(fixtures_dir, "five_bag_tree.dec.json")) as handle:
+            data = json.load(handle)
         data["bags"] = data["bags"][:-1]
         bad = tmp_path / "bad.dec.json"
         bad.write_text(json.dumps(data))

@@ -69,6 +69,7 @@ from util import (
     _boundary_summary,
     _is_single_path,
     all_subobjects,
+    block_chain,
     graphs_up_to_iso,
     grid,
     ladder,
@@ -217,6 +218,29 @@ class TestPredicates:
             verdict = predicate_planar(sub)
             assert time.perf_counter() - start < 0.05, g
             assert verdict == nx_planar(sub), g
+
+    def test_planar_agrees_with_networkx_just_under_the_cap(self):
+        """Chains of K4 and K5-less-an-edge blocks at cut vertices, reduced
+        to within three vertices of PLANAR_CAP, alone or with one K5 or
+        K3,3 block at a random place."""
+        from sdkit.solver import PLANAR_CAP
+
+        rng = random.Random(31)
+        k5_less_one = Graph(5, sorted(K5.edges - {(0, 1)}))
+        k33 = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+        for bad in (None, K5, k33):
+            blocks, size = [], 1 + (bad.vertices - 1 if bad else 0)
+            while True:
+                block = rng.choice((complete_graph(4), k5_less_one))
+                if size + block.vertices - 1 > PLANAR_CAP:
+                    break
+                blocks.append(block)
+                size += block.vertices - 1
+            if bad:
+                blocks.insert(rng.randrange(len(blocks) + 1), bad)
+            g = block_chain(blocks)
+            assert PLANAR_CAP - 3 <= g.vertices <= PLANAR_CAP
+            assert predicate_planar(whole(g)) == nx_planar(whole(g)) == (bad is None)
 
     def test_predicates_absorb_subobjects(self):
         rng = random.Random(67)
@@ -657,6 +681,11 @@ class TestSolveOnDecomposition:
         with pytest.raises(ValidationError, match="^an objective counts vertices or edges, not 'degrees'$"):
             Objective("max-degree", "degrees", "max")
 
+    @pytest.mark.parametrize("direction", ["sideways", "Max", ""])
+    def test_an_objective_maximizes_or_minimizes(self, direction):
+        with pytest.raises(ValidationError, match=f"^an objective's direction is max or min, not {direction!r}$"):
+            Objective("x", "edges", direction)
+
     def test_cyclic_shape_rejected(self):
         bags = (K1, K1, K1)
         adhesions = tuple(
@@ -1089,6 +1118,42 @@ class TestWholePartProbe:
             with pytest.raises(TooLarge, match="past 32 accepted edge sets"):
                 solve_on_decomposition(d, dataclasses.replace(PLANAR, evaluator=evaluator), MAX_EDGES)
             assert all(len(sub.edges) in (0, 3, 6) for sub in made)
+
+
+class _Unread(list):
+    """A family that fails when it is read."""
+
+    def __iter__(self):
+        raise AssertionError("the family was read")
+
+
+class TestWitnessReadOffTheDownSet:
+    """Sub_P is a down-set: a non-empty family holds the empty edge set, so
+    the best entry under min-edges, min-vertices and max-vertices is known
+    without reading the family."""
+
+    def test_three_objectives_leave_the_family_unread(self):
+        only_empty = _Unread([(frozenset(), frozenset())])
+        two_edges = _Unread(_listed(_PowerSet([(0, 1), (1, 2)])))
+        for family, n in ((only_empty, 0), (two_edges, 4)):
+            assert _best_in_family(family, n, MIN_EDGES) == EMPTY_SUBOBJECT
+            assert _best_in_family(family, n, MIN_VERTICES) == EMPTY_SUBOBJECT
+            assert _best_in_family(family, n, MAX_VERTICES) == Subobject(frozenset(range(n)), frozenset())
+            for objective in (MAX_EDGES, _LONGEST_PATH):
+                with pytest.raises(AssertionError, match="the family was read"):
+                    _best_in_family(family, n, objective)
+        for objective in (MAX_EDGES, MAX_VERTICES, MIN_EDGES, MIN_VERTICES, _LONGEST_PATH):
+            assert _best_in_family(_Unread(), n, objective) is None
+
+    def test_one_bag_k6_planar_witnesses_are_the_best_entries_of_its_table(self):
+        # K6 is not planar, so its 32,071 accepted edge sets are listed
+        d = StructuredDecomposition(Graph(1), GRAPH, (complete_graph(6),), ())
+        result = solve_on_decomposition(d, PLANAR, MAX_VERTICES)
+        assert not isinstance(result.kept_family, _PowerSet) and len(result.kept_family) == 32071
+        assert result.witness == best_entry(result.table, MAX_VERTICES) == whole(Graph(6))
+        for objective in (MAX_EDGES, MIN_EDGES, MIN_VERTICES):
+            witness = _best_in_family(result.kept_family, 6, objective)
+            assert witness == best_entry(result.table, objective)
 
 
 class TestPowerSetKeptAsEdges:

@@ -103,6 +103,16 @@ def ladder(k: int):
     return g, d, labeling
 
 
+def block_chain(blocks) -> Graph:
+    """The graphs in blocks glued in a row at cut vertices: the last vertex
+    of each block is vertex 0 of the next."""
+    edges, offset = [], 0
+    for block in blocks:
+        edges += [(u + offset, v + offset) for u, v in block.edges]
+        offset += block.vertices - 1
+    return Graph(offset + 1, edges)
+
+
 def grid_path_decomposition():
     """(d, glued, relabeled): a path decomposition of the 3 x 3 grid with
     bags {v, .., v + 3}, its colimit, and the colimit with vertices 0 and 1
