@@ -49,8 +49,8 @@ and MAX_TABLE_ENTRIES on the entries of a table about to be built
 (_expand).
 
 The planar predicate is the path-addition test of Demoucron, Malgrange &
-Pertuiset (1964), polynomial in the subobject and without state between
-calls.
+Pertuiset (1964), run as published on each 2-connected block, polynomial
+in the subobject and without state between calls.
 """
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .width import tree_decomposition_reading
+from .width import _blocks, tree_decomposition_reading
 
 # Most vertices a bag may have. A count of held edge sets does not bound the
 # rejected candidates a leaf tries: a star K1,m under paths holds about m^2/2
@@ -150,46 +150,40 @@ def predicate_bipartite(sub: Subobject) -> bool:
 
 
 def _some_cycle(adj):
-    """One cycle of the graph, as its vertices in order: a BFS-tree path
-    closed by the first non-tree edge met. None for a forest."""
-    parent = {}
-    for root in adj:
-        if root in parent:
-            continue
-        parent[root] = None
-        queue = [root]
-        for x in queue:
-            for y in adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-                elif y != parent[x]:
-                    up = [x]
-                    while parent[up[-1]] is not None:
-                        up.append(parent[up[-1]])
-                    depth = {v: i for i, v in enumerate(up)}
-                    down = []
-                    while y not in depth:
-                        down.append(y)
-                        y = parent[y]
-                    return up[: depth[y] + 1] + down[::-1]
-    return None
+    """One cycle of a 2-connected graph, as its vertices in order: a BFS-tree
+    path from the first vertex, closed by the first non-tree edge met."""
+    root = next(iter(adj))
+    parent = {root: None}
+    queue = [root]
+    for x in queue:
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+            elif y != parent[x]:
+                up = [x]
+                while parent[up[-1]] is not None:
+                    up.append(parent[up[-1]])
+                depth = {v: i for i, v in enumerate(up)}
+                down = []
+                while y not in depth:
+                    down.append(y)
+                    y = parent[y]
+                return up[: depth[y] + 1] + down[::-1]
 
 
 def _planar(adj) -> bool:
     """Path-addition planarity test (Demoucron, Malgrange & Pertuiset 1964)
-    of a simple graph given as vertex -> neighbour set, which it consumes.
+    of a 2-connected simple graph given as vertex -> neighbour set.
 
     H starts as one cycle with its two faces. A fragment is a non-H edge
     between two H vertices, or a component of G - H with its attaching
-    edges. A fragment with at most one attachment meets the rest only at a
-    cut vertex, so it is tested on its own and dropped. Every other fragment
-    must fit a face whose boundary holds all its attachments; a path through
-    a fragment with the fewest fitting faces then splits that face in two.
+    edges; in a 2-connected graph each has two attachments or more. Every
+    fragment must fit a face whose boundary holds all its attachments; a
+    path through a fragment with the fewest fitting faces then splits that
+    face in two.
     """
     cycle = _some_cycle(adj)
-    if cycle is None:
-        return True
     placed = {v: set() for v in cycle}  # H as vertex -> H-neighbour set
     for u, w in zip(cycle, cycle[1:] + cycle[:1]):
         placed[u].add(w)
@@ -203,7 +197,7 @@ def _planar(adj) -> bool:
             if u < w and w in placed
         ]
         seen = set(placed)
-        for start in list(adj):
+        for start in adj:
             if start in seen:
                 continue
             seen.add(start)
@@ -215,16 +209,7 @@ def _planar(adj) -> bool:
                     elif y not in seen:
                         seen.add(y)
                         comp.append(y)
-            if len(attach) > 1:
-                fragments.append((attach, set(comp)))
-                continue
-            keep = attach.union(comp)
-            if not _planar({v: adj[v] & keep for v in keep}):
-                return False
-            for v in comp:
-                del adj[v]
-            for a in attach:
-                adj[a].difference_update(comp)
+            fragments.append((attach, set(comp)))
         if not fragments:
             return True
         fits, attach, comp = min(
@@ -270,9 +255,10 @@ def _planar(adj) -> bool:
 
 
 def predicate_planar(sub: Subobject) -> bool:
-    """Planarity by the path-addition test, after cheap exits on the edge
-    count of the graph reduced to minimum degree 3; TooLarge when that
-    graph has more than PLANAR_CAP vertices."""
+    """Planarity by the path-addition test on each block of more than four
+    vertices, after cheap exits on the edge count of the graph reduced to
+    minimum degree 3; TooLarge when that graph has more than PLANAR_CAP
+    vertices."""
     if len(sub.edges) <= 8:
         # a nonplanar graph contains a subdivision of K3,3 (9 edges) or of
         # K5 (10 edges), by Kuratowski's theorem
@@ -304,7 +290,13 @@ def predicate_planar(sub: Subobject) -> bool:
         return False
     if len(adj) > PLANAR_CAP:
         raise TooLarge(f"a planarity test of {len(adj)} vertices is past the cap of {PLANAR_CAP}")
-    return _planar(adj)
+    # a graph is planar exactly when each of its blocks is, and one of at
+    # most four vertices always is
+    for block in _blocks(adj):
+        keep = set(block)
+        if len(keep) > 4 and not _planar({v: adj[v] & keep for v in keep}):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -96,15 +96,8 @@ def is_chordal(g: Graph) -> bool:
 
 
 def clique_number_chordal(g: Graph) -> int:
-    """omega(g) for chordal g: 1 + the largest back-degree along a PEO."""
-    if g.vertices == 0:
-        return 0
-    order = peo(g)
-    if order is None:
-        raise NotChordal("clique number via elimination orderings needs a chordal graph")
-    nbrs = g.neighbor_sets()
-    pos = {v: i for i, v in enumerate(order)}
-    return 1 + max(sum(1 for u in nbrs[v] if pos[u] > pos[v]) for v in order)
+    """omega(g) for chordal g: the size of its largest maximal clique."""
+    return max(map(len, maximal_cliques_chordal(g)), default=0)
 
 
 def chordal_from_decomposition(d: StructuredDecomposition) -> Graph:
@@ -612,24 +605,23 @@ def _block_layered_treewidth(nbrs: list, floor: int) -> int:
     return best
 
 
-def _blocks(g: Graph) -> list:
-    """The vertex lists of the blocks of g (its maximal 2-connected
-    subgraphs and its bridges), by depth-first search with low points
-    (Hopcroft & Tarjan 1973). An isolated vertex is in no block."""
-    nbrs = g.neighbor_sets()
-    depth = [-1] * g.vertices
-    low = [0] * g.vertices
+def _blocks(nbrs) -> list:
+    """The vertex lists of the blocks (maximal 2-connected subgraphs and
+    bridges) of a graph given as vertex -> neighbour set, by depth-first
+    search with low points (Hopcroft & Tarjan 1973), roots in the mapping's
+    order and neighbours in sorted order. An isolated vertex is in no block."""
+    depth, low = {}, {}
     blocks = []
-    for root in range(g.vertices):
-        if depth[root] >= 0:
+    for root in nbrs:
+        if root in depth:
             continue
-        depth[root] = 0
+        depth[root] = low[root] = 0
         trail = [root]  # visited vertices not yet assigned to a block
         stack = [(root, iter(sorted(nbrs[root])))]
         while stack:
             v, rest = stack[-1]
             for u in rest:
-                if depth[u] < 0:
+                if u not in depth:
                     depth[u] = low[u] = depth[v] + 1
                     trail.append(u)
                     stack.append((u, iter(sorted(nbrs[u]))))
@@ -678,7 +670,7 @@ def layered_treewidth_exact(g: Graph) -> int:
     if g.vertices == 0:
         return 0
     best = 1
-    for block in _blocks(g):
+    for block in _blocks(dict(enumerate(g.neighbor_sets()))):
         if len(block) > 2:
             best = _block_layered_treewidth(_neighbour_masks(g.induced_subgraph(block)), best)
     return best

@@ -573,9 +573,9 @@ class TestPlanarCap:
     """predicate_planar refuses a graph that keeps more than PLANAR_CAP
     vertices after its degree reduction, before the path-addition test.
     Without the cap a one-bag triangulated 40 x 40 grid took `sdkit h-width
-    --property planar` 11.8 s, and a chain of 1,200 K4 blocks 807 MiB. Each
-    family at the cap is answered within the budget: the 30 x 30 grid, whose
-    two corners of degree 2 are smoothed away, and 299 K4 blocks."""
+    --property planar` 11.8 s. Each family at the cap is answered within
+    the budget: the 30 x 30 grid, whose two corners of degree 2 are smoothed
+    away, and 299 K4 blocks."""
 
     AT_THE_CAP = {"grid-30x30": grid(30, 30, diagonals=True), "k4-chain-299": k4_chain(299)}
 
@@ -589,7 +589,7 @@ class TestPlanarCap:
 
     @pytest.mark.parametrize("name", sorted(AT_THE_CAP))
     def test_at_the_cap_answers_within_the_budget(self, tmp_path, name):
-        # about 1.4-2.1 s for the grid and 0.3 s (81 MiB) for the chain
+        # about 1.4-2.2 s for the grid and 0.1 s for the chain, each at 19 MiB
         proc, wall = planar_h_width_in_child(tmp_path, self.AT_THE_CAP[name])
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"hWidth": 0}

@@ -135,6 +135,16 @@ class TestComposition:
             with pytest.raises(CodomainMismatch, match="codomain differs from domain"):
                 first.then(second)
 
+    def test_a_mapping_given_as_a_list_is_kept_as_a_tuple(self):
+        for cls, dom, cod, mapping in (
+            (SetFunction, FinSet(3), FinSet(2), [1, 0, 1]),
+            (GraphMorphism, K3, K3, [2, 0, 1]),
+        ):
+            from_list = cls(dom, cod, mapping)
+            assert type(from_list.mapping) is tuple
+            from_tuple = cls(dom, cod, tuple(mapping))
+            assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+
 
 class TestPushout:
     def test_two_triangles_over_a_vertex(self):

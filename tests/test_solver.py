@@ -257,6 +257,68 @@ class TestPredicates:
                     assert predicate(Subobject(verts, edges))
 
 
+class TestPlanarByBlocks:
+    """predicate_planar runs the path-addition test on each block of the
+    reduced graph, so every graph the test sees is 2-connected."""
+
+    @staticmethod
+    def two_connected_only(monkeypatch) -> list:
+        """Check every graph handed to the path-addition test; the list
+        returned collects their vertex counts."""
+        from sdkit import solver
+
+        test, sizes = solver._planar, []
+
+        def checked(adj):
+            h = nx.Graph()
+            h.add_edges_from((u, v) for u in adj for v in adj[u])
+            assert nx.is_biconnected(h) and h.number_of_nodes() == len(adj) > 4
+            sizes.append(len(adj))
+            return test(adj)
+
+        monkeypatch.setattr(solver, "_planar", checked)
+        return sizes
+
+    def test_random_graphs_reach_the_test_two_connected(self, monkeypatch):
+        sizes = self.two_connected_only(monkeypatch)
+        rng = random.Random(29)
+        for _ in range(400):
+            g = random_graph(rng, 16, p=rng.uniform(0.1, 0.5), min_n=5)
+            assert predicate_planar(whole(g)) == nx_planar(whole(g)), g
+        assert len(sizes) > 50, len(sizes)
+
+    def test_block_chains_ending_in_a_kuratowski_block(self, monkeypatch):
+        sizes = self.two_connected_only(monkeypatch)
+        rng = random.Random(41)
+        k33 = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+        for last in (None, K5, k33):
+            for _ in range(40):
+                blocks = []
+                for _ in range(rng.randint(1, 6)):
+                    k = rng.randint(3, 7)
+                    blocks.append(random_graph(rng, k, p=rng.uniform(0.5, 1.0), min_n=k))
+                g = block_chain(blocks + ([last] if last else []))
+                verdict = predicate_planar(whole(g))
+                assert verdict == nx_planar(whole(g)), g
+                if last:
+                    assert not verdict
+        assert len(sizes) > 50, len(sizes)
+
+    def test_a_chain_of_k4_blocks_at_the_cap_takes_little_memory(self):
+        # 299 K4 blocks reduce to 898 vertices, PLANAR_CAP; testing each
+        # fragment at a cut vertex on a copy of its adjacency peaked at 63 MiB
+        import tracemalloc
+
+        g = block_chain([complete_graph(4)] * 299)
+        tracemalloc.start()
+        try:
+            assert predicate_planar(whole(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+
+
 class TestBruteForce:
     def test_point_has_two_path_subobjects(self):
         assert len(enumerate_subp_bruteforce(K1, PATHS).entries) == 2

@@ -377,6 +377,23 @@ class TestTreeDecompositionCheck:
         # with a labeling and through the colimit, both accepted and rejected
         assert min(outcomes.values()) > 500 and len(outcomes) == 4, outcomes
 
+    def test_a_labeling_that_sends_an_edge_to_a_non_edge_fails(self):
+        # a bijection between graphs of equal counts, sending 0-1 to 0-2
+        from sdkit.solver import MAX_EDGES, PATHS, solve_on_graph
+
+        g = path(3)
+        d = StructuredDecomposition(Graph(1), GRAPH, (g,), ())
+        assert not is_tree_decomposition(g, d, [[0, 2, 1]])
+        with pytest.raises(NotATreeDecomposition):
+            solve_on_graph(g, d, PATHS, MAX_EDGES, [[0, 2, 1]])
+
+    def test_a_colimit_not_isomorphic_to_g_fails(self):
+        # C6 read against two disjoint triangles: six vertices and six edges
+        two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        d = StructuredDecomposition(Graph(1), GRAPH, (cycle(6),), ())
+        assert is_tree_decomposition(cycle(6), d)
+        assert not is_tree_decomposition(two_triangles, d)
+
     def test_relabeled_graph_over_the_isomorphism_cap_is_too_large(self):
         d, _, relabeled = grid_path_decomposition()
         with pytest.raises(TooLarge, match="supply a labeling"):
