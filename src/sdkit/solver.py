@@ -35,12 +35,14 @@ The summary route (summaries._solve_at_boundary) runs the same fold
 the rest of the decomposition can see of an edge set (its trace on the
 part's edges that lie in other bags, and the summary of the rest on the
 part's vertices that do), with exact counts and the best witnesses. Its
-glue places every trace-matched pair of classes by the same rule and asks
-the predicate once per key of the shared-edge trace and the two sides'
-boundary summaries; its leaf asks once per (edge, summary of the set it
-extends on the edge's ends). `solve` alone picks the route: the summary
-route for a predicate decided_at_boundary on a decomposition with bags, and
-the edge-set fold, the oracle and the route of compose, for any other.
+glue places every trace-matched pair of classes by the same rule and
+decides once per key of the shared-edge trace and the two sides' boundary
+summaries, its leaf once per (edge, summary of the set it extends on the
+edge's ends): the predicate's BoundaryRule reads each verdict off its key,
+and the evaluator is asked only about the empty subobject, once per bag.
+`solve` alone picks the route: the summary route for a predicate with a
+boundary_rule on a decomposition with bags, and the edge-set fold, the
+oracle and the route of compose, for any other.
 
 Three caps raise TooLarge, each on what it protects: BRUTE_CAP on the
 vertices of a bag, MAX_EDGE_SETS on the accepted edge sets any table of the
@@ -300,6 +302,36 @@ def predicate_planar(sub: Subobject) -> bool:
 
 
 @dataclass(frozen=True)
+class BoundaryRule:
+    """The edge sets in which every vertex has degree at most max_degree
+    (None: no cap) and every cycle is allowed by cycles: "none" (a forest)
+    or "even" (bipartite). Every such set is bipartite, so the colour
+    parities of its summaries are well defined.
+
+    Whether a union has the property is read off summaries
+    (summaries._judge). Let A and B be edge sets of two parts of one graph
+    whose vertex sets meet in I, each with the property, and T their common
+    edges. A | B has it exactly when the degrees of A - T, B - T and T add
+    up to at most max_degree at every vertex of I (a vertex outside I keeps
+    its degree in A or in B), and the links that A - T and B - T make
+    between the vertices of I (each vertex to the first of its component,
+    with its colour parity against it) and the edges of T close only
+    allowed cycles: A | B has a cycle of a parity exactly when they do.
+    These are the degree, connectivity and parity states of Cygan et al.,
+    Parameterized Algorithms (2015), ch. 7.
+    """
+
+    max_degree: int | None
+    cycles: str
+
+    def __post_init__(self):
+        if self.cycles not in ("none", "even"):
+            raise ValidationError(f"a boundary rule allows none or even cycles, not {self.cycles!r}")
+        if self.max_degree is not None and not (type(self.max_degree) is int and self.max_degree >= 0):
+            raise ValidationError(f"a boundary rule's max_degree is None or an int >= 0, not {self.max_degree!r}")
+
+
+@dataclass(frozen=True)
 class PropertyPredicate:
     """A named property of subobjects.
 
@@ -308,28 +340,27 @@ class PropertyPredicate:
     and ignores isolated vertices (the verdict on (V, E) is the verdict on
     (ends of E, E)). paths, bipartite and planar meet it.
 
-    decided_at_boundary claims more. Let A and B be accepted edge sets of
-    two parts of one graph whose vertex sets meet in I, and T their common
-    edges. Then the verdict on A | B is fixed by T and by the summaries
-    of A - T and of B - T on I: each vertex's degree, and its component
-    and colour parity against the first vertex of I in that component. So
-    the summary route keeps one class per summary instead of the edge sets,
-    its glue asks the predicate once per such key, and its leaf once per
-    edge e and summary of A on the ends of e (B = {e}). It holds for paths,
-    whose degrees and closed cycles through I are read off the summaries,
-    and for bipartite, whose odd cycles through I are too; not for planar.
+    boundary_rule, when given, is the property itself on every non-empty
+    edge set: the evaluator accepts an edge set exactly when the rule does,
+    and decides only whether the empty subobject is accepted. solve then
+    takes the summary route, which keeps one class per boundary summary,
+    reads every verdict off the summaries by the rule and asks the
+    evaluator once per bag, about the empty subobject. paths is
+    BoundaryRule(2, "none"), bipartite BoundaryRule(None, "even"); planar
+    has no rule, since its verdict on a union is not fixed by degrees and
+    components on the shared vertices.
     """
 
     name: str
     evaluator: Callable
-    decided_at_boundary: bool = False
+    boundary_rule: BoundaryRule | None = None
 
     def __call__(self, sub: Subobject) -> bool:
         return self.evaluator(sub)
 
 
-PATHS = PropertyPredicate("paths", predicate_paths, decided_at_boundary=True)
-BIPARTITE = PropertyPredicate("bipartite", predicate_bipartite, decided_at_boundary=True)
+PATHS = PropertyPredicate("paths", predicate_paths, BoundaryRule(2, "none"))
+BIPARTITE = PropertyPredicate("bipartite", predicate_bipartite, BoundaryRule(None, "even"))
 PLANAR = PropertyPredicate("planar", predicate_planar)
 PREDICATES = {p.name: p for p in (PATHS, BIPARTITE, PLANAR)}
 
@@ -883,9 +914,9 @@ def solve_on_decomposition(
 
 def solve(d: StructuredDecomposition, predicate: PropertyPredicate, objective: Objective):
     """Value, witness, stats and ambient by the one route rule: the summary
-    route for a predicate decided_at_boundary on a decomposition with bags,
+    route for a predicate with a boundary_rule on a decomposition with bags,
     else solve_on_decomposition, the only route with table and family."""
-    route = _solve_at_boundary if predicate.decided_at_boundary and d.bags else solve_on_decomposition
+    route = _solve_at_boundary if predicate.boundary_rule is not None and d.bags else solve_on_decomposition
     return route(d, predicate, objective)
 
 

@@ -9,9 +9,11 @@ through its trace on the part's seam (its edges that lie in some other bag)
 and through the summary of E - seam on the part's boundary (its vertices
 that lie in some other bag): each vertex's degree, and its component and
 colour parity against the first boundary vertex of that component. That is
-what the glue's boundary-summary key reads, and by decided_at_boundary it
-fixes every later verdict, so a table is one class per signature with the
-number of its edge sets, the entries they stand for and its best witnesses.
+what the glue's boundary-summary key reads, and the predicate's
+BoundaryRule reads every later verdict off it (_judge), so a table is
+one class per signature with the number of its edge sets, the entries they
+stand for and its best witnesses. No union is built to be judged: the
+evaluator is asked only about the empty subobject, once per bag.
 longest_path takes the same route with a weight that counts paths.
 This is the path and connectivity state of Cygan et al., Parameterized
 Algorithms (2015), ch. 7.
@@ -48,6 +50,68 @@ class Solved(NamedTuple):
     ambient: Graph
 
 
+def _union(up, links) -> int:
+    """Add the links (x, y, parity), each a walk of that length parity from
+    x to y, to the union-find up (vertex -> (parent, parity against it)),
+    and return the parities of the cycles they close, bit p for parity p."""
+    closed = 0
+    for x, y, parity in links:
+        while x in up:
+            x, step = up[x]
+            parity ^= step
+        while y in up:
+            y, step = up[y]
+            parity ^= step
+        if x != y:
+            up[x] = (y, parity)
+        else:
+            closed |= 1 << parity
+    return closed
+
+
+def _judge(rule, iface, width, edges_of):
+    """judge(trace, degrees, components, other_degrees, other_components):
+    the BoundaryRule rule's verdict on A | B, where A and B are edge sets of
+    two parts whose vertex sets meet in the sorted vertices iface, each with
+    the rule's property, T = A & B is the edge mask trace (edges_of lists
+    its edges), and the rest are the summaries of A - T and B - T on iface:
+    their degrees, packed width bits per vertex, and their components,
+    numbered as _merge numbers them. BoundaryRule says why the degrees of
+    T, A - T and B - T on iface, and the links of the components with the
+    edges of T, decide it. The verdict on the links is kept per (trace,
+    components, other_components)."""
+    full, at, traces, closes = (1 << width) - 1, {x: i for i, x in enumerate(iface)}, {}, {}
+    # cap: the degree cap or None; forbidden: the parities of the cycles
+    # the rule rejects, bit p for parity p (_union)
+    cap, forbidden = rule.max_degree, 2 if rule.cycles == "even" else 3
+
+    def judge(trace, degrees, components, other_degrees, other_components):
+        if trace not in traces:
+            packed, links = 0, []
+            for u, v in edges_of(trace):
+                packed += 1 << width * u | 1 << width * v
+                links.append((at[u], at[v], 1))
+            traces[trace] = packed, links
+        packed, links = traces[trace]
+        if cap is not None:
+            total = packed + degrees + other_degrees
+            for x in iface:
+                if total >> width * x & full > cap:
+                    return False
+        key = (trace, components, other_components)
+        accepted = closes.get(key)
+        if accepted is None:
+            joins = list(links)
+            for labels in (components, other_components):
+                for x, c in enumerate(labels):
+                    if c >> 1 != x:
+                        joins.append((x, c >> 1, c & 1))
+            accepted = closes[key] = not _union({}, joins) & forbidden
+        return accepted
+
+    return judge
+
+
 def _merge(pieces, edges, target, width) -> tuple:
     """(degrees, components) that a glue along the sorted vertices target
     sees of the union of the edge set edges and the edge sets summarized in
@@ -63,15 +127,7 @@ def _merge(pieces, edges, target, width) -> tuple:
         for x, c in zip(boundary, components):
             if boundary[c >> 1] != x:
                 links.append((x, boundary[c >> 1], c & 1))
-    for x, y, parity in links:
-        while x in up:
-            x, step = up[x]
-            parity ^= step
-        while y in up:
-            y, step = up[y]
-            parity ^= step
-        if x != y:
-            up[x] = (y, parity)
+    _union(up, links)
     firsts, components = {}, []  # firsts: root -> (index, parity) of its first target vertex
     for i, x in enumerate(target):
         parity = 0
@@ -95,14 +151,14 @@ def _join(lab, la, lb) -> tuple:
     return tuple(joined)
 
 
-def _place(classes, signature, count, entries, weight, ends, sample, front, other) -> None:
+def _place(classes, signature, count, entries, weight, ends, front, other) -> None:
     """Add count edge sets standing for entries entries to the class of
     signature, with their best weight weight and the (max end, mask) pairs
     of front, each combined with each of other, as their best sets; ends
-    and the sample set are the class's if it is new (_solve_at_boundary)."""
+    are the class's if it is new (_solve_at_boundary)."""
     cls = classes.get(signature)
     if cls is None:
-        cls = classes[signature] = [0, 0, weight, {}, ends, sample]
+        cls = classes[signature] = [0, 0, weight, {}, ends]
     cls[0] += count
     cls[1] += entries
     if weight > cls[2]:
@@ -140,10 +196,13 @@ def _solve_at_boundary(
     objective: Objective,
     root=None,
 ) -> Solved:
-    """solve_on_decomposition for a predicate decided_at_boundary and a
+    """solve_on_decomposition for a predicate with a boundary_rule and a
     decomposition with bags, with the same value, witness, TooLarge points
-    and stats, except that the leaf count of predicate_calls counts the calls
-    its leaves make. No edge set is kept: a table is one class per signature.
+    and stats, except predicate_calls: it counts the verdicts decided, one
+    per leaf key and per glue key pair, and per bag the one call that asks
+    the evaluator about the empty subobject. Every other verdict is the
+    rule's, read off the keys (_judge), so no union is built to be
+    judged. No edge set is kept: a table is one class per signature.
 
     The colimit edge of rank r in sorted order is bit M - 1 - r of an edge
     mask over the M colimit edges, and colimit vertex v is bit N - 1 - v of
@@ -162,10 +221,9 @@ def _solve_at_boundary(
     gives each boundary vertex 2 * (index of the first boundary vertex of
     its component) + its colour parity against that vertex. classes maps a
     signature to [count of edge sets, entries they stand for, their best
-    weight, front, ends, sample], where front lists the (max end, mask) of
-    the sets of that weight that no other beats on both (_finish), ends
-    masks the boundary vertices the sets touch, and sample is the mask of
-    one of the sets, which a glue asks the predicate about.
+    weight, front, ends], where front lists the (max end, mask) of the sets
+    of that weight that no other beats on both (_finish), and ends masks the
+    boundary vertices the sets touch.
 
     The weight is the size |E|, or, for longest_path, the key (|E| - |ends
     E|, |E|, vertex mask of ends E): a linear forest has |ends E| - |E|
@@ -183,7 +241,9 @@ def _solve_at_boundary(
     """
     glued, cocone, bag_edges = _solvable_colimit(d)
     longest, high, width = objective is _LONGEST_PATH, glued.vertices - 1, glued.vertices.bit_length()
-    evaluate = predicate.evaluator  # predicate(sub), one call frame fewer
+    # the leaves' judge reads S | {e} on the ends of e as the vertices 0 and 1
+    edges_of, one_edge = lambda mask: edge_set(mask)[0], 1 | 1 << width
+    leaf_judge = _judge(predicate.boundary_rule, (0, 1), width, edges_of)
     full = (1 << width) - 1
     # bit: colimit edge -> its bit, pair_of the inverse; home and edge_home:
     # the mask of the bags that hold each colimit vertex and edge bit; cache:
@@ -224,12 +284,11 @@ def _solve_at_boundary(
         Each accepted edge set S is kept as its mask, the vertex mask of its
         ends, its degrees and its component labels over the bag's vertices
         (_join), and the same for S - seam, whose summary on the boundary
-        gives S's signature. S | {e} is decided by the verdict on the first
-        candidate with the same edge e and the same summary of S on the ends
-        of e: their degrees, and whether they are joined and with which
-        parity. That is the decided_at_boundary contract with A = S, B = {e}
-        and no common edges, so the predicate is called once per such key,
-        and once on the empty subobject.
+        gives S's signature. S | {e} is decided once per key of the edge e
+        and the summary of S on the ends of e: their degrees, and whether
+        they are joined and with which parity. That is the rule's verdict
+        with A = S, B = {e} and no common edges; the evaluator is asked
+        only about the empty subobject.
         """
         tb, n, pairs = 1 << t, len(cocone[t].mapping), bag_edges[t]
         boundary, inner, edges, seam, fields, ends_mask = [], [], [], 0, 0, 0
@@ -249,7 +308,7 @@ def _solve_at_boundary(
                 seam |= b
             edges.append((local[u], local[v], width * u, width * v, b, v, 1 << high - u | 1 << high - v))
         classes = {}
-        if not evaluate(EMPTY_SUBOBJECT):
+        if not predicate.evaluator(EMPTY_SUBOBJECT):
             return (tb, tuple(boundary), seam, classes), 1, 0, 0
         start, verdicts, k = tuple(range(0, 2 * n, 2)), {}, len(boundary)
         calls, count, size, level = 1, 1, 0, [(0, 0, start, 0, start, 0, -1, 0)]
@@ -262,7 +321,7 @@ def _solve_at_boundary(
                 # inline, not _place: a call per listed set slows a one-bag K7 solve by about 12%
                 cls = classes.get(signature)
                 if cls is None:
-                    classes[signature] = [1, 1 << n - used, weight, {top: mask}, ends & ends_mask, mask]
+                    classes[signature] = [1, 1 << n - used, weight, {top: mask}, ends & ends_mask]
                 else:
                     cls[0] += 1
                     cls[1] += 1 << n - used
@@ -277,8 +336,7 @@ def _solve_at_boundary(
                     accepted = verdicts.get(key)
                     if accepted is None:
                         calls += 1
-                        grown_edges, grown_ends = edge_set(mask | eb)
-                        accepted = verdicts[key] = evaluate(Subobject(grown_ends, grown_edges))
+                        accepted = verdicts[key] = leaf_judge(0, key[1] | key[2] << width, (0, key[3]), one_edge, (0, 1))
                     if not accepted:
                         continue
                     count += 1
@@ -307,8 +365,8 @@ def _solve_at_boundary(
         every pair of classes with one trace is placed. A pair with a class
         inside the shared edges (whose one set is the trace) gives back the
         other class, accepted already. Any other pair is placed when the
-        predicate accepts it: asked once per key of the trace and the two
-        sides' summaries on the interface, on the union of their samples.
+        rule accepts it, decided once per key of the trace and the two
+        sides' summaries on the interface.
         """
         bags, shared, seams = left[0] | right[0], left[2] & right[2], left[2] | right[2]
         boundary, iface, seam, fields, ends_mask, iface_fields, iface_mask = [], [], 0, 0, 0, 0, 0
@@ -338,6 +396,7 @@ def _solve_at_boundary(
                     lefts.append((trace, item))
                 else:
                     by_trace.setdefault(trace, []).append(item)
+        by_key, judge = list(keys), _judge(predicate.boundary_rule, iface, width, edges_of)
         made, verdicts = 0, {}  # verdicts: (left key, right key) -> verdict on the union
         for trace, (key, inside, ends, tau, flag, degrees, components, cls) in lefts:
             for other_key, other_inside, other_ends, other_tau, other_flag, other_degrees, other_components, other in by_trace.get(
@@ -347,8 +406,7 @@ def _solve_at_boundary(
                     accepted = verdicts.get((key, other_key))
                     if accepted is None:
                         made += 1
-                        union_edges, union_ends = edge_set(cls[5] | other[5])
-                        accepted = verdicts[key, other_key] = evaluate(Subobject(union_ends, union_edges))
+                        accepted = verdicts[key, other_key] = judge(*by_key[key], *by_key[other_key][1:])
                     if not accepted:
                         continue
                 lost, met, w, loose = trace.bit_count(), (ends & other_ends).bit_count(), other[2], (tau | other_tau) & ~seam
@@ -365,7 +423,6 @@ def _solve_at_boundary(
                     if longest
                     else cls[2] + w - lost,
                     (cls[4] | other[4]) & ends_mask,
-                    cls[5] | other[5],
                     cls[3],
                     other[3],
                 )

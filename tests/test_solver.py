@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -12,6 +13,7 @@ import pytest
 
 from sdkit import (
     BIPARTITE,
+    BoundaryRule,
     GRAPH,
     Graph,
     GraphMorphism,
@@ -58,6 +60,7 @@ from sdkit.solver import (
     _compose_entries,
     _entry_count,
     _listed,
+    _solvable_colimit,
     _solve_at_boundary,
     best_entry,
     translate_subobject,
@@ -1381,9 +1384,9 @@ class TestCapPointsDoNotMove:
 
 
 class TestBoundaryKeyedGlue:
-    """PATHS and BIPARTITE are decided_at_boundary: the glue asks them once
-    per (trace, boundary summaries) key and reuses the verdict for every
-    pair with that key."""
+    """PATHS and BIPARTITE carry a boundary_rule: the glue decides once per
+    (trace, boundary summaries) key and reuses the verdict for every pair
+    with that key."""
 
     @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE], ids=lambda p: p.name)
     def test_every_pair_with_one_key_gets_one_verdict(self, monkeypatch, td_example, predicate):
@@ -1407,10 +1410,10 @@ class TestBoundaryKeyedGlue:
         assert len(result.family) == len(family) and set(result.family) == set(family)
 
     def test_the_claim_belongs_to_the_predicate(self):
-        assert PATHS.decided_at_boundary and BIPARTITE.decided_at_boundary
-        assert not PLANAR.decided_at_boundary
-        assert not PropertyPredicate("user", predicate_paths).decided_at_boundary
-        assert dataclasses.replace(BIPARTITE, evaluator=predicate_bipartite).decided_at_boundary
+        assert PATHS.boundary_rule is not None and BIPARTITE.boundary_rule is not None
+        assert PLANAR.boundary_rule is None
+        assert PropertyPredicate("user", predicate_paths).boundary_rule is None
+        assert dataclasses.replace(BIPARTITE, evaluator=predicate_bipartite).boundary_rule is not None
 
 
 def summary_route_instances():
@@ -1463,7 +1466,7 @@ class TestSummaryRoute:
 
     def test_a_predicate_rejecting_everything_gives_the_same_empty_result(self, td_example):
         never = dataclasses.replace(PATHS, evaluator=lambda sub: False)
-        assert never.decided_at_boundary
+        assert never.boundary_rule is not None
         for d in (ORACLE_INSTANCES[0], two_bag_bowtie_decomposition(), ladder(4)[1], td_example):
             result = _solve_at_boundary(d, never, MAX_EDGES) if d.bags else solve(d, never, MAX_EDGES)
             full = solve_on_decomposition(d, never, MAX_EDGES)
@@ -1508,7 +1511,9 @@ class TestSummaryRoute:
         result = _solve_at_boundary(one_bag(k4), counted, MAX_EDGES)
         # 34 accepted edge sets: 1 + 33 in TestLeafPredicateCalls.test_k4_paths
         assert len(accepted) == result.stats.edge_sets[0] == 34
-        assert result.stats.predicate_calls == (len(made), 0) == (1 + len(keys), 0) == (29, 0)
+        # the count is of verdicts: the rule decides the keys, the evaluator the empty subobject
+        assert result.stats.predicate_calls == (1 + len(keys), 0) == (29, 0)
+        assert made == [EMPTY_SUBOBJECT]
 
     @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE], ids=lambda p: p.name)
     def test_leaves_ask_once_per_edge_and_summary(self, predicate):
@@ -1526,7 +1531,7 @@ class TestSummaryRoute:
         for predicate in (PATHS, BIPARTITE, PLANAR):
             assert run(["solve", "-d", str(path), "--property", predicate.name]) == 0
             calls = json.loads(capsys.readouterr().out)["stats"]["predicateCalls"]
-            route = _solve_at_boundary if predicate.decided_at_boundary else solve_on_decomposition
+            route = _solve_at_boundary if predicate.boundary_rule is not None else solve_on_decomposition
             assert tuple(calls.values()) == route(d, predicate, MAX_EDGES).stats.predicate_calls[::-1]
         assert run(["bench", "--config", str(self.bench_config(tmp_path, path))]) == 0
         rows = capsys.readouterr().out.splitlines()
@@ -1554,10 +1559,139 @@ class TestSummaryRoute:
         assert routes == ["_solve_at_boundary", "_solve_at_boundary", "solve_on_decomposition"]
 
 
+def matching(sub: Subobject) -> bool:
+    return all(degree <= 1 for degree in collections.Counter(v for edge in sub.edges for v in edge).values())
+
+
+def even_cycles_and_paths(sub: Subobject) -> bool:
+    degrees = collections.Counter(v for edge in sub.edges for v in edge)
+    return all(degree <= 2 for degree in degrees.values()) and predicate_bipartite(sub)
+
+
+def forest(sub: Subobject) -> bool:
+    return nx.is_forest(nx.Graph(list(sub.edges))) if sub.edges else True
+
+
+class TestBoundaryRule:
+    """The summary route reads every verdict off its keys by the predicate's
+    BoundaryRule (summaries._verdict) and asks the evaluator only about the
+    empty subobject, once per bag."""
+
+    @staticmethod
+    def unions(monkeypatch, d, predicate, root):
+        """(arguments of the route's judge, the evaluator's verdict) for
+        every union the route decides by a key: S | {e} for each accepted
+        edge set S of a bag and each edge e of the bag past S's last, with e
+        on the virtual vertices 0 and 1; and each trace-matched pair of a
+        glue with no side inside the shared edges (verdicts_by_key). The
+        arguments are (interface, trace mask, then the packed degrees and
+        the components of each side less the trace), as summaries._judge
+        takes them after the interface."""
+        glued, _, bag_edges = _solvable_colimit(d)
+        width = glued.vertices.bit_length()
+        bits = {pair: 1 << len(glued.edges) - 1 - r for r, pair in enumerate(glued.edge_list())}
+        pack = lambda degrees: sum(k << width * x for x, k in enumerate(degrees))
+        for edge_list in bag_edges:
+            for size in range(len(edge_list) + 1):
+                for chosen in itertools.combinations(range(len(edge_list)), size):
+                    edges = frozenset(edge_list[i] for i in chosen)
+                    if not predicate.evaluator(Subobject(ends(edges), edges)):
+                        continue
+                    for e in edge_list[chosen[-1] + 1 if chosen else 0 :]:
+                        degrees, components = _boundary_summary(edges, list(e))
+                        arguments = ((0, 1), 0, pack(degrees), components, pack((1, 1)), (0, 1))
+                        yield arguments, predicate.evaluator(Subobject(ends(edges | {e}), edges | {e}))
+        for left, right in glues_of(monkeypatch, d, predicate, root):
+            iface = tuple(sorted(left.vertices & right.vertices))
+            for (trace, *summaries), verdicts in verdicts_by_key(left, right, predicate).items():
+                arguments = [iface, sum(bits[e] for e in trace)]
+                for degrees, components in summaries:
+                    arguments += [sum(k << width * x for x, k in zip(iface, degrees)), components]
+                for accepted in verdicts:
+                    yield tuple(arguments), accepted
+
+    @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE], ids=lambda p: p.name)
+    def test_every_verdict_the_route_decides_is_the_evaluators(self, monkeypatch, td_example, predicate):
+        """At every leaf key and glue key pair the route decides, the rule's
+        verdict (summaries._judge) is the evaluator's on every union with
+        that key, the union of the samples among them; and every verdict the
+        route decides is one of those."""
+        from sdkit import summaries
+
+        decided, judge_of = {}, summaries._judge
+
+        def recording(rule, iface, width, edges_of):
+            judge = judge_of(rule, iface, width, edges_of)
+
+            def recorded(*arguments):
+                accepted = decided[(tuple(iface), *arguments)] = judge(*arguments)
+                return accepted
+
+            return recorded
+
+        monkeypatch.setattr(summaries, "_judge", recording)
+        runs = [(d, root) for d in ORACLE_INSTANCES if d.bags for root in [None, *range(d.shape.vertices)]]
+        runs += [(d, None) for d in summary_route_instances() + [td_example]]
+        seen = set()
+        for d, root in runs:
+            decided.clear()
+            _solve_at_boundary(d, predicate, MAX_EDGES, root=root)
+            read = set()
+            for arguments, accepted in self.unions(monkeypatch, d, predicate, root):
+                assert decided[arguments] == accepted, arguments
+                read.add(arguments)
+                seen.add(accepted)
+            assert read == set(decided)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("predicate", [PATHS, BIPARTITE], ids=lambda p: p.name)
+    def test_the_evaluator_is_asked_once_per_bag(self, bowtie_decomposition, td_example, predicate):
+        """A counting copy of the predicate sees one call per bag, on the
+        empty subobject, and predicateCalls is what tests/golden/solve.json
+        pins: it counts the verdicts decided."""
+        import sdkit
+
+        golden = json.loads((pathlib.Path(__file__).resolve().parent / "golden" / "solve.json").read_text())
+        made = []
+        counting = dataclasses.replace(predicate, evaluator=lambda sub: made.append(sub) or predicate.evaluator(sub))
+        instances = {
+            "bowtie.dec.json": bowtie_decomposition,
+            "ladder-4": ladder(4)[1],
+            "td_example.dec.json": td_example,
+        }
+        pinned = 0
+        for name, d in instances.items():
+            for objective in (MAX_EDGES, MAX_VERTICES, MIN_EDGES):
+                made.clear()
+                result = sdkit.solve(d, counting, objective)
+                assert made == [EMPTY_SUBOBJECT] * d.shape.vertices
+                case = golden.get(f"{name} {predicate.name} {objective.name}")
+                if case is not None:
+                    pinned += 1
+                    assert dict(zip(("leaf", "glue"), result.stats.predicate_calls)) == case["stats"]["predicateCalls"]
+        assert pinned == 6
+
+    @pytest.mark.parametrize(
+        "evaluator, rule",
+        [(matching, BoundaryRule(1, "none")), (even_cycles_and_paths, BoundaryRule(2, "even")), (forest, BoundaryRule(None, "none"))],
+        ids=["matching", "even-cycles-and-paths", "forest"],
+    )
+    def test_a_user_predicate_with_a_rule_takes_the_summary_route(self, monkeypatch, td_example, evaluator, rule):
+        predicate = PropertyPredicate("user", evaluator, rule)
+        instances = ORACLE_INSTANCES + [ladder(k)[1] for k in (3, 4)] + [two_bag_bowtie_decomposition(), td_example]
+        for d in instances:
+            TestSummaryRoute.assert_alike(monkeypatch, d, predicate)
+
+    @pytest.mark.parametrize("max_degree, cycles", [(2, "odd"), (2, "any"), (-1, "none"), (True, "none"), (2.0, "even")])
+    def test_a_rule_outside_its_range_is_refused(self, max_degree, cycles):
+        with pytest.raises(ValidationError):
+            BoundaryRule(max_degree, cycles)
+
+
 class TestOneDoor:
     """sdkit.solve is the one public solve and the only caller of the
-    summary route; its route rule reads predicate.decided_at_boundary and
-    d.bags alone."""
+    summary route; its route rule reads predicate.boundary_rule and d.bags
+    alone."""
 
     @staticmethod
     def k5_decompositions():
@@ -1595,7 +1729,7 @@ class TestOneDoor:
             original = getattr(solver, name)
             recording = lambda *args, _f=original, _n=name: routes.append(_n) or _f(*args)
             monkeypatch.setattr(solver, name, recording)
-        undecided = dataclasses.replace(PATHS, decided_at_boundary=False)
+        undecided = dataclasses.replace(PATHS, boundary_rule=None)
         empty, bowtie = ORACLE_INSTANCES[0], two_bag_bowtie_decomposition()
         assert not empty.bags
         for d, predicate, route in [
