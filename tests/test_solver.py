@@ -1574,7 +1574,7 @@ def forest(sub: Subobject) -> bool:
 
 class TestBoundaryRule:
     """The summary route reads every verdict off its keys by the predicate's
-    BoundaryRule (summaries._verdict) and asks the evaluator only about the
+    BoundaryRule (summaries._judge) and asks the evaluator only about the
     empty subobject, once per bag."""
 
     @staticmethod
