@@ -13,7 +13,9 @@ what the glue's boundary-summary key reads, and the predicate's
 BoundaryRule reads every later verdict off it (_judge), so a table is
 one class per signature with the number of its edge sets, the entries they
 stand for and its best witnesses. No union is built to be judged: the
-evaluator is asked only about the empty subobject, once per bag.
+evaluator is asked only about the empty subobject, once per bag. A leaf
+walks its accepted edge sets depth-first and holds one branch of them at a
+time, so its memory does not grow with the sets it counts.
 longest_path takes the same route with a weight that counts paths.
 This is the path and connectivity state of Cygan et al., Parameterized
 Algorithms (2015), ch. 7.
@@ -281,14 +283,20 @@ def _solve_at_boundary(
         """(table, calls, entries, accepted edge sets) of the Sub_P table of
         bag t, its colimit edges in _accepted_edge_sets' order.
 
-        Each accepted edge set S is kept as its mask, the vertex mask of its
-        ends, its degrees and its component labels over the bag's vertices
-        (_join), and the same for S - seam, whose summary on the boundary
-        gives S's signature. S | {e} is decided once per key of the edge e
-        and the summary of S on the ends of e: their degrees, and whether
-        they are joined and with which parity. That is the rule's verdict
-        with A = S, B = {e} and no common edges; the evaluator is asked
-        only about the empty subobject.
+        The accepted edge sets form a tree: the children of S are S | {e_j}
+        for the edges e_j after its last one that the rule accepts. The leaf
+        walks it depth-first on one stack, which pops a set, places it in
+        its class and pushes its children, so for a bag of m edges it holds
+        at most m(m + 1)/2 sets, those along one branch still to be
+        visited, never a whole level. A set S on the stack is kept as the
+        index of the edge after its last, its degrees and its component
+        labels over the bag's vertices (_join), the same for S - seam, whose
+        summary on the boundary gives S's signature, its mask, its largest
+        vertex, the vertex mask of its ends and its size. S | {e} is decided
+        once per key of the edge e and the summary of S on the ends of e:
+        their degrees, and whether they are joined and with which parity.
+        That is the rule's verdict with A = S, B = {e} and no common edges;
+        the evaluator is asked only about the empty subobject.
         """
         tb, n, pairs = 1 << t, len(cocone[t].mapping), bag_edges[t]
         boundary, inner, edges, seam, fields, ends_mask = [], [], [], 0, 0, 0
@@ -310,50 +318,49 @@ def _solve_at_boundary(
         classes = {}
         if not predicate.evaluator(EMPTY_SUBOBJECT):
             return (tb, tuple(boundary), seam, classes), 1, 0, 0
-        start, verdicts, k = tuple(range(0, 2 * n, 2)), {}, len(boundary)
-        calls, count, size, level = 1, 1, 0, [(0, 0, start, 0, start, 0, -1, 0)]
-        while level:
-            grown = []
-            for first, deg, lab, rdeg, rlab, mask, top, ends in level:
-                used, tau = ends.bit_count(), mask & seam
-                signature = (tau, mask != tau, rdeg & fields, rlab[:k])
-                weight = (size - used, size, ends) if longest else size
-                # inline, not _place: a call per listed set slows a one-bag K7 solve by about 12%
-                cls = classes.get(signature)
-                if cls is None:
-                    classes[signature] = [1, 1 << n - used, weight, {top: mask}, ends & ends_mask]
-                else:
-                    cls[0] += 1
-                    cls[1] += 1 << n - used
-                    if cls[2] < weight:
-                        cls[2:4] = weight, {top: mask}
-                    elif cls[2] == weight and cls[3].get(top, -1) < mask:
-                        cls[3][top] = mask
-                for j in range(first, len(edges)):
-                    a, b, sa, sb, eb, v, ab = edges[j]
-                    la, lb = lab[a], lab[b]
-                    key = (j, deg >> sa & full, deg >> sb & full, (la ^ lb) & 1 if la >> 1 == lb >> 1 else 2)
-                    accepted = verdicts.get(key)
-                    if accepted is None:
-                        calls += 1
-                        accepted = verdicts[key] = leaf_judge(0, key[1] | key[2] << width, (0, key[3]), one_edge, (0, 1))
-                    if not accepted:
-                        continue
-                    count += 1
-                    if count > solver.MAX_EDGE_SETS:
-                        raise _too_many_edge_sets()
-                    step = 1 << sa | 1 << sb
-                    grown_deg, grown_lab = deg + step, lab if la >> 1 == lb >> 1 else _join(lab, la, lb)
-                    if eb & seam:
-                        rest = rdeg, rlab
-                    elif rdeg == deg:  # S has no seam edge, so S - seam is S
-                        rest = grown_deg, grown_lab
-                    else:
-                        ra, rb = rlab[a], rlab[b]
-                        rest = rdeg + step, rlab if ra >> 1 == rb >> 1 else _join(rlab, ra, rb)
-                    grown.append((j + 1, grown_deg, grown_lab, *rest, mask | eb, v if v > top else top, ends | ab))
+        start, verdicts, k, m, cap = tuple(range(0, 2 * n, 2)), {}, len(boundary), len(edges), solver.MAX_EDGE_SETS
+        calls, count, stack = 1, 1, [(0, 0, start, 0, start, 0, -1, 0, 0)]
+        while stack:
+            first, deg, lab, rdeg, rlab, mask, top, ends, size = stack.pop()
+            used, tau = ends.bit_count(), mask & seam
+            signature = (tau, mask != tau, rdeg & fields, rlab[:k])
+            weight = (size - used, size, ends) if longest else size
+            # inline, not _place: a call per listed set slows a one-bag K7 solve by about 12%
+            cls = classes.get(signature)
+            if cls is None:
+                classes[signature] = [1, 1 << n - used, weight, {top: mask}, ends & ends_mask]
+            else:
+                cls[0] += 1
+                cls[1] += 1 << n - used
+                if cls[2] < weight:
+                    cls[2:4] = weight, {top: mask}
+                elif cls[2] == weight and cls[3].get(top, -1) < mask:
+                    cls[3][top] = mask
             size += 1
-            level = grown
+            for j in range(first, m):
+                a, b, sa, sb, eb, v, ab = edges[j]
+                la, lb = lab[a], lab[b]
+                key = (j, deg >> sa & full, deg >> sb & full, (la ^ lb) & 1 if la >> 1 == lb >> 1 else 2)
+                accepted = verdicts.get(key)
+                if accepted is None:
+                    calls += 1
+                    accepted = verdicts[key] = leaf_judge(0, key[1] | key[2] << width, (0, key[3]), one_edge, (0, 1))
+                if not accepted:
+                    continue
+                count += 1
+                if count > cap:
+                    raise _too_many_edge_sets()
+                step = 1 << sa | 1 << sb
+                grown_deg, grown_lab = deg + step, lab if la >> 1 == lb >> 1 else _join(lab, la, lb)
+                grown_top = v if v > top else top
+                if eb & seam:
+                    stack.append((j + 1, grown_deg, grown_lab, rdeg, rlab, mask | eb, grown_top, ends | ab, size))
+                elif rdeg == deg:  # S has no seam edge, so S - seam is S
+                    stack.append((j + 1, grown_deg, grown_lab, grown_deg, grown_lab, mask | eb, grown_top, ends | ab, size))
+                else:
+                    ra, rb = rlab[a], rlab[b]
+                    grown_rlab = rlab if ra >> 1 == rb >> 1 else _join(rlab, ra, rb)
+                    stack.append((j + 1, grown_deg, grown_lab, rdeg + step, grown_rlab, mask | eb, grown_top, ends | ab, size))
         return (tb, tuple(boundary), seam, classes), calls, *_finish(classes)
 
     def glue(left, right):

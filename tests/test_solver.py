@@ -70,6 +70,7 @@ from util import (
     BUDGET_S,
     CHILD,
     _boundary_summary,
+    child_peak_mib,
     _is_single_path,
     all_subobjects,
     block_chain,
@@ -501,35 +502,39 @@ EDGE_SET_CAP_ERROR = "a Sub_P table grew past 262144 accepted edge sets"
 class TestCapsInAChildProcess:
     """Every known worst input of a cap ends in its answer or in exit 3
     within the budget. value is the answer, or the exact error of exit 3
-    where one is pinned (None otherwise)."""
+    where one is pinned (None otherwise); peak bounds the child's peak RSS
+    in MiB where it is pinned."""
 
     @pytest.mark.parametrize(
-        "d, prop, value",
+        "d, prop, value, peak",
         [
             # MAX_EDGE_SETS at a one-bag leaf: K7 under planar (edge-set
             # fold) is the slowest, about 3.0 s for its first 2^18 accepted
             # edge sets. The summary leaf counts the first 2^18 of K8 under
-            # bipartite and of K10 under paths in about 1-1.5 s each (about
-            # 4.5 s each when the edge-set leaf held them)
-            pytest.param(one_bag(complete_graph(8)), "bipartite", None, id="K8-bipartite"),
-            pytest.param(one_bag(complete_graph(7)), "planar", None, id="K7-planar"),
-            pytest.param(one_bag(complete_graph(10)), "paths", None, id="K10-paths"),
+            # bipartite and of K10 under paths or bipartite in about 0.8-1.6 s
+            # each (about 4.5 s each when the edge-set leaf held them). It
+            # walks them depth-first and holds one branch of them, so those
+            # children peak at about 18 MiB (83-102 MiB when it held a level)
+            pytest.param(one_bag(complete_graph(8)), "bipartite", None, 48, id="K8-bipartite"),
+            pytest.param(one_bag(complete_graph(7)), "planar", None, None, id="K7-planar"),
+            pytest.param(one_bag(complete_graph(10)), "paths", None, 48, id="K10-paths"),
+            pytest.param(one_bag(complete_graph(10)), "bipartite", None, 48, id="K10-bipartite"),
             # MAX_EDGE_SETS at a leaf accepted whole: the C8 bipyramid is
             # planar, so its 2^24 edge sets are refused at once (about
             # 0.1 s); Apriori took about 2.0 s and 345 MiB to count 2^18
-            pytest.param(one_bag(bipyramid(8)), "planar", EDGE_SET_CAP_ERROR, id="bipyramid-8-planar"),
+            pytest.param(one_bag(bipyramid(8)), "planar", EDGE_SET_CAP_ERROR, None, id="bipyramid-8-planar"),
             # MAX_EDGE_SETS at a glue: ladder-7 paths counts 154,594 edge
             # sets at most and is solved in about 0.1 s; bipartite would
             # count all 2^19 and is refused in about 0.1 s. The edge-set
             # fold held them and took about 1.5 s and 2.3 s (about 3.3 s
             # and 4.5 s when the glue asked the predicate once per pair)
-            pytest.param(ladder(7)[1], "paths", 13, id="ladder-7-paths"),
-            pytest.param(ladder(7)[1], "bipartite", None, id="ladder-7-bipartite"),
+            pytest.param(ladder(7)[1], "paths", 13, None, id="ladder-7-paths"),
+            pytest.param(ladder(7)[1], "bipartite", None, None, id="ladder-7-bipartite"),
             # BRUTE_CAP: a bag one vertex past it is refused before any work
-            pytest.param(one_bag(complete_graph(11)), "paths", None, id="K11-paths"),
+            pytest.param(one_bag(complete_graph(11)), "paths", None, None, id="K11-paths"),
         ],
     )
-    def test_ends_within_the_budget(self, tmp_path, d, prop, value):
+    def test_ends_within_the_budget(self, tmp_path, d, prop, value, peak):
         path = tmp_path / "d.json"
         path.write_text(json.dumps(decomposition_to_json(d)))
         argv = [str(2 * BUDGET_MIB << 20), "solve", "-d", str(path), "--property", prop]
@@ -542,6 +547,7 @@ class TestCapsInAChildProcess:
         elif value is not None:
             assert json.loads(proc.stdout) == {"error": value}
         assert wall < 2 * BUDGET_S, wall
+        assert child_peak_mib(proc.stderr) < (peak or 2 * BUDGET_MIB)
 
 
 class TestCompose:
@@ -1521,6 +1527,21 @@ class TestSummaryRoute:
         (util.summary_leaf_calls) on every instance, as on K4 above."""
         for d in summary_route_instances():
             assert _solve_at_boundary(d, predicate, MAX_EDGES).stats.predicate_calls[0] == summary_leaf_calls(d, predicate)
+
+    def test_a_one_bag_leaf_holds_one_branch_of_its_sets(self):
+        # the leaf walks its 12,412 accepted edge sets depth-first, holding at
+        # most 21 * 22 / 2 of them at once; keeping a whole level of them
+        # peaked at about 2 MiB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            result = _solve_at_boundary(one_bag(complete_graph(7)), PATHS, MAX_EDGES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.value == 6 and result.stats.edge_sets == (12412,)
+        assert peak < 256 << 10, peak
 
     def test_solve_and_bench_take_the_summary_route(self, capsys, tmp_path):
         from sdkit.cli import run

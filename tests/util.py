@@ -39,15 +39,33 @@ from sdkit.width import _bits, _min_elimination_cost, peo
 # refused, or answered, within 5 s wall and 512 MiB peak RSS. CHILD runs the
 # CLI under an address-space limit on itself (its first argument, in bytes),
 # and the tests bound both at twice the budget, so that a slower machine
-# passes and a missing cap does not.
+# passes and a missing cap does not. At exit CHILD writes its peak RSS, the
+# VmHWM line of /proc/self/status (Linux), as the last line of its stderr
+# (child_peak_mib reads it). Its ru_maxrss would not do: a process started
+# by fork and exec keeps the peak of the process it was forked from.
 BUDGET_S, BUDGET_MIB = 5, 512
 CHILD = """
-import resource, sys
+import atexit, resource, sys
 from sdkit.cli import main
 limit = int(sys.argv.pop(1))
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def peak():
+    with open("/proc/self/status") as status:
+        sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+
+
+atexit.register(peak)
 main()
 """
+
+
+def child_peak_mib(stderr: str) -> float:
+    """The peak RSS in MiB that a CHILD process wrote last on stderr."""
+    name, kib, unit = stderr.splitlines()[-1].split()
+    assert (name, unit) == ("VmHWM:", "kB"), stderr
+    return int(kib) / 1024
 
 
 def fs_adhesion(edge, pairs, bag_u, bag_v) -> Adhesion:
